@@ -1,14 +1,18 @@
-"""Arithmetic and complete linear algebra over Galois rings GR(p^s, mu).
+"""Structure-tensor arithmetic, and complete linear algebra over Galois rings.
 
-A Galois ring is a chain ring: its ideals are (1) > (p) > ... > (p^s) = 0,
-so every nonzero element factors as p^v * unit.  That structure makes a
-Howell-form row reduction possible, which in turn yields *complete*
-solution sets of linear systems (a particular solution plus generators of
-the homogeneous kernel), membership tests for row modules, and kernels.
+Every ring here (Galois rings, finite local rings, their Galois
+extensions) is a finite local ring that is free over Z_{p^s} with bilinear
+multiplication.  `TensorAlgebra` holds that arithmetic once: elements are
+numpy arrays whose trailing axis holds the D coordinates, reduced mod p^s,
+and (a*b)_k = sum_ij a_i b_j T[i,j,k] for a precomputed (D, D, D)
+structure tensor T.  All routines broadcast over leading axes.
 
-Elements are numpy arrays whose trailing axis holds the mu coefficients of
-the representing polynomial, reduced mod p^s.  All routines broadcast over
-leading axes.
+A Galois ring GR(p^s, mu) is a chain ring: its ideals are
+(1) > (p) > ... > (p^s) = 0, so every nonzero element factors as
+p^v * unit.  That structure makes a Howell-form row reduction possible,
+which in turn yields *complete* solution sets of linear systems (a
+particular solution plus generators of the homogeneous kernel),
+membership tests for row modules, and kernels.
 """
 
 from __future__ import annotations
@@ -16,10 +20,235 @@ from __future__ import annotations
 import numpy as np
 
 from . import fq
-from .errors import MalformedModulus, NotAUnit, NotPrime
+from .errors import MalformedModulus, NotAUnit, NotPrime, RingMismatch
 
 
-class ChainRing:
+def power_basis_tensor(f, char, mul=np.multiply):
+    """Structure tensor T[i, j] = x^(i+j) mod f of the power basis of A[x]/(f).
+
+    ``f`` is monic of degree d >= 1, given by d+1 ascending coefficients
+    over the coefficient ring A: integers for A = Z_char, or coordinate
+    rows multiplied by ``mul``.  The result has shape (d, d, d) + f.shape[1:].
+    """
+    f = np.asarray(f, dtype=np.int64)
+    d = len(f) - 1
+    pows = np.zeros((2 * d - 1, d) + f.shape[1:], dtype=np.int64)
+    pows[0, 0] = f[d]  # the leading coefficient, i.e. one
+    for k in range(1, 2 * d - 1):
+        pows[k, 1:] = pows[k - 1, :-1]
+        pows[k] = (pows[k] - mul(pows[k - 1, -1:], f[:d])) % char
+    return pows[np.add.outer(np.arange(d), np.arange(d))]
+
+
+def poly_string(coeffs, var="x", spec=False):
+    """Polynomial text from ascending coefficients (ints or strings; zero
+    terms are dropped): "1 + 3*x^2", or with ``spec`` the compact
+    highest-degree-first form of spec strings, "3*x^2+1"."""
+    terms = []
+    for i, c in enumerate(coeffs):
+        c = str(c)
+        if c == "0":
+            continue
+        mono = "" if i == 0 else var if i == 1 else f"{var}^{i}"
+        terms.append(c if not mono else mono if c == "1" else f"{c}*{mono}")
+    if spec:
+        return "+".join(reversed(terms)) or "0"
+    return " + ".join(terms) or "0"
+
+
+class TensorAlgebra:
+    """A finite local ring free of rank D over Z_char, char = p^s.
+
+    ``q`` is the size of the residue field and ``upsilon`` a bound on the
+    nilpotency index of the maximal ideal, which bounds the Newton steps of
+    :meth:`inverse`.  Subclasses supply ``is_unit`` (the residue map) and
+    may refine :meth:`coerce`, :meth:`coords` and :meth:`format_elem`.
+    Instances are immutable once built and every operation is pure.
+    """
+
+    mismatch = RingMismatch  # raised by coerce for foreign values
+    _MUL_PATH = ["einsum_path", (0, 1), (0, 1)]
+
+    def __init__(self, char, p, q, upsilon, mult_tensor):
+        self.char = char
+        self.p = p
+        self.q = q
+        self.upsilon = upsilon
+        self.mult_tensor = np.asarray(mult_tensor, dtype=np.int64) % char
+        self.D = self.mult_tensor.shape[0]
+        self.zero = np.zeros(self.D, dtype=np.int64)
+        self.one = np.zeros(self.D, dtype=np.int64)
+        self.one[0] = 1
+
+    # -- arithmetic on coordinate arrays (..., D) --
+
+    def add(self, a, b):
+        return (np.asarray(a) + np.asarray(b)) % self.char
+
+    def sub(self, a, b):
+        return (np.asarray(a) - np.asarray(b)) % self.char
+
+    def neg(self, a):
+        return (-np.asarray(a)) % self.char
+
+    def mul(self, a, b):
+        if self.D == 1:
+            return (np.asarray(a) * np.asarray(b)) % self.char
+        return np.einsum("...i,...j,ijk->...k", a, b,
+                         self.mult_tensor, optimize=self._MUL_PATH) % self.char
+
+    def matmul(self, a, b):
+        """Matrix product: (r, k, D) x (k, c, D) -> (r, c, D)."""
+        if self.D == 1:
+            return (a[..., 0] @ b[..., 0])[..., None] % self.char
+        return np.einsum("rki,kcj,ijl->rcl", a, b,
+                         self.mult_tensor, optimize=self._MUL_PATH) % self.char
+
+    def pow(self, a, e):
+        result = np.broadcast_to(self.one, np.asarray(a).shape).copy()
+        base = np.asarray(a) % self.char
+        e = int(e)
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+    def inverse(self, a):
+        """Inverse of a unit: the residue-field inverse a^(q-2), lifted by
+        Newton steps b <- b (2 - a b)."""
+        a = np.asarray(a) % self.char
+        if not self.is_unit(a):
+            raise NotAUnit(f"{a} is not a unit of {self!r}")
+        if self.D == 1:
+            return np.array([pow(int(a[0]), -1, self.char)], dtype=np.int64)
+        b = a.copy() if self.q == 2 else self.pow(a, self.q - 2)
+        two = (2 * self.one) % self.char
+        for _ in range(self.upsilon.bit_length() + 2):
+            ab = self.mul(a, b)
+            if np.array_equal(ab, self.one):
+                return b
+            b = self.mul(b, (two - ab) % self.char)
+        raise NotAUnit("inversion failed to converge")  # pragma: no cover
+
+    def arith(self, a, b, op: str):
+        """Dispatch form of the basic operations; ``b`` is ignored for neg."""
+        a = self.coerce(a)
+        if op == "neg":
+            return self.neg(a)
+        b = self.coerce(b)
+        if op == "add":
+            return self.add(a, b)
+        if op == "sub":
+            return self.sub(a, b)
+        if op == "mul":
+            return self.mul(a, b)
+        raise ValueError(f"unknown op {op!r}")
+
+    # -- sampling and elements --
+
+    def rand(self, rng, shape=()):
+        return rng.integers(0, self.char, size=tuple(shape) + (self.D,), dtype=np.int64)
+
+    def rand_unit(self, rng, shape=()):
+        out = self.rand(rng, shape)
+        flat = out.reshape(-1, self.D)
+        while True:
+            bad = ~self.is_unit(flat)
+            n_bad = int(bad.sum())
+            if n_bad == 0:
+                break
+            flat[bad] = rng.integers(0, self.char, size=(n_bad, self.D), dtype=np.int64)
+        return flat.reshape(out.shape)
+
+    def coerce(self, v):
+        """Coordinate array from an int, coordinate array, or element."""
+        if isinstance(v, RingElem):
+            if v.ring is not self:
+                raise self.mismatch("element belongs to a different ring")
+            return v.flat
+        if isinstance(v, (int, np.integer)):
+            return (int(v) * self.one) % self.char
+        arr = np.asarray(v, dtype=np.int64) % self.char
+        if arr.shape[-1] != self.D:
+            raise self.mismatch(f"expected {self.D} coordinates, got {arr.shape[-1]}")
+        return arr
+
+    def elem(self, v) -> "RingElem":
+        return RingElem(self, self.coerce(v))
+
+    def coords(self, flat):
+        """The coordinates of one element, as :attr:`RingElem.coords` shows them."""
+        return np.asarray(flat)
+
+    def format_elem(self, flat):
+        """Text of one element, read as a polynomial in x over the flat basis."""
+        return poly_string(flat)
+
+
+class RingElem:
+    """A value of a TensorAlgebra: a thin wrapper over flat coordinates."""
+
+    __slots__ = ("ring", "flat")
+
+    def __init__(self, ring: TensorAlgebra, flat):
+        self.ring = ring
+        self.flat = np.asarray(flat, dtype=np.int64) % ring.char
+
+    @property
+    def coords(self):
+        """Coordinates grouped over the subring the ring is presented over."""
+        return self.ring.coords(self.flat)
+
+    def _other(self, v):
+        return self.ring.coerce(v)
+
+    def __add__(self, other):
+        return RingElem(self.ring, self.ring.add(self.flat, self._other(other)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return RingElem(self.ring, self.ring.sub(self.flat, self._other(other)))
+
+    def __rsub__(self, other):
+        return RingElem(self.ring, self.ring.sub(self._other(other), self.flat))
+
+    def __mul__(self, other):
+        return RingElem(self.ring, self.ring.mul(self.flat, self._other(other)))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return RingElem(self.ring, self.ring.neg(self.flat))
+
+    def __pow__(self, e):
+        return RingElem(self.ring, self.ring.pow(self.flat, e))
+
+    def __eq__(self, other):
+        if isinstance(other, (int, np.integer, list, tuple, np.ndarray, RingElem)):
+            return np.array_equal(self.flat, self._other(other))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.flat.tobytes())
+
+    def is_unit(self) -> bool:
+        return bool(self.ring.is_unit(self.flat))
+
+    def inverse(self) -> "RingElem":
+        return RingElem(self.ring, self.ring.inverse(self.flat))
+
+    def residue(self) -> int:
+        """Image in the residue field of a local ring, as an integer code."""
+        return int(self.ring.residue_codes(self.flat))
+
+    def __repr__(self):
+        return self.ring.format_elem(self.flat)
+
+
+class ChainRing(TensorAlgebra):
     """GR(p^s, mu) = Z_{p^s}[x]/(h) with h monic, irreducible mod p."""
 
     def __init__(self, p: int, s: int, mu: int, h=None):
@@ -27,55 +256,25 @@ class ChainRing:
             raise NotPrime(f"{p} is not prime")
         if s < 1 or mu < 1:
             raise MalformedModulus("need s >= 1 and mu >= 1")
-        self.p = p
         self.s = s
         self.mu = mu
-        self.char = p ** s
+        char = p ** s
         if h is None:
             h = fq.smallest_irreducible(p, mu)
-        h = [int(c) % self.char for c in h]
+        h = [int(c) % char for c in h]
         if len(h) != mu + 1 or h[-1] != 1:
             raise MalformedModulus("modulus must be monic of the stated degree")
         if mu > 1 and not fq.irreducible_mod_p([c % p for c in h], p):
             raise MalformedModulus("modulus is not irreducible mod p")
         self.h = np.array(h, dtype=np.int64)
-        self.q = p ** mu
-        # x^k mod h for k in [0, 2mu-2], as coefficient rows
-        pows = np.zeros((max(2 * mu - 1, 1), mu), dtype=np.int64)
-        pows[0, 0] = 1
-        for k in range(1, 2 * mu - 1):
-            shifted = np.zeros(mu, dtype=np.int64)
-            shifted[1:] = pows[k - 1, :-1]
-            lead = pows[k - 1, -1]
-            shifted = (shifted - lead * self.h[:-1]) % self.char
-            pows[k] = shifted
-        # multiplication tensor: (a*b)_k = sum_ij a_i b_j T[i,j,k]
-        self.tensor = np.zeros((mu, mu, mu), dtype=np.int64)
-        for i in range(mu):
-            for j in range(mu):
-                self.tensor[i, j] = pows[i + j]
-        self.zero = np.zeros(mu, dtype=np.int64)
-        self.one = np.zeros(mu, dtype=np.int64)
-        self.one[0] = 1
+        super().__init__(char, p, p ** mu, s, power_basis_tensor(self.h, char))
 
     def __repr__(self):
         return f"ChainRing(p={self.p}, s={self.s}, mu={self.mu})"
 
-    # -- elementwise arithmetic (arrays (..., mu)) --
-
-    def add(self, a, b):
-        return (a + b) % self.char
-
-    def sub(self, a, b):
-        return (a - b) % self.char
-
-    def neg(self, a):
-        return (-np.asarray(a)) % self.char
-
-    def mul(self, a, b):
-        if self.mu == 1:
-            return (np.asarray(a) * np.asarray(b)) % self.char
-        return np.einsum("...i,...j,ijk->...k", a, b, self.tensor, optimize=True) % self.char
+    def is_unit(self, a):
+        """Units are the elements of valuation 0: some coefficient prime to p."""
+        return (np.asarray(a) % self.p).any(axis=-1)
 
     def is_zero(self, a):
         return not np.any(a)
@@ -100,30 +299,6 @@ class ChainRing:
     def unit_part(self, a, v):
         """u with a = p^v * u exactly (canonical representative)."""
         return np.asarray(a) // (self.p ** v)
-
-    def unit_inv(self, u):
-        """Inverse of a unit: residue-field inverse lifted by Newton iteration."""
-        u = np.asarray(u)
-        if self.val(u) != 0:
-            raise NotAUnit("element is not a unit of the Galois ring")
-        b = u.copy() if self.q == 2 else self._pow(u, self.q - 2)
-        two = (2 * self.one) % self.char
-        for _ in range(self.s.bit_length() + 2):
-            ub = self.mul(u, b)
-            if np.array_equal(ub, self.one):
-                return b % self.char
-            b = self.mul(b, (two - ub) % self.char)
-        raise NotAUnit("Newton inversion failed to converge")  # pragma: no cover
-
-    def _pow(self, a, e):
-        result = self.one.copy()
-        base = np.asarray(a) % self.char
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
 
     def divide_exact(self, a, v):
         """a // p^v coefficientwise; exact when val(a) >= v."""
@@ -164,7 +339,7 @@ class ChainRing:
                 if c not in pivots:
                     u = self.unit_part(r[c], v)
                     if not np.array_equal(u % self.char, self.one):
-                        r = self.mul(r, self.unit_inv(u)) % self.char
+                        r = self.mul(r, self.inverse(u)) % self.char
                     pivots[c] = [r, v]
                     if v > 0:
                         queue.append((r * (self.p ** (self.s - v))) % self.char)
@@ -173,7 +348,7 @@ class ChainRing:
                 if v < pv:
                     u = self.unit_part(r[c], v)
                     if not np.array_equal(u % self.char, self.one):
-                        r = self.mul(r, self.unit_inv(u)) % self.char
+                        r = self.mul(r, self.inverse(u)) % self.char
                     pivots[c] = [r, v]
                     if v > 0:
                         queue.append((r * (self.p ** (self.s - v))) % self.char)
@@ -272,21 +447,3 @@ class HowellForm:
         if np.any(res):
             return None  # pragma: no cover - reduction always clears main cols
         return (-witness) % ring.char if n_aug else witness
-
-    def member(self, v) -> bool:
-        """Membership of v in the row module of the main block."""
-        ring = self.ring
-        res = np.asarray(v, dtype=np.int64).copy() % ring.char
-        col_to_idx = {c: i for i, c in enumerate(self.cols) if c < self.n_main}
-        for c in range(self.n_main):
-            if not np.any(res[c]):
-                continue
-            i = col_to_idx.get(c)
-            if i is None:
-                return False
-            pv = self.vals[i]
-            if ring.val(res[c]) < pv:
-                return False
-            qcoef = ring.divide_exact(res[c], pv)
-            res = (res - ring.mul(qcoef[None, :], self.rows[i, :self.n_main])) % ring.char
-        return not np.any(res)

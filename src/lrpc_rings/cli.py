@@ -83,8 +83,7 @@ def _cmd_simulate(args) -> int:
     config = ExperimentConfig(
         ring_spec=args.ring, m=m, f_poly=f_poly, n=args.n, k=args.k,
         lam=args.lam, t_values=args.t, trials=args.trials, seed=args.seed,
-        out_path=args.out, fresh_code_per_trial=args.fresh_code_per_trial,
-        precision=args.precision, timings=args.timings)
+        fresh_code_per_trial=args.fresh_code_per_trial, timings=args.timings)
     records = run_trials(config)
     emit_csv(records, args.out, precision=args.precision)
     for rec in records:

@@ -298,7 +298,7 @@ class Submodule:
             return not v.any()
         if self._member_form is None:
             self._member_form = self.ring.solve_form(np.swapaxes(self.gens, 0, 1))
-        return self._member_form.member(self.ring.expand_vector(v))
+        return self._member_form.member_solve(self.ring.expand_vector(v)) is not None
 
     def coefficients_of(self, v):
         """Coefficients x with x . gens = v, or None when v is not a member."""

@@ -91,22 +91,7 @@ def decompose_ring(spec) -> ProductRingDesc:
                                 for s in spec])
     if isinstance(spec, str):
         cur = specparse._Cursor(specparse.tokenize(spec), spec)
-        factors = []
-        modulus = None
-        while True:
-            atom = specparse._parse_atom(cur)
-            if isinstance(atom, tuple):
-                if len(factors) == 0 and cur.peek() is None:
-                    modulus = atom[1]
-                for p, e in fq.factor_into_prime_powers(atom[1]):
-                    factors.append(Zmod(p ** e))
-            else:
-                factors.append(atom)
-            tok = cur.peek()
-            if tok is not None and tok.kind == "NAME" and tok.value == "x":
-                cur.next()
-                continue
-            break
+        factors, modulus = specparse.parse_product(cur)
         if cur.peek() is not None:
             raise UnsupportedRing(f"trailing input in ring spec {spec!r}")
         return ProductRingDesc(factors, modulus=modulus)

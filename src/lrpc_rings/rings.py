@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fq
-from .chain import ChainRing
-from .errors import (MalformedModulus, NotAUnit, NotLocal, NotPrime,
-                     RingMismatch, UnsupportedRing)
+from .chain import (ChainRing, RingElem, TensorAlgebra, poly_string,
+                    power_basis_tensor)
+from .errors import MalformedModulus, NotLocal, NotPrime, UnsupportedRing
 
 LOCALITY_CHECK_CAP = 2 ** 16
 
@@ -94,7 +94,7 @@ def _fp_solve_all(a, b, p):
     return x
 
 
-class LocalRingDesc:
+class LocalRingDesc(TensorAlgebra):
     """Descriptor of a finite commutative local ring (immutable once built).
 
     Carries the structure tensor, residue projection, maximal ideal data
@@ -104,25 +104,18 @@ class LocalRingDesc:
 
     def __init__(self, base: GaloisRingParams, gamma, tensor, psi_mat,
                  maximal_ideal_gen_coords, spec_string, power_basis=True):
+        super().__init__(base.p ** base.s, base.p, base.p ** base.mu,
+                         base.s * gamma, tensor)
         self.base = base
-        self.p = base.p
         self.s = base.s
         self.mu = base.mu
-        self.char = base.p ** base.s
         self.gamma = gamma
-        self.D = gamma * base.mu
-        self.q = base.p ** base.mu
-        self.upsilon = base.s * gamma
         self.size = self.char ** self.D
-        self.mult_tensor = np.asarray(tensor, dtype=np.int64) % self.char
         self.psi_mat = np.asarray(psi_mat, dtype=np.int64) % base.p
         self.maximal_ideal_gens = [np.asarray(g, dtype=np.int64) % self.char
                                    for g in maximal_ideal_gen_coords]
         self.spec_string = spec_string
         self.power_basis = power_basis
-        self.zero = np.zeros(self.D, dtype=np.int64)
-        self.one = np.zeros(self.D, dtype=np.int64)
-        self.one[0] = 1
         self.chain = ChainRing(base.p, base.s, base.mu, list(base.h))
         self.residue_field = fq.Fq(base.p, [c % base.p for c in base.h])
         self._psi_powers = self.p ** np.arange(self.mu, dtype=np.int64)
@@ -183,42 +176,12 @@ class LocalRingDesc:
             raise NotLocal("non-units do not form the stated maximal ideal")
 
     # ------------------------------------------------------------------
-    # arithmetic on coordinate arrays (..., D)
+    # arithmetic: TensorAlgebra's, bound again in this class's own dict so
+    # that perfbench/spans.py can trace base-ring calls apart from S's
 
-    def add(self, a, b):
-        return (np.asarray(a) + np.asarray(b)) % self.char
-
-    def sub(self, a, b):
-        return (np.asarray(a) - np.asarray(b)) % self.char
-
-    def neg(self, a):
-        return (-np.asarray(a)) % self.char
-
-    _MUL_PATH = ["einsum_path", (0, 1), (0, 1)]
-
-    def mul(self, a, b):
-        if self.D == 1:
-            return (np.asarray(a) * np.asarray(b)) % self.char
-        return np.einsum("...i,...j,ijk->...k", a, b,
-                         self.mult_tensor, optimize=self._MUL_PATH) % self.char
-
-    def pow(self, a, e):
-        result = np.broadcast_to(self.one, np.asarray(a).shape).copy()
-        base = np.asarray(a) % self.char
-        e = int(e)
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def matmul(self, a, b):
-        """Matrix product over R: (r, k, D) x (k, c, D) -> (r, c, D)."""
-        if self.D == 1:
-            return (a[..., 0] @ b[..., 0])[..., None] % self.char
-        return np.einsum("rki,kcj,ijl->rcl", a, b,
-                         self.mult_tensor, optimize=self._MUL_PATH) % self.char
+    mul = TensorAlgebra.mul
+    matmul = TensorAlgebra.matmul
+    inverse = TensorAlgebra.inverse
 
     def residue(self, a):
         """Residue-field image as digit vectors (..., mu) over F_p."""
@@ -239,54 +202,8 @@ class LocalRingDesc:
             return (np.asarray(a)[..., 0] % self.p) != 0
         return self.residue(np.asarray(a)).any(axis=-1)
 
-    def inverse(self, a):
-        """Multiplicative inverse of a unit (Newton lift of the residue inverse)."""
-        a = np.asarray(a) % self.char
-        if not self.is_unit(a):
-            raise NotAUnit(f"{a} is not a unit")
-        if self.D == 1:
-            return np.array([pow(int(a[0]), -1, self.char)], dtype=np.int64)
-        b = a.copy() if self.q == 2 else self.pow(a, self.q - 2)
-        two = (2 * self.one) % self.char
-        for _ in range(self.upsilon.bit_length() + 2):
-            ab = self.mul(a, b)
-            if np.array_equal(ab, self.one):
-                return b
-            b = self.mul(b, (two - ab) % self.char)
-        raise NotAUnit("inversion failed to converge")  # pragma: no cover
-
-    def arith(self, a, b, op: str):
-        """Dispatch form of the basic operations; ``b`` is ignored for neg."""
-        a = self.coerce(a)
-        if op == "neg":
-            return self.neg(a)
-        b = self.coerce(b)
-        if op == "add":
-            return self.add(a, b)
-        if op == "sub":
-            return self.sub(a, b)
-        if op == "mul":
-            return self.mul(a, b)
-        raise ValueError(f"unknown op {op!r}")
-
     # ------------------------------------------------------------------
     # element construction and sampling
-
-    def coerce(self, v):
-        """Coordinate array from an int, coefficient list, or RingElem."""
-        if isinstance(v, RingElem):
-            if v.ring is not self:
-                raise RingMismatch("element belongs to a different ring")
-            return v.flat
-        if isinstance(v, (int, np.integer)):
-            return (int(v) * self.one) % self.char
-        arr = np.asarray(v, dtype=np.int64) % self.char
-        if arr.shape[-1] != self.D:
-            raise RingMismatch(f"expected {self.D} coordinates, got {arr.shape[-1]}")
-        return arr
-
-    def elem(self, v) -> "RingElem":
-        return RingElem(self, self.coerce(v))
 
     def from_poly(self, coeffs) -> "RingElem":
         """Element from polynomial coefficients in the presentation variable
@@ -300,20 +217,6 @@ class LocalRingDesc:
         flat = np.zeros(self.D, dtype=np.int64)
         flat[:len(coeffs)] = [int(c) % self.char for c in coeffs]
         return RingElem(self, flat)
-
-    def rand(self, rng, shape=()):
-        return rng.integers(0, self.char, size=tuple(shape) + (self.D,), dtype=np.int64)
-
-    def rand_unit(self, rng, shape=()):
-        out = self.rand(rng, shape)
-        flat = out.reshape(-1, self.D)
-        while True:
-            bad = ~self.is_unit(flat)
-            n_bad = int(bad.sum())
-            if n_bad == 0:
-                break
-            flat[bad] = rng.integers(0, self.char, size=(n_bad, self.D), dtype=np.int64)
-        return flat.reshape(out.shape)
 
     def rand_ideal(self, rng, shape=()):
         """Uniform over the maximal ideal (the kernel of the residue map)."""
@@ -398,6 +301,10 @@ class LocalRingDesc:
     def __repr__(self):
         return f"LocalRingDesc({self.spec_string})"
 
+    def coords(self, flat):
+        """(gamma, mu) grid of Galois-subring coordinates."""
+        return np.asarray(flat).reshape(self.gamma, self.mu)
+
     @property
     def struct_consts(self):
         """Structure constants c[i][j][k] as R0-elements: (gamma, gamma, gamma, mu)
@@ -405,79 +312,6 @@ class LocalRingDesc:
         t = self.mult_tensor.reshape(self.gamma, self.mu, self.gamma, self.mu,
                                      self.gamma, self.mu)
         return t[:, 0, :, 0]
-
-
-class RingElem:
-    """A value of a local ring: a thin wrapper over flat coordinates."""
-
-    __slots__ = ("ring", "flat")
-
-    def __init__(self, ring: LocalRingDesc, flat):
-        self.ring = ring
-        self.flat = np.asarray(flat, dtype=np.int64) % ring.char
-
-    @property
-    def coords(self):
-        """Coordinates as a (gamma, mu) grid of Galois-subring elements."""
-        return self.flat.reshape(self.ring.gamma, self.ring.mu)
-
-    def _other(self, v):
-        return self.ring.coerce(v)
-
-    def __add__(self, other):
-        return RingElem(self.ring, self.ring.add(self.flat, self._other(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return RingElem(self.ring, self.ring.sub(self.flat, self._other(other)))
-
-    def __rsub__(self, other):
-        return RingElem(self.ring, self.ring.sub(self._other(other), self.flat))
-
-    def __mul__(self, other):
-        return RingElem(self.ring, self.ring.mul(self.flat, self._other(other)))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RingElem(self.ring, self.ring.neg(self.flat))
-
-    def __pow__(self, e):
-        return RingElem(self.ring, self.ring.pow(self.flat, e))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, np.integer, list, tuple, np.ndarray, RingElem)):
-            return np.array_equal(self.flat, self._other(other))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.flat.tobytes())
-
-    def is_unit(self) -> bool:
-        return bool(self.ring.is_unit(self.flat))
-
-    def inverse(self) -> "RingElem":
-        return RingElem(self.ring, self.ring.inverse(self.flat))
-
-    def residue(self) -> int:
-        """Image in the residue field, as an integer code."""
-        return int(self.ring.residue_codes(self.flat))
-
-    def __repr__(self):
-        ring = self.ring
-        if ring.D == 1:
-            return str(int(self.flat[0]))
-        terms = []
-        for i, c in enumerate(self.flat):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(int(c)))
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                terms.append(var if c == 1 else f"{int(c)}*{var}")
-        return " + ".join(terms) if terms else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -497,24 +331,6 @@ def _zps_poly_mod(a, m, char):
     return a + [0] * (dm - len(a))
 
 
-def _power_basis_tensor(g, char):
-    """Structure tensor of Z_char[x]/(g) in the power basis."""
-    d = len(g) - 1
-    pows = np.zeros((2 * d - 1 if d > 0 else 1, d), dtype=np.int64)
-    pows[0, 0] = 1
-    for k in range(1, 2 * d - 1):
-        shifted = np.zeros(d, dtype=np.int64)
-        shifted[1:] = pows[k - 1, :-1]
-        lead = pows[k - 1, -1]
-        shifted = (shifted - lead * np.array(g[:-1], dtype=np.int64)) % char
-        pows[k] = shifted
-    tensor = np.zeros((d, d, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            tensor[i, j] = pows[i + j]
-    return tensor
-
-
 def galois_ring(p: int, s: int, mu: int = 1, h=None) -> LocalRingDesc:
     """The Galois ring GR(p^s, mu); gamma = 1, maximal ideal (p)."""
     char = p ** s
@@ -522,8 +338,7 @@ def galois_ring(p: int, s: int, mu: int = 1, h=None) -> LocalRingDesc:
     if h is None:
         h = default_h
     params = GaloisRingParams(p, s, mu, tuple(int(c) for c in h))
-    tensor = _power_basis_tensor([c % char for c in h], char) if mu > 1 \
-        else np.ones((1, 1, 1), dtype=np.int64)
+    tensor = power_basis_tensor([c % char for c in h], char)
     psi = np.eye(mu, dtype=np.int64)
     mgen = np.zeros(mu, dtype=np.int64)
     mgen[0] = p
@@ -533,7 +348,7 @@ def galois_ring(p: int, s: int, mu: int = 1, h=None) -> LocalRingDesc:
         spec = f"GR({char},{mu})"
     else:
         # grammar-compatible form that pins the non-default modulus
-        spec = f"Z{char}[x]/({_poly_string([int(c) % char for c in h])})"
+        spec = f"Z{char}[x]/({poly_string([int(c) % char for c in h], spec=True)})"
     return LocalRingDesc(params, 1, tensor, psi, [mgen], spec)
 
 
@@ -545,20 +360,6 @@ def Zmod(q: int) -> LocalRingDesc:
                        "use the product-ring constructors")
     p, s = pp
     return galois_ring(p, s, 1)
-
-
-def _poly_string(coeffs):
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            var = "x" if i == 1 else f"x^{i}"
-            terms.append(var if c == 1 else f"{c}*{var}")
-    return "+".join(terms) if terms else "0"
 
 
 def quotient_ring(p: int, s: int, g) -> LocalRingDesc:
@@ -574,15 +375,15 @@ def quotient_ring(p: int, s: int, g) -> LocalRingDesc:
         raise MalformedModulus("quotient modulus must be monic of degree >= 1")
     shape = fq.power_of_irreducible([c % p for c in g], p)
     if shape is None:
-        raise NotLocal(f"{_poly_string(g)} mod {p} is not a power of a single "
+        raise NotLocal(f"{poly_string(g, spec=True)} mod {p} is not a power of a single "
                        "irreducible; the quotient is not local")
     w, e = shape
     mu = len(w) - 1
-    spec = f"Z{char}[x]/({_poly_string(g)})"
+    spec = f"Z{char}[x]/({poly_string(g, spec=True)})"
     if e == 1:
         # the quotient is itself a Galois ring with modulus g
         params = GaloisRingParams(p, s, mu, tuple(g))
-        tensor = _power_basis_tensor(g, char) if mu > 1 else np.ones((1, 1, 1), dtype=np.int64)
+        tensor = power_basis_tensor(g, char)
         psi = np.eye(mu, dtype=np.int64)
         mgen = np.zeros(mu, dtype=np.int64)
         mgen[0] = p
@@ -590,7 +391,7 @@ def quotient_ring(p: int, s: int, g) -> LocalRingDesc:
     if mu == 1:
         # R0 = Z_{p^s}; power basis 1, xi, ..., xi^(d-1)
         params = GaloisRingParams(p, s, 1, (0, 1))
-        tensor = _power_basis_tensor(g, char)
+        tensor = power_basis_tensor(g, char)
         a = (-w[0]) % p  # w = x - a
         psi = np.array([[pow(int(a), i, p)] for i in range(d)], dtype=np.int64)
         p_gen = np.zeros(d, dtype=np.int64)
@@ -610,32 +411,11 @@ def _quotient_ring_general(p, s, g, w, e, spec):
     lifted w inside the power-basis presentation, then rebases to the
     basis {w(xi)^i * y^u}.
     """
+    from .modlin import gauss_inverse  # modlin imports this module
+
     char = p ** s
     d = len(g) - 1
     mu = len(w) - 1
-    pw_tensor = _power_basis_tensor(g, char)
-
-    def pmul(a, b):
-        return np.einsum("i,j,ijk->k", a, b, pw_tensor) % char
-
-    def ppow(a, n):
-        out = np.zeros(d, dtype=np.int64)
-        out[0] = 1
-        base = a.copy()
-        while n:
-            if n & 1:
-                out = pmul(out, base)
-            base = pmul(base, base)
-            n >>= 1
-        return out
-
-    def peval(poly, x):
-        # evaluate an integer-coefficient polynomial at a power-basis element
-        acc = np.zeros(d, dtype=np.int64)
-        for c in reversed(poly):
-            acc = pmul(acc, x)
-            acc[0] = (acc[0] + c) % char
-        return acc
 
     # residue map in the power basis: xi |-> xbar in F_p[x]/(w)
     fqw = fq.Fq(p, w)
@@ -650,19 +430,18 @@ def _quotient_ring_general(p, s, g, w, e, spec):
             out = fqw.add(out, fqw.mul(int(c) % p, xbar_pows[i]))
         return out
 
-    def pinverse(a):
-        # Newton inversion of a power-basis unit
-        b = ppow(a, fqw.q - 2) if fqw.q > 2 else a.copy()
-        two = np.zeros(d, dtype=np.int64)
-        two[0] = 2
-        for _ in range(s.bit_length() + e.bit_length() + 2):
-            ab = pmul(a, b)
-            one_vec = np.zeros(d, dtype=np.int64)
-            one_vec[0] = 1
-            if np.array_equal(ab, one_vec):
-                return b
-            b = pmul(b, (two - ab) % char)
-        raise NotAUnit("power-basis inversion failed")  # pragma: no cover
+    # the quotient in its power basis; its maximal ideal (p, w) has
+    # nilpotency index at most s*e, and its units have nonzero residue
+    pw = TensorAlgebra(char, p, fqw.q, s * e, power_basis_tensor(g, char))
+    pw.is_unit = lambda a: presidue(a) != 0
+
+    def peval(poly, x):
+        # evaluate an integer-coefficient polynomial at a power-basis element
+        acc = pw.zero
+        for c in reversed(poly):
+            acc = pw.mul(acc, x)
+            acc[0] = (acc[0] + c) % char
+        return acc
 
     h = [int(c) % char for c in w]  # lift of w with coefficients in {0..p-1}
     hprime = [(i * h[i]) % char for i in range(1, len(h))]
@@ -672,31 +451,29 @@ def _quotient_ring_general(p, s, g, w, e, spec):
         fy = peval(h, y)
         if not fy.any():
             break
-        y = (y - pmul(fy, pinverse(peval(hprime, y)))) % char
+        y = (y - pw.mul(fy, pw.inverse(peval(hprime, y)))) % char
     else:  # pragma: no cover
         raise NotLocal("Hensel lifting of the Galois subring failed")
 
     w_of_xi = peval([c % char for c in w], np.array([0, 1] + [0] * (d - 2), dtype=np.int64))
     # basis elements z_i * y^u in power coordinates
     cols = []
-    z = np.zeros(d, dtype=np.int64)
-    z[0] = 1
+    z = pw.one
     for i in range(e):
-        yu = np.zeros(d, dtype=np.int64)
-        yu[0] = 1
+        yu = pw.one
         for u in range(mu):
-            cols.append(pmul(z, yu))
-            yu = pmul(yu, y)
-        z = pmul(z, w_of_xi)
+            cols.append(pw.mul(z, yu))
+            yu = pw.mul(yu, y)
+        z = pw.mul(z, w_of_xi)
     c_mat = np.array(cols, dtype=np.int64).T  # power coords of new basis, columns
-    c_inv = _invert_zps_matrix(c_mat, p, s)
+    c_inv = gauss_inverse(ChainRing(p, s, 1), c_mat[..., None], exc=NotLocal)[..., 0]
 
     dd = d
     new_tensor = np.zeros((dd, dd, dd), dtype=np.int64)
     basis_power = [np.array(col, dtype=np.int64) for col in np.array(cols)]
     for a_i in range(dd):
         for b_i in range(a_i, dd):
-            prod = pmul(basis_power[a_i], basis_power[b_i])
+            prod = pw.mul(basis_power[a_i], basis_power[b_i])
             coords = c_inv @ prod % char
             new_tensor[a_i, b_i] = coords
             new_tensor[b_i, a_i] = coords
@@ -708,31 +485,6 @@ def _quotient_ring_general(p, s, g, w, e, spec):
     params = GaloisRingParams(p, s, mu, tuple(h))
     return LocalRingDesc(params, e, new_tensor, psi, [p_gen, w_gen], spec,
                          power_basis=False)
-
-
-def _invert_zps_matrix(m, p, s):
-    """Inverse of a matrix over Z_{p^s} whose determinant is a unit."""
-    char = p ** s
-    n = m.shape[0]
-    a = m.copy() % char
-    inv = np.eye(n, dtype=np.int64)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r, col] % p != 0), None)
-        if piv is None:
-            raise NotLocal("basis change matrix is singular")  # pragma: no cover
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
-        u = int(a[col, col])
-        ui = pow(u, -1, char)
-        a[col] = a[col] * ui % char
-        inv[col] = inv[col] * ui % char
-        for r in range(n):
-            if r != col and a[r, col]:
-                f = a[r, col]
-                a[r] = (a[r] - f * a[col]) % char
-                inv[r] = (inv[r] - f * inv[col]) % char
-    return inv
 
 
 def construct_local_ring(spec) -> LocalRingDesc:

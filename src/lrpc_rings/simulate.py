@@ -54,10 +54,8 @@ class ExperimentConfig:
     t_values: tuple
     trials: int
     seed: int
-    out_path: Optional[str] = None
     f_poly: Optional[str] = None
     fresh_code_per_trial: bool = False
-    precision: int = 6
     timings: bool = False
 
     def __post_init__(self):
@@ -97,12 +95,7 @@ class TrialRecord:
 def parse_ring_spec(text: str):
     """Parse `<local> [x <local> ...] ext m=<int> [f=<poly>]` into validated
     product-ring and product-extension descriptors."""
-    factors, atom_spans, m, f_poly = specparse.parse_spec_parts(text)
-    modulus = None
-    if len(atom_spans) == 1 and len(factors) > 1:
-        modulus = 1
-        for r in factors:
-            modulus *= r.char
+    factors, modulus, m, f_poly = specparse.parse_spec_parts(text)
     ring = ProductRingDesc(factors, modulus=modulus)
     ext = ProductExtensionDesc(ring, m, f_poly)
     return ring, ext

@@ -180,30 +180,37 @@ def parse_local_atom(text: str) -> LocalRingDesc:
     return ring
 
 
-def parse_spec_parts(text: str):
-    """Full grammar -> (local factors, composite map, m, f or None).
+def parse_product(cur: _Cursor):
+    """product := atom ('x' atom)*  ->  (local factors, modulus).
 
-    The composite map records, for Z N atoms with composite N, the span of
-    factor indices they expanded to (used for CRT input conversion).
+    A Z N atom with composite N expands into its prime-power factors; the
+    modulus is N when the product is that one atom (the CRT input
+    conversion needs it), else None.
     """
-    cur = _Cursor(tokenize(text), text)
     factors = []
-    atom_spans = []
+    atoms = []
     while True:
         atom = _parse_atom(cur)
-        start = len(factors)
+        atoms.append(atom)
         if isinstance(atom, tuple):
-            n_val = atom[1]
-            for p, e in fq.factor_into_prime_powers(n_val):
+            for p, e in fq.factor_into_prime_powers(atom[1]):
                 factors.append(Zmod(p ** e))
         else:
             factors.append(atom)
-        atom_spans.append((start, len(factors)))
         tok = cur.peek()
         if tok is not None and tok.kind == "NAME" and tok.value == "x":
             cur.next()
             continue
         break
+    modulus = atoms[0][1] if len(atoms) == 1 and isinstance(atoms[0], tuple) else None
+    return factors, modulus
+
+
+def parse_spec_parts(text: str):
+    """Full grammar -> (local factors, modulus, m, f or None); the modulus
+    is as in :func:`parse_product`."""
+    cur = _Cursor(tokenize(text), text)
+    factors, modulus = parse_product(cur)
     cur.expect("NAME", "ext", expected="'ext' clause")
     cur.expect("NAME", "m")
     cur.expect("SYM", "=")
@@ -217,4 +224,4 @@ def parse_spec_parts(text: str):
     if cur.peek() is not None:
         raise ParseError(f"trailing input {cur.peek().value!r}", cur.pos,
                          "end of input")
-    return factors, atom_spans, m, f_poly
+    return factors, modulus, m, f_poly

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lrpc_rings import (GaloisRingParams, QuotientSpec, Zmod,
-                        construct_local_ring, errors, galois_ring,
-                        quotient_ring)
+from lrpc_rings import (ChainRing, ExtensionDesc, GaloisRingParams,
+                        QuotientSpec, Zmod, construct_local_ring, errors,
+                        galois_ring, quotient_ring)
 
 
 def test_z4_construction(z4):
@@ -60,13 +60,27 @@ def test_additive_inverse_random(z4, rxi, gr42, rng):
 
 
 def test_ring_axioms_random(rxi, gr42, z9, rng):
-    for ring in (rxi, gr42, z9):
+    for ring in (rxi, gr42, z9, ChainRing(3, 2, 2), ExtensionDesc(rxi, 3)):
         a, b, c = (ring.rand(rng, (64,)) for _ in range(3))
         assert np.array_equal(ring.mul(a, b), ring.mul(b, a))
         assert np.array_equal(ring.mul(ring.mul(a, b), c),
                               ring.mul(a, ring.mul(b, c)))
         assert np.array_equal(ring.mul(a, ring.add(b, c)),
                               ring.add(ring.mul(a, b), ring.mul(a, c)))
+        a5 = a
+        for _ in range(4):
+            a5 = ring.mul(a5, a)
+        assert np.array_equal(ring.pow(a, 5), a5)
+
+
+def test_element_reprs(z4, rxi, s5):
+    assert repr(rxi.from_poly([1, 3])) == "1 + 3*x"
+    assert repr(z4.elem(3)) == "3"
+    assert repr(s5.from_poly([3, 2, 0, 3])) == "3 + 2*t + 3*t^3"
+    e = ExtensionDesc(rxi, 3)
+    elem = e.from_poly([rxi.from_poly([1, 1]), 0, rxi.from_poly([0, 1])])
+    assert repr(elem) == "(1 + x) + (x)*t^2"
+    assert s5.spec_string == "Z4 ext m=5 f=x^5+x^2+1"
 
 
 def test_is_unit_examples(z4, rxi):
@@ -85,7 +99,7 @@ def test_inverse_examples(z4, rxi):
 
 
 def test_inverse_involution(gr42, rxi, rng):
-    for ring in (gr42, rxi):
+    for ring in (gr42, rxi, ChainRing(3, 2, 2), ExtensionDesc(rxi, 3)):
         units = ring.rand_unit(rng, (24,))
         for u in units:
             assert np.array_equal(ring.inverse(ring.inverse(u)), u)
