@@ -67,7 +67,6 @@ class TensorAlgebra:
     """
 
     mismatch = RingMismatch  # raised by coerce for foreign values
-    _MUL_PATH = ["einsum_path", (0, 1), (0, 1)]
 
     def __init__(self, char, p, q, upsilon, mult_tensor):
         self.char = char
@@ -75,7 +74,9 @@ class TensorAlgebra:
         self.q = q
         self.upsilon = upsilon
         self.mult_tensor = np.asarray(mult_tensor, dtype=np.int64) % char
-        self.D = self.mult_tensor.shape[0]
+        self.D = D = self.mult_tensor.shape[0]
+        self._t_pairs = self.mult_tensor.reshape(D * D, D)  # T[(i, j), k]
+        self._t_rows = self.mult_tensor.reshape(D, D * D)  # T[i, (j, k)]
         self.zero = np.zeros(self.D, dtype=np.int64)
         self.one = np.zeros(self.D, dtype=np.int64)
         self.one[0] = 1
@@ -94,15 +95,19 @@ class TensorAlgebra:
     def mul(self, a, b):
         if self.D == 1:
             return (np.asarray(a) * np.asarray(b)) % self.char
-        return np.einsum("...i,...j,ijk->...k", a, b,
-                         self.mult_tensor, optimize=self._MUL_PATH) % self.char
+        outer = np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :]
+        outer = outer.reshape(outer.shape[:-2] + (self.D * self.D,))
+        return (outer @ self._t_pairs) % self.char
 
     def matmul(self, a, b):
-        """Matrix product: (r, k, D) x (k, c, D) -> (r, c, D)."""
+        """Matrix product: (r, k, D) x (k, c, D) -> (r, c, D).  a is reduced
+        after meeting T, so the product with b sums k*D terms below char^2."""
         if self.D == 1:
             return (a[..., 0] @ b[..., 0])[..., None] % self.char
-        return np.einsum("rki,kcj,ijl->rcl", a, b,
-                         self.mult_tensor, optimize=self._MUL_PATH) % self.char
+        (r, k, d), c = a.shape, b.shape[1]
+        at = (a.reshape(r * k, d) @ self._t_rows) % self.char  # [(r, k), (j, l)]
+        bt = b.transpose(1, 0, 2).reshape(c, k * d)  # [c, (k, j)]
+        return (bt @ at.reshape(r, k * d, d)) % self.char
 
     def pow(self, a, e):
         result = np.broadcast_to(self.one, np.asarray(a).shape).copy()

@@ -176,23 +176,23 @@ def build_h_ext(ext: ExtensionDesc, h_matrix, f_basis) -> np.ndarray:
     """Expanded parity-check matrix over R: rows blocked by parity row i,
     inner index ell, holding the coefficients of H[i, j] over the F basis.
 
-    Coefficients are recovered by solving over R; raises NotInF when an
-    entry does not decompose over the basis.
+    One column reduction B T = (I_lambda | 0) of the basis rows B serves
+    every entry: v T = (x | 0) iff v = x B.  Raises NotInF when an entry
+    does not decompose over the basis (or the basis rows are dependent).
     """
     ring = ext.base
     h_matrix = np.asarray(h_matrix, dtype=np.int64)
     rows, n = h_matrix.shape[0], h_matrix.shape[1]
     f_basis = np.asarray(f_basis, dtype=np.int64)
     lam = f_basis.shape[0]
-    f_module = Submodule(ring, ext.m, ext.vec_rep(f_basis))
-    out = np.zeros((rows * lam, n, ring.D), dtype=np.int64)
-    for i in range(rows):
-        for j in range(n):
-            coeffs = f_module.coefficients_of(ext.vec_rep(h_matrix[i, j]))
-            if coeffs is None:
-                raise NotInF(f"entry ({i},{j}) does not lie in the module F")
-            out[i * lam:(i + 1) * lam, j] = coeffs
-    return out
+    t = column_jordan(ring, ext.vec_rep(f_basis), exc=NotInF)
+    vt = ring.matmul(ext.vec_rep(h_matrix.reshape(-1, ext.D)), t)
+    outside = vt[:, lam:].reshape(rows * n, -1).any(axis=1)
+    if outside.any():
+        i, j = divmod(int(np.argmax(outside)), n)
+        raise NotInF(f"entry ({i},{j}) does not lie in the module F")
+    coeffs = vt[:, :lam].reshape(rows, n, lam, ring.D)
+    return coeffs.transpose(0, 2, 1, 3).reshape(rows * lam, n, ring.D)
 
 
 def generate_code(params: CodeParams, ext: ExtensionDesc, rng,
@@ -243,15 +243,16 @@ def generate_code(params: CodeParams, ext: ExtensionDesc, rng,
         for ell in range(lam):
             h_matrix = (h_matrix + ext.scalar_mul(coeff[:, :, ell, :],
                                                   f_basis[ell])) % ext.char
-        if unit_pivot_factor(ext, h_matrix).r != n - k:
-            continue
         h_ext = coeff.transpose(0, 2, 1, 3).reshape((n - k) * lam, n, ring.D)
         col_codes = ring.residue_codes(h_ext)
         if ring.residue_field.matrix_rank(col_codes) != n:
             continue
         flags = {"unique_decoding": True, "maximal_row_span": True,
                  "unity": True, "square_property": True}
-        return LrpcCode(ext, params, h_matrix, f_basis, flags)
+        try:
+            return LrpcCode(ext, params, h_matrix, f_basis, flags)
+        except NoInvertibleMinor:  # H lacks full free row rank over S
+            continue
     raise GenerationFailed("retry budget exhausted while sampling H; "
                            "parameters are likely infeasible")
 

@@ -129,16 +129,12 @@ def unit_pivot_factor(arith, a, track_p: bool = True) -> TriFactorization:
     perm = np.arange(n)
     h = 0
     while h < s and h < n:
-        found = None
-        for c in range(h, n):
-            units = np.atleast_1d(arith.is_unit(t[h:, c]))
-            nz = np.nonzero(units)[0]
-            if nz.size:
-                found = (h + int(nz[0]), c)
-                break
-        if found is None:
+        units = arith.is_unit(t[h:, h:])
+        unit_cols = np.nonzero(units.any(axis=0))[0]
+        if unit_cols.size == 0:
             break
-        row, col = found
+        col = h + int(unit_cols[0])
+        row = h + int(np.argmax(units[:, unit_cols[0]]))
         if row != h:
             t[[h, row]] = t[[row, h]]
             if track_p:
@@ -179,13 +175,10 @@ def column_jordan(arith, b, exc=NotFree):
     idx = np.arange(n)
     t[idx, idx] = arith.one
     for i in range(r):
-        punit = None
-        for c in range(i, n):
-            if np.atleast_1d(arith.is_unit(w[i, c]))[0]:
-                punit = c
-                break
-        if punit is None:
+        units = np.nonzero(arith.is_unit(w[i, i:]))[0]
+        if units.size == 0:
             raise exc("rows are not linearly independent over the ring")
+        punit = i + int(units[0])
         if punit != i:
             w[:, [i, punit]] = w[:, [punit, i]]
             t[:, [i, punit]] = t[:, [punit, i]]
@@ -210,13 +203,10 @@ def gauss_inverse(arith, m, exc=NotFree):
     idx = np.arange(k)
     inv[idx, idx] = arith.one
     for col in range(k):
-        piv = None
-        for r_ in range(col, k):
-            if np.atleast_1d(arith.is_unit(a[r_, col]))[0]:
-                piv = r_
-                break
-        if piv is None:
+        units = np.nonzero(arith.is_unit(a[col:, col]))[0]
+        if units.size == 0:
             raise exc("matrix is not invertible over the ring")
+        piv = col + int(units[0])
         if piv != col:
             a[[col, piv]] = a[[piv, col]]
             inv[[col, piv]] = inv[[piv, col]]

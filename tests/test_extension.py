@@ -23,10 +23,22 @@ def test_ext_arith_dispatch(s5):
     assert np.array_equal(s5.ext_arith(th, None, "neg"), (-th).flat)
 
 
+def _check_broadcast_mul(ext, rng):
+    """mul over broadcast leading shapes, checked element by element."""
+    for sa, sb in (((3, 1), (1, 4)), ((), (5,))):
+        a, b = ext.rand(rng, sa), ext.rand(rng, sb)
+        prod = ext.mul(a, b)
+        ab, bb = np.broadcast_arrays(a, b)
+        assert prod.shape == ab.shape
+        for idx in np.ndindex(ab.shape[:-1]):
+            assert np.array_equal(prod[idx], schoolbook_ext_mul(ext, ab[idx], bb[idx]))
+
+
 def test_mul_matches_schoolbook_oracle(s5, rng):
     for _ in range(60):
         a, b = s5.rand(rng), s5.rand(rng)
         assert np.array_equal(s5.mul(a, b), schoolbook_ext_mul(s5, a, b))
+    _check_broadcast_mul(s5, rng)
 
 
 def test_mul_matches_schoolbook_general_base(rng):
@@ -36,6 +48,25 @@ def test_mul_matches_schoolbook_general_base(rng):
     for _ in range(40):
         a, b = ext.rand(rng), ext.rand(rng)
         assert np.array_equal(ext.mul(a, b), schoolbook_ext_mul(ext, a, b))
+    _check_broadcast_mul(ext, rng)
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "s5", "rxi_ext3"])
+def test_matmul_matches_entrywise_sums(ring_name, request, rxi, rng):
+    ring = (ExtensionDesc(rxi, 3) if ring_name == "rxi_ext3"
+            else request.getfixturevalue(ring_name))
+    for r, k, c in ((3, 4, 5), (1, 6, 1), (2, 0, 3)):
+        a, b = ring.rand(rng, (r, k)), ring.rand(rng, (k, c))
+        prod = ring.matmul(a, b)
+        assert prod.shape == (r, c, ring.D)
+        for i, j in np.ndindex(r, c):
+            if ring.D == 1:  # Z4: Python-int dot products
+                want = [sum(int(a[i, t, 0]) * int(b[t, j, 0]) for t in range(k)) % 4]
+            else:
+                want = ring.zero
+                for t in range(k):
+                    want = ring.add(want, schoolbook_ext_mul(ring, a[i, t], b[t, j]))
+            assert np.array_equal(prod[i, j], want)
 
 
 def test_inverse(s5, z4):

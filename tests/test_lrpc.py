@@ -88,6 +88,45 @@ class TestBuildHExt:
         assert small_code.H_ext.shape == ((n - k) * lam, n, 1)
 
 
+def _h_ext_per_entry(ext, h, f_basis):
+    """Oracle: the H_ext layout from one Howell-form solve per entry."""
+    lam = f_basis.shape[0]
+    f_mod = Submodule(ext.base, ext.m, ext.vec_rep(f_basis))
+    out = np.zeros((h.shape[0] * lam, h.shape[1], ext.base.D), dtype=np.int64)
+    for i, j in np.ndindex(h.shape[:2]):
+        coeffs = f_mod.coefficients_of(ext.vec_rep(h[i, j]))
+        if coeffs is None:
+            raise errors.NotInF(f"entry ({i},{j}) does not lie in the module F")
+        out[i * lam:(i + 1) * lam, j] = coeffs
+    return out
+
+
+@pytest.mark.parametrize("ring_name", ["s5", "rxi_ext3"])
+def test_build_h_ext_matches_per_entry_solves(ring_name, request, rxi, rng):
+    ext = (ExtensionDesc(rxi, 3) if ring_name == "rxi_ext3"
+           else request.getfixturevalue(ring_name))
+    ring = ext.base
+    for lam in (1, 2):
+        while True:
+            f_basis = np.concatenate([ext.one[None], ext.rand(rng, (lam - 1,))])
+            f_mod = Submodule(ring, ext.m, ext.vec_rep(f_basis))
+            if free_rank(f_mod) == lam:
+                break
+        coeff = ring.rand(rng, (3, 4, lam))
+        h = sum(ext.scalar_mul(coeff[..., ell, :], f_basis[ell])
+                for ell in range(lam)) % ext.char
+        he = build_h_ext(ext, h, f_basis)
+        assert np.array_equal(he, _h_ext_per_entry(ext, h, f_basis))
+        assert np.array_equal(he, coeff.transpose(0, 2, 1, 3).reshape(3 * lam, 4, ring.D))
+        theta = ext.theta().flat  # 1, theta, theta^2 are free, so F misses one
+        outside = next(x for x in (theta, ext.mul(theta, theta))
+                       if not f_mod.contains(ext.vec_rep(x)))
+        h[1, 2] = outside
+        h[2, 0] = outside
+        with pytest.raises(errors.NotInF, match=r"entry \(1,2\)"):
+            build_h_ext(ext, h, f_basis)
+
+
 class TestEncodeSyndrome:
     def test_zero_message(self, small_code):
         z = np.zeros((small_code.params.k, small_code.ext.D), dtype=np.int64)

@@ -8,6 +8,7 @@ from lrpc_rings import (MatR, Submodule, count_free_submodules,
                         sample_free_submodule, solve_linear,
                         square_property_check, unit_pivot_factor)
 from lrpc_rings import ExtensionDesc
+from lrpc_rings.modlin import column_jordan, gauss_inverse
 
 from conftest import brute_solution_set
 
@@ -99,6 +100,38 @@ class TestUnitPivotFactor:
             t3 = fact.T[fact.r:, fact.r:]
             if t3.size:
                 assert not ring.is_unit(t3).any()
+
+
+def test_pivot_order_without_units_in_first_column(z4, rxi):
+    """Leftmost unit column, topmost unit row: values pinned from the
+    column-by-column scans that preceded the vectorized ones."""
+    a4 = np.array([[2, 2, 1, 0], [0, 3, 2, 1], [2, 1, 0, 3]])[..., None]
+    ax = np.array([[[2, 1], [0, 3], [1, 1]],
+                   [[0, 1], [2, 2], [3, 0]],
+                   [[2, 0], [1, 2], [0, 1]]])
+    for ring, a, perm, t in (
+            (z4, a4, [1, 2, 0, 3], [[1, 2, 0, 3], [0, 1, 2, 2], [0, 0, 2, 0]]),
+            (rxi, ax, [1, 2, 0], [[[1, 0], [0, 1], [2, 0]],
+                                  [[0, 0], [1, 0], [0, 3]],
+                                  [[0, 0], [0, 0], [2, 0]]])):
+        fact = unit_pivot_factor(ring, a)
+        assert fact.perm.tolist() == perm and fact.r == 2
+        assert np.array_equal(fact.T, np.reshape(t, a.shape))
+        assert np.array_equal(fact.reconstruct(), a)
+    b4 = np.array([[2, 3, 1, 0], [1, 2, 2, 3]])[..., None]
+    bx = np.array([[[2, 1], [1, 3], [0, 1]], [[1, 0], [2, 1], [3, 3]]])
+    for ring, b, t in (
+            (z4, b4, [[2, 1, 0, 1], [3, 2, 1, 2], [0, 0, 1, 0], [0, 0, 0, 1]]),
+            (rxi, bx, [[[2, 1], [1, 0], [1, 3]],
+                       [[1, 1], [2, 1], [2, 2]],
+                       [[0, 0], [0, 0], [1, 0]]])):
+        assert np.array_equal(column_jordan(ring, b), np.reshape(t, (b.shape[1],) * 2 + (ring.D,)))
+    g4 = np.array([[2, 1, 0], [1, 2, 1], [3, 1, 2]])[..., None]
+    gx = np.array([[[2, 1], [1, 0]], [[1, 1], [0, 1]]])
+    for ring, g, inv in (
+            (z4, g4, [[1, 2, 3], [3, 0, 2], [1, 3, 1]]),
+            (rxi, gx, [[[0, 3], [1, 1]], [[1, 2], [2, 1]]])):
+        assert np.array_equal(gauss_inverse(ring, g), np.reshape(inv, g.shape))
 
 
 class TestFreeAndRank:
