@@ -5,7 +5,9 @@ extensions) is a finite local ring that is free over Z_{p^s} with bilinear
 multiplication.  `TensorAlgebra` holds that arithmetic once: elements are
 numpy arrays whose trailing axis holds the D coordinates, reduced mod p^s,
 and (a*b)_k = sum_ij a_i b_j T[i,j,k] for a precomputed (D, D, D)
-structure tensor T.  All routines broadcast over leading axes.
+structure tensor T.  All routines broadcast over leading axes.  Products
+contract in float64 (one BLAS call) when every partial sum stays below
+2^53, in int64 below 2^63, and refuse rings past that bound.
 
 A Galois ring GR(p^s, mu) is a chain ring: its ideals are
 (1) > (p) > ... > (p^s) = 0, so every nonzero element factors as
@@ -20,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import fq
-from .errors import MalformedModulus, NotAUnit, NotPrime, RingMismatch
+from .errors import (MalformedModulus, NotAUnit, NotPrime, RingMismatch,
+                     UnsupportedRing)
 
 
 def power_basis_tensor(f, char, mul=np.multiply):
@@ -64,6 +67,12 @@ class TensorAlgebra:
     :meth:`inverse`.  Subclasses supply ``is_unit`` (the residue map) and
     may refine :meth:`coerce`, :meth:`coords` and :meth:`format_elem`.
     Instances are immutable once built and every operation is pure.
+
+    Products take canonical operands, in [0, char).  ``dtype`` is the type
+    they contract in: float64 when the largest partial sum, D^2 (char-1)^3
+    for ``mul`` (or (char-1)^2 when D == 1), is below 2^53, else int64,
+    and construction raises UnsupportedRing past 2^63.  Longer sums of
+    products, as in ``matmul``, are split to stay below the same bound.
     """
 
     mismatch = RingMismatch  # raised by coerce for foreign values
@@ -75,8 +84,15 @@ class TensorAlgebra:
         self.upsilon = upsilon
         self.mult_tensor = np.asarray(mult_tensor, dtype=np.int64) % char
         self.D = D = self.mult_tensor.shape[0]
-        self._t_pairs = self.mult_tensor.reshape(D * D, D)  # T[(i, j), k]
-        self._t_rows = self.mult_tensor.reshape(D, D * D)  # T[i, (j, k)]
+        top = (char - 1) ** 2 * (D * D * (char - 1) if D > 1 else 1)
+        if top >= 2 ** 63:
+            raise UnsupportedRing(f"products over Z_{char} with D = {D} "
+                                  "would overflow int64")
+        self.dtype = np.float64 if D > 1 and top < 2 ** 53 else np.int64
+        exact = 2 ** 53 if self.dtype is np.float64 else 2 ** 63
+        self._dot_len = (exact - 1) // (char - 1) ** 2  # longest exact sum of products
+        self._t_pairs = self.mult_tensor.reshape(D * D, D).astype(self.dtype)  # T[(i, j), k]
+        self._t_rows = self.mult_tensor.reshape(D, D * D).astype(self.dtype)  # T[i, (j, k)]
         self.zero = np.zeros(self.D, dtype=np.int64)
         self.one = np.zeros(self.D, dtype=np.int64)
         self.one[0] = 1
@@ -95,19 +111,48 @@ class TensorAlgebra:
     def mul(self, a, b):
         if self.D == 1:
             return (np.asarray(a) * np.asarray(b)) % self.char
-        outer = np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :]
+        a = np.asarray(a, dtype=self.dtype)
+        b = np.asarray(b, dtype=self.dtype)
+        outer = a[..., :, None] * b[..., None, :]
         outer = outer.reshape(outer.shape[:-2] + (self.D * self.D,))
-        return (outer @ self._t_pairs) % self.char
+        return (outer @ self._t_pairs).astype(np.int64) % self.char
 
     def matmul(self, a, b):
         """Matrix product: (r, k, D) x (k, c, D) -> (r, c, D).  a is reduced
         after meeting T, so the product with b sums k*D terms below char^2."""
         if self.D == 1:
-            return (a[..., 0] @ b[..., 0])[..., None] % self.char
+            return self._dot(a[..., 0], b[..., 0])[..., None]
         (r, k, d), c = a.shape, b.shape[1]
-        at = (a.reshape(r * k, d) @ self._t_rows) % self.char  # [(r, k), (j, l)]
+        at = a.reshape(r * k, d).astype(self.dtype) @ self._t_rows  # [(r, k), (j, l)]
+        at = at.astype(np.int64) % self.char
         bt = b.transpose(1, 0, 2).reshape(c, k * d)  # [c, (k, j)]
-        return (bt @ at.reshape(r, k * d, d)) % self.char
+        return self._dot(bt, at.reshape(r, k * d, d))
+
+    def right_map(self, b):
+        """The Z_char matrix of x -> x b for b of shape (k, c, D): shape
+        (k*D, c*D), in ``dtype``, for :meth:`apply_right`.  Row (i, j) holds
+        the coordinates of e_j b[i, :], where e_j is the j-th basis element."""
+        k, c, d = b.shape
+        bt = (b.reshape(k * c, d).astype(self.dtype) @ self._t_rows) % self.char  # [(i, l), (j, m)]
+        return bt.reshape(k, c, d, d).transpose(0, 2, 1, 3).reshape(k * d, c * d)
+
+    def apply_right(self, a, b_map):
+        """a b for a of shape (..., k, D), given ``b_map = right_map(b)``:
+        one vector-matrix product over Z_char, shape (..., c, D)."""
+        out = self._dot(a.reshape(a.shape[:-2] + (-1,)), b_map)
+        return out.reshape(out.shape[:-1] + (-1, self.D))
+
+    def _dot(self, x, y):
+        """x @ y % char for canonical x (..., L) and y (..., L, c), summing
+        at most ``_dot_len`` products at a time so that each sum is exact."""
+        x = x.astype(self.dtype, copy=False)
+        y = y.astype(self.dtype, copy=False)
+        step = self._dot_len
+        out = (x[..., :step] @ y[..., :step, :]).astype(np.int64) % self.char
+        for lo in range(step, x.shape[-1], step):
+            out += (x[..., lo:lo + step] @ y[..., lo:lo + step, :]).astype(np.int64) % self.char
+            out %= self.char
+        return out
 
     def pow(self, a, e):
         result = np.broadcast_to(self.one, np.asarray(a).shape).copy()

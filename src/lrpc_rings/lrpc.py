@@ -22,7 +22,7 @@ from .errors import (BadRank, ExtensionMismatch, GenerationFailed,
                      NoInvertibleMinor, NoSolution, NotInF, RankDeficient)
 from .extension import ExtensionDesc
 from .modlin import (Submodule, column_jordan, free_module_test, free_rank,
-                     gauss_inverse, intersect_with_free, module_product,
+                     intersect_with_free, module_product, row_jordan,
                      sample_free_submodule, square_property_check,
                      unit_pivot_factor)
 
@@ -87,7 +87,9 @@ class DecoderState:
 class LrpcCode:
     """An LRPC code: parity-check matrix, support-module basis with
     precomputed inverses, expanded matrix H_ext, and encoder/decoder
-    precomputations.  Immutable after construction."""
+    precomputations: the column solver P, the generator G, and the Z_char
+    matrices of r -> r H^T and m -> m G (see TensorAlgebra.right_map).
+    Immutable after construction."""
 
     def __init__(self, ext: ExtensionDesc, params: CodeParams, h_matrix,
                  f_basis, flags=None):
@@ -104,16 +106,17 @@ class LrpcCode:
         self.F_module = Submodule(ext.base, ext.m, ext.vec_rep(self.F_basis))
         self.H_ext = build_h_ext(ext, self.H, self.F_basis)
         self.flags = dict(flags) if flags else self._compute_flags()
-        self._Ht = np.swapaxes(self.H, 0, 1).copy()
         self._P = self._column_solver()
         self._G = self._generator_matrix()
+        self._syndrome_map = ext.right_map(np.swapaxes(self.H, 0, 1))
+        self._encode_map = ext.right_map(self._G)
 
     # -- construction helpers --
 
     def _compute_flags(self):
         ext, ring = self.ext, self.ext.base
         n, k, lam = self.params.n, self.params.k, self.params.lam
-        if unit_pivot_factor(ext, self.H).r != n - k:
+        if unit_pivot_factor(ext, self.H, track_p=False).r != n - k:
             raise GenerationFailed("parity-check matrix must have full free "
                                    "row rank over the extension")
         col_codes = ring.residue_codes(self.H_ext)
@@ -145,21 +148,21 @@ class LrpcCode:
         return np.swapaxes(t, 0, 1).copy()
 
     def _generator_matrix(self):
-        """Systematic-style generator G with H G^T = 0 and free rank k."""
+        """Systematic-style generator G with H G^T = 0 and free rank k.
+
+        One Gauss-Jordan pass brings H to (I | X) on permuted columns
+        (piv | rest), where X = H1^-1 H2 for H1 = H[:, piv], H2 = H[:, rest];
+        then G[:, piv] = -X^T and G[:, rest] = I_k.
+        """
         ext = self.ext
         n, k = self.params.n, self.params.k
-        fact = unit_pivot_factor(ext, self.H)
-        if fact.r != n - k:
+        w, perm, r = row_jordan(ext, self.H)
+        if r != n - k:
             raise NoInvertibleMinor("parity-check matrix admits no invertible "
                                     "(n-k) x (n-k) column submatrix")
-        piv = fact.perm[:n - k]
-        rest = fact.perm[n - k:]
-        h1 = self.H[:, piv]
-        h2 = self.H[:, rest]
-        h1_inv = gauss_inverse(ext, h1, exc=NoInvertibleMinor)
-        x = ext.neg(ext.matmul(h1_inv, h2))  # (n-k, k)
+        piv, rest = perm[:n - k], perm[n - k:]
         g = np.zeros((k, n, ext.D), dtype=np.int64)
-        g[:, piv] = np.swapaxes(x, 0, 1)
+        g[:, piv] = np.swapaxes(ext.neg(w[:, n - k:]), 0, 1)
         g[np.arange(k), rest] = ext.one
         chk = ext.matmul(self.H, np.swapaxes(g, 0, 1))
         if chk.any():
@@ -265,14 +268,14 @@ def encode(code: LrpcCode, msg) -> np.ndarray:
     """Codeword msg . G of the message (length-k vector over S)."""
     ext = code.ext
     msg = _as_svector(ext, msg, code.params.k)
-    return ext.matmul(msg[None, :, :], code._G)[0]
+    return ext.apply_right(msg, code._encode_map)
 
 
 def syndrome(code: LrpcCode, received) -> np.ndarray:
     """s = r H^T over S."""
     ext = code.ext
     r = _as_svector(ext, received, code.params.n)
-    return ext.matmul(r[None, :, :], code._Ht)[0]
+    return ext.apply_right(r, code._syndrome_map)
 
 
 def _as_svector(ext, v, length):

@@ -164,16 +164,16 @@ def unit_pivot_factor(arith, a, track_p: bool = True) -> TriFactorization:
 def column_jordan(arith, b, exc=NotFree):
     """T (n x n, invertible) with B T = (I_r | 0) for B with independent rows.
 
-    Raises ``exc`` when some row cannot produce a unit pivot, which happens
-    exactly when the rows are not linearly independent over the local ring.
+    The column operations run on B stacked over I_n, whose lower block
+    becomes T.  Raises ``exc`` when some row cannot produce a unit pivot,
+    which happens exactly when the rows are not linearly independent over
+    the local ring.
     """
     b = np.asarray(b, dtype=np.int64) % arith.char
     r, n = b.shape[0], b.shape[1]
-    d = b.shape[2]
-    w = b.copy()
-    t = np.zeros((n, n, d), dtype=np.int64)
-    idx = np.arange(n)
-    t[idx, idx] = arith.one
+    w = np.zeros((r + n, n, b.shape[2]), dtype=np.int64)
+    w[:r] = b
+    w[r + np.arange(n), np.arange(n)] = arith.one
     for i in range(r):
         units = np.nonzero(arith.is_unit(w[i, i:]))[0]
         if units.size == 0:
@@ -181,44 +181,63 @@ def column_jordan(arith, b, exc=NotFree):
         punit = i + int(units[0])
         if punit != i:
             w[:, [i, punit]] = w[:, [punit, i]]
-            t[:, [i, punit]] = t[:, [punit, i]]
-        ui = arith.inverse(w[i, i].copy())
-        w[:, i] = arith.mul(w[:, i], ui)
-        t[:, i] = arith.mul(t[:, i], ui)
+        w[:, i] = arith.mul(w[:, i], arith.inverse(w[i, i]))
         coefs = w[i].copy()
         coefs[i] = 0
         if coefs.any():
             w = (w - arith.mul(coefs[None, :, :], w[:, i][:, None, :])) % arith.char
-            t = (t - arith.mul(coefs[None, :, :], t[:, i][:, None, :])) % arith.char
-    return t
+    return w[r:]
+
+
+def row_jordan(arith, a, ncols=None):
+    """Gauss-Jordan elimination of the rows of A with unit pivots.
+
+    Pivots are sought in the first ``ncols`` columns (all by default) by
+    the rule of :func:`unit_pivot_factor`: the leftmost column with a unit
+    at or below the current row, and the topmost unit row in it; a column
+    swap brings each pivot to the front.  Returns (W, perm, r) with
+    W = U A[:, perm] for an invertible U, W[:, :r] = (I_r; 0) and no unit
+    left in W[r:, r:ncols]; ``perm`` maps W's column j to A's column
+    perm[j].  For A = (A1 | A2) with A1 invertible of size r, W[:, r:]
+    is A1^-1 A2.
+    """
+    w = np.asarray(a, dtype=np.int64) % arith.char
+    s, n = w.shape[0], w.shape[1] if ncols is None else ncols
+    perm = np.arange(w.shape[1])
+    h = 0
+    while h < s and h < n:
+        units = arith.is_unit(w[h:, h:n])
+        unit_cols = np.nonzero(units.any(axis=0))[0]
+        if unit_cols.size == 0:
+            break
+        col = h + int(unit_cols[0])
+        row = h + int(np.argmax(units[:, unit_cols[0]]))
+        if row != h:
+            w[[h, row]] = w[[row, h]]
+        if col != h:
+            w[:, [h, col]] = w[:, [col, h]]
+            perm[[h, col]] = perm[[col, h]]
+        # columns left of h are unit vectors, zero in row h: skip them
+        w[h, h:] = arith.mul(w[h, h:], arith.inverse(w[h, h]))
+        coefs = w[:, h].copy()
+        coefs[h] = 0
+        if coefs.any():
+            w[:, h:] = (w[:, h:] - arith.mul(coefs[:, None, :], w[h, h:][None, :, :])) % arith.char
+        h += 1
+    return w, perm, h
 
 
 def gauss_inverse(arith, m, exc=NotFree):
-    """Inverse of a square matrix over a local arithmetic (unit pivots)."""
+    """Inverse of a square matrix over a local arithmetic: Gauss-Jordan
+    with unit pivots on (M | I), whose right block becomes M^-1."""
     m = np.asarray(m, dtype=np.int64) % arith.char
     k = m.shape[0]
-    d = m.shape[2]
-    a = m.copy()
-    inv = np.zeros((k, k, d), dtype=np.int64)
-    idx = np.arange(k)
-    inv[idx, idx] = arith.one
-    for col in range(k):
-        units = np.nonzero(arith.is_unit(a[col:, col]))[0]
-        if units.size == 0:
-            raise exc("matrix is not invertible over the ring")
-        piv = col + int(units[0])
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
-        ui = arith.inverse(a[col, col].copy())
-        a[col] = arith.mul(a[col], ui)
-        inv[col] = arith.mul(inv[col], ui)
-        coefs = a[:, col].copy()
-        coefs[col] = 0
-        if coefs.any():
-            a = (a - arith.mul(coefs[:, None, :], a[col][None, :, :])) % arith.char
-            inv = (inv - arith.mul(coefs[:, None, :], inv[col][None, :, :])) % arith.char
-    return inv
+    eye = np.zeros_like(m)
+    eye[np.arange(k), np.arange(k)] = arith.one
+    w, _, r = row_jordan(arith, np.concatenate([m, eye], axis=1), ncols=k)
+    if r < k:
+        raise exc("matrix is not invertible over the ring")
+    return w[:, k:]
 
 
 # ---------------------------------------------------------------------------

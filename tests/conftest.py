@@ -72,3 +72,25 @@ def brute_solution_set(ring, a, b):
     out = prod.sum(axis=2) % ring.char
     ok = (out == b[None]).all(axis=(1, 2))
     return {x.tobytes() for x in xs[ok]}
+
+
+def gauss_inverse_oracle(arith, m):
+    """Oracle: inverse by row operations applied to M and to I separately,
+    column by column with the topmost unit pivot (the loop that preceded
+    modlin.gauss_inverse's single pass over (M | I))."""
+    a = np.asarray(m, dtype=np.int64) % arith.char
+    k = a.shape[0]
+    inv = np.zeros_like(a)
+    inv[np.arange(k), np.arange(k)] = arith.one
+    for col in range(k):
+        piv = col + int(np.nonzero(arith.is_unit(a[col:, col]))[0][0])
+        a[[col, piv]] = a[[piv, col]]
+        inv[[col, piv]] = inv[[piv, col]]
+        ui = arith.inverse(a[col, col].copy())
+        a[col] = arith.mul(a[col], ui)
+        inv[col] = arith.mul(inv[col], ui)
+        coefs = a[:, col].copy()
+        coefs[col] = 0
+        a = (a - arith.mul(coefs[:, None, :], a[col][None, :, :])) % arith.char
+        inv = (inv - arith.mul(coefs[:, None, :], inv[col][None, :, :])) % arith.char
+    return inv

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrpc_rings import ExtensionDesc, errors, free_module_test
+from lrpc_rings import ExtensionDesc, Zmod, errors, free_module_test
 
 from conftest import schoolbook_ext_mul
 
@@ -51,22 +51,81 @@ def test_mul_matches_schoolbook_general_base(rng):
     _check_broadcast_mul(ext, rng)
 
 
+def _entrywise_sum(ring, a, b):
+    """Oracle for one entry of a matrix product: sum_t a[t] b[t] by Python
+    ints (D == 1) or by schoolbook products."""
+    if ring.D == 1:
+        return [sum(int(x[0]) * int(y[0]) for x, y in zip(a, b)) % ring.char]
+    want = ring.zero
+    for x, y in zip(a, b):
+        want = ring.add(want, schoolbook_ext_mul(ring, x, y))
+    return want
+
+
+def _check_matmul(ring, rng, shapes=((3, 4, 5), (1, 6, 1), (2, 0, 3))):
+    for r, k, c in shapes:
+        a, b = ring.rand(rng, (r, k)), ring.rand(rng, (k, c))
+        a[0] = ring.char - 1  # the largest canonical operands
+        b[:, 0] = ring.char - 1
+        prod = ring.matmul(a, b)
+        assert prod.shape == (r, c, ring.D)
+        for i, j in np.ndindex(r, c):
+            assert np.array_equal(prod[i, j], _entrywise_sum(ring, a[i], b[:, j]))
+
+
 @pytest.mark.parametrize("ring_name", ["z4", "s5", "rxi_ext3"])
 def test_matmul_matches_entrywise_sums(ring_name, request, rxi, rng):
     ring = (ExtensionDesc(rxi, 3) if ring_name == "rxi_ext3"
             else request.getfixturevalue(ring_name))
+    _check_matmul(ring, rng)
+
+
+@pytest.mark.parametrize("s, dtype", [(14, np.float64), (15, np.int64)])
+def test_products_near_the_float_bound_are_exact(s, dtype, rng):
+    """Z_{2^s} ext m=20: D^2 (char-1)^3 is 1.8e15 < 2^53 for s = 14, which
+    contracts in float64, and 1.4e16 > 2^53 for s = 15, which stays int64."""
+    ext = ExtensionDesc(Zmod(2 ** s), 20)
+    assert ext.dtype is dtype
+    top = np.full(ext.D, ext.char - 1)
+    for a, b in [(top, top)] + [(ext.rand(rng), ext.rand(rng)) for _ in range(4)]:
+        assert np.array_equal(ext.mul(a, b), schoolbook_ext_mul(ext, a, b))
+    _check_matmul(ext, rng, shapes=((2, 3, 2), (2, 0, 3)))
+
+
+def test_rings_past_the_int64_bound_refuse(rng):
+    with pytest.warns(UserWarning, match="locality is trusted"):
+        z3_13 = Zmod(3 ** 13)
+    with pytest.raises(errors.UnsupportedRing):  # D^2 (char-1)^3 > 2^70
+        ExtensionDesc(z3_13, 20)
+    with pytest.raises(errors.UnsupportedRing):  # D == 1: (char-1)^2 > 2^63
+        Zmod(2 ** 32)
+    with pytest.warns(UserWarning, match="locality is trusted"):
+        z2_31 = Zmod(2 ** 31)  # (char-1)^2 < 2^63, but no two such products
+    assert z2_31._dot_len == 2
+    _check_matmul(z2_31, rng, shapes=((2, 5, 3), (1, 1, 1), (2, 0, 3)))
+
+
+def test_split_contractions_match_one_piece(z4, s5, rng):
+    """matmul and apply_right sum at most _dot_len products at a time; pieces
+    of 3 products give what one piece gives."""
+    split = ExtensionDesc(z4, 5, f=s5.f)
+    split._dot_len = 3
+    for r, k, c in ((3, 4, 5), (1, 1, 2), (2, 0, 3)):
+        a, b = s5.rand(rng, (r, k)), s5.rand(rng, (k, c))
+        assert np.array_equal(split.matmul(a, b), s5.matmul(a, b))
+        assert np.array_equal(split.apply_right(a, split.right_map(b)), s5.matmul(a, b))
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "s5", "rxi_ext3"])
+def test_right_map_matches_matmul(ring_name, request, rxi, rng):
+    ring = (ExtensionDesc(rxi, 3) if ring_name == "rxi_ext3"
+            else request.getfixturevalue(ring_name))
     for r, k, c in ((3, 4, 5), (1, 6, 1), (2, 0, 3)):
         a, b = ring.rand(rng, (r, k)), ring.rand(rng, (k, c))
-        prod = ring.matmul(a, b)
-        assert prod.shape == (r, c, ring.D)
-        for i, j in np.ndindex(r, c):
-            if ring.D == 1:  # Z4: Python-int dot products
-                want = [sum(int(a[i, t, 0]) * int(b[t, j, 0]) for t in range(k)) % 4]
-            else:
-                want = ring.zero
-                for t in range(k):
-                    want = ring.add(want, schoolbook_ext_mul(ring, a[i, t], b[t, j]))
-            assert np.array_equal(prod[i, j], want)
+        b_map = ring.right_map(b)
+        assert b_map.shape == (k * ring.D, c * ring.D) and b_map.dtype == ring.dtype
+        assert np.array_equal(ring.apply_right(a, b_map), ring.matmul(a, b))
+        assert np.array_equal(ring.apply_right(a[0], b_map), ring.matmul(a, b)[0])
 
 
 def test_inverse(s5, z4):

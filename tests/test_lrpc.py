@@ -5,7 +5,9 @@ from lrpc_rings import (CodeParams, DecodingFailure, ExtensionDesc, Submodule,
                         build_h_ext, code_from_text, code_to_text, decode_local,
                         encode, erasure_decode, errors, free_module_test,
                         free_rank, generate_code, module_product, sample_error,
-                        syndrome)
+                        syndrome, unit_pivot_factor)
+
+from conftest import gauss_inverse_oracle, schoolbook_ext_mul
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +170,63 @@ class TestEncodeSyndrome:
             for j in range(4):
                 acc = ext.add(acc, ext.mul(r[j], code.H[i, j]))
             assert np.array_equal(acc, s[i])
+
+
+def _sum_of_products(ext, xs, ys):
+    acc = ext.zero
+    for x, y in zip(xs, ys):
+        acc = ext.add(acc, schoolbook_ext_mul(ext, x, y))
+    return acc
+
+
+@pytest.mark.parametrize("ring_name", ["z4_ext20", "s5", "rxi_ext3"])
+def test_syndrome_and_encode_maps(ring_name, request, z4, rxi, rng):
+    """syndrome and encode run through the per-code Z_char maps; they equal
+    ext.matmul and entrywise schoolbook sums, and H G^T = 0."""
+    ext, params = {"z4_ext20": (lambda: ExtensionDesc(z4, 20), CodeParams(20, 8, 2, 6)),
+                   "s5": (lambda: request.getfixturevalue("s5"), CodeParams(4, 2, 2, 1)),
+                   "rxi_ext3": (lambda: ExtensionDesc(rxi, 3), CodeParams(4, 2, 2, 0))}[ring_name]
+    ext = ext()
+    code = generate_code(params, ext, np.random.default_rng(5))
+    n, k = params.n, params.k
+    assert code._syndrome_map.shape == (n * ext.D, (n - k) * ext.D)
+    assert code._encode_map.shape == (k * ext.D, n * ext.D)
+    assert not ext.matmul(code.H, np.swapaxes(code._G, 0, 1)).any()
+    r, msg = ext.rand(rng, (n,)), ext.rand(rng, (k,))
+    r[0] = msg[0] = ext.char - 1
+    s, c = syndrome(code, r), encode(code, msg)
+    assert np.array_equal(s, ext.matmul(r[None], np.swapaxes(code.H, 0, 1))[0])
+    assert np.array_equal(c, ext.matmul(msg[None], code._G)[0])
+    for i in range(n - k):
+        assert np.array_equal(s[i], _sum_of_products(ext, r, code.H[i]))
+    for j in range(n):
+        assert np.array_equal(c[j], _sum_of_products(ext, msg, code._G[:, j]))
+    assert not syndrome(code, c).any()
+
+
+def _generator_two_eliminations(code):
+    """Oracle: G as built before the single Gauss-Jordan pass, from the
+    pivots of unit_pivot_factor (with P tracking) and a separate inverse
+    of H1 = H[:, piv]."""
+    ext, n, k = code.ext, code.params.n, code.params.k
+    fact = unit_pivot_factor(ext, code.H)
+    piv, rest = fact.perm[:n - k], fact.perm[n - k:]
+    h1_inv = gauss_inverse_oracle(ext, code.H[:, piv])
+    x = ext.neg(ext.matmul(h1_inv, code.H[:, rest]))
+    g = np.zeros((k, n, ext.D), dtype=np.int64)
+    g[:, piv] = np.swapaxes(x, 0, 1)
+    g[np.arange(k), rest] = ext.one
+    return g
+
+
+@pytest.mark.parametrize("spec, m", [("Z2", 10), ("Z3", 8), ("Z4", 10), ("Z9", 8),
+                                     ("Z4[x]/(x^2)", 8)])
+def test_generator_matches_two_eliminations(spec, m):
+    from lrpc_rings.specparse import parse_local_atom
+    ext = ExtensionDesc(parse_local_atom(spec), m)
+    for seed in range(3):
+        code = generate_code(CodeParams(m, m // 2, 2, 1), ext, np.random.default_rng(seed))
+        assert np.array_equal(code._G, _generator_two_eliminations(code))
 
 
 class TestErasureDecode:

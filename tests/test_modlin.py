@@ -8,9 +8,9 @@ from lrpc_rings import (MatR, Submodule, count_free_submodules,
                         sample_free_submodule, solve_linear,
                         square_property_check, unit_pivot_factor)
 from lrpc_rings import ExtensionDesc
-from lrpc_rings.modlin import column_jordan, gauss_inverse
+from lrpc_rings.modlin import column_jordan, gauss_inverse, row_jordan
 
-from conftest import brute_solution_set
+from conftest import brute_solution_set, gauss_inverse_oracle
 
 
 def _golden_system(rxi):
@@ -132,6 +132,58 @@ def test_pivot_order_without_units_in_first_column(z4, rxi):
             (z4, g4, [[1, 2, 3], [3, 0, 2], [1, 3, 1]]),
             (rxi, gx, [[[0, 3], [1, 1]], [[1, 2], [2, 1]]])):
         assert np.array_equal(gauss_inverse(ring, g), np.reshape(inv, g.shape))
+
+
+def _column_jordan_oracle(arith, b):
+    """Column operations on B and on T = I as two separate arrays, the loop
+    that preceded column_jordan's single pass over B stacked over I."""
+    w = np.asarray(b, dtype=np.int64) % arith.char
+    r, n = w.shape[0], w.shape[1]
+    t = np.zeros((n, n, arith.D), dtype=np.int64)
+    t[np.arange(n), np.arange(n)] = arith.one
+    for i in range(r):
+        punit = i + int(np.nonzero(arith.is_unit(w[i, i:]))[0][0])
+        w[:, [i, punit]] = w[:, [punit, i]]
+        t[:, [i, punit]] = t[:, [punit, i]]
+        ui = arith.inverse(w[i, i].copy())
+        w[:, i] = arith.mul(w[:, i], ui)
+        t[:, i] = arith.mul(t[:, i], ui)
+        coefs = w[i].copy()
+        coefs[i] = 0
+        w = (w - arith.mul(coefs[None, :, :], w[:, i][:, None, :])) % arith.char
+        t = (t - arith.mul(coefs[None, :, :], t[:, i][:, None, :])) % arith.char
+    return t
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "z9", "rxi", "s5"])
+def test_eliminations_match_two_block_loops(ring_name, request, rng):
+    """gauss_inverse and column_jordan on random matrices equal the loops
+    that kept the identity block apart, and singular input raises;
+    row_jordan brings (M | B) to (I | M1^-1 B1) on permuted columns."""
+    ring = request.getfixturevalue(ring_name)
+    for size in (1, 2, 4, 6):
+        for _ in range(4):
+            m = ring.rand(rng, (size, size))
+            if unit_pivot_factor(ring, m, track_p=False).r < size:
+                with pytest.raises(errors.NotFree):
+                    gauss_inverse(ring, m)
+                continue
+            inv = gauss_inverse(ring, m)
+            assert np.array_equal(inv, gauss_inverse_oracle(ring, m))
+            eye = np.zeros_like(m)
+            eye[np.arange(size), np.arange(size)] = ring.one
+            assert np.array_equal(ring.matmul(m, inv), eye)
+            b = ring.rand(rng, (max(size - 2, 1), size))
+            if unit_pivot_factor(ring, b, track_p=False).r < b.shape[0]:
+                continue
+            t = column_jordan(ring, b)
+            assert np.array_equal(t, _column_jordan_oracle(ring, b))
+            a = np.concatenate([m, b.reshape(size, -1, ring.D)], axis=1)
+            w, perm, r = row_jordan(ring, a)  # (I | A1^-1 A2) on columns perm
+            assert r == size and sorted(perm) == list(range(a.shape[1]))
+            assert np.array_equal(w[:, :size], eye)
+            a1_inv = gauss_inverse_oracle(ring, a[:, perm[:size]])
+            assert np.array_equal(w[:, size:], ring.matmul(a1_inv, a[:, perm[size:]]))
 
 
 class TestFreeAndRank:
