@@ -25,6 +25,20 @@ from . import fq
 from .errors import (MalformedModulus, NotAUnit, NotPrime, RingMismatch,
                      UnsupportedRing)
 
+# The largest rank D over Z_char a ring may have.  It bounds the dense
+# (D, D, D) structure tensor and its two product views to 2 MiB each (int64
+# or float64), and the (D, D, D, D) associativity check of a local ring to
+# 128 MiB per operand.  The workloads and tests use D <= 40.
+MAX_RANK = 64
+
+
+def check_rank(D, what):
+    """Refuse a ring of rank D over Z_char past MAX_RANK, before any
+    modulus search or tensor allocation."""
+    if D > MAX_RANK:
+        raise UnsupportedRing(f"{what} has rank {D} over its coefficient ring; "
+                              f"at most {MAX_RANK} is supported")
+
 
 def power_basis_tensor(f, char, mul=np.multiply):
     """Structure tensor T[i, j] = x^(i+j) mod f of the power basis of A[x]/(f).
@@ -306,15 +320,16 @@ class ChainRing(TensorAlgebra):
             raise NotPrime(f"{p} is not prime")
         if s < 1 or mu < 1:
             raise MalformedModulus("need s >= 1 and mu >= 1")
+        check_rank(mu, f"GR({p ** s},{mu})")
         self.s = s
         self.mu = mu
         char = p ** s
         if h is None:
-            h = fq.smallest_irreducible(p, mu)
+            h = fq.smallest_irreducible(fq.Fq(p), mu)
         h = [int(c) % char for c in h]
         if len(h) != mu + 1 or h[-1] != 1:
             raise MalformedModulus("modulus must be monic of the stated degree")
-        if mu > 1 and not fq.irreducible_mod_p([c % p for c in h], p):
+        if mu > 1 and not fq.irreducible(fq.Fq(p), [c % p for c in h]):
             raise MalformedModulus("modulus is not irreducible mod p")
         self.h = np.array(h, dtype=np.int64)
         super().__init__(char, p, p ** mu, s, power_basis_tensor(self.h, char))

@@ -14,9 +14,13 @@ operations pure, so they are safe to share across threads.
 
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
 
-from .chain import RingElem, TensorAlgebra, poly_string, power_basis_tensor
+from . import fq
+from .chain import (RingElem, TensorAlgebra, check_rank, poly_string,
+                    power_basis_tensor)
 from .errors import ExtensionMismatch, MalformedModulus
 from .rings import LocalRingDesc
 
@@ -29,6 +33,7 @@ class ExtensionDesc(TensorAlgebra):
     def __init__(self, base: LocalRingDesc, m: int, f=None):
         if m < 1:
             raise MalformedModulus("extension degree must be >= 1")
+        check_rank(m * base.D, f"{base.spec_string} ext m={m}")
         self.base = base
         self.m = m
         if f is None:
@@ -43,17 +48,20 @@ class ExtensionDesc(TensorAlgebra):
     # construction
 
     def _default_modulus(self):
-        """Deterministic default: the smallest irreducible over F_q with
-        prime-subfield coefficients, lifted coefficientwise."""
+        """Deterministic default, lifted coefficientwise from F_q: t + 1 for
+        m = 1; for gcd(m, mu) = 1 the smallest irreducible of degree m over
+        F_p, which stays irreducible over F_q; otherwise no polynomial over
+        F_p is irreducible over F_q (Lidl-Niederreiter, Thm 3.46), and it is
+        the smallest over F_q (see ``fq.smallest_irreducible``)."""
         field = self.base.residue_field
-        codes = field.smallest_irreducible_poly(self.m)
-        rows = []
-        for code in codes:
-            digits = field.decode(code)
-            flat = np.zeros(self.base.D, dtype=np.int64)
-            flat[:self.base.mu] = digits
-            rows.append(flat)
-        return np.array(rows, dtype=np.int64)
+        if self.m == 1:
+            codes = [1, 1]
+        else:
+            coeffs = field.prime if gcd(self.m, field.mu) == 1 else field
+            codes = fq.smallest_irreducible(coeffs, self.m)
+        rows = np.zeros((self.m + 1, self.base.D), dtype=np.int64)
+        rows[:, :field.mu] = field.digits(codes)
+        return rows
 
     def _coerce_modulus(self, f):
         rows = []
@@ -69,9 +77,8 @@ class ExtensionDesc(TensorAlgebra):
         base = self.base
         if not np.array_equal(self.f[-1], base.one):
             raise MalformedModulus("extension modulus must be monic")
-        field = base.residue_field
         fbar = [int(c) for c in base.residue_codes(self.f)]
-        if not field.irreducible(fbar):
+        if not fq.irreducible(base.residue_field, fbar):
             raise MalformedModulus(
                 "residue image of the extension modulus is not irreducible")
 

@@ -3,12 +3,18 @@
 Residue fields F_q with q = p^mu appear as quotients R/m of the local rings
 in this package.  Field elements are encoded as integers in [0, q): the
 base-p digits of the code are the coefficients of the representing
-polynomial modulo the field's defining irreducible w(x).  For mu = 1 the
-code of an element is the element itself, and the fast paths below operate
-directly on numpy integer arrays mod p.
+polynomial modulo the field's defining irreducible w(x).  The prime field
+is ``Fq(p)``, where the code of an element is the element itself.
+
+Polynomials over a field are lists of element codes, ascending degree;
+the routines below take the field as their first argument.  Matrices over
+F_q are reduced over F_p, by the vectorized routines ``rank_mod_p`` and
+``rref_mod_p``.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 import numpy as np
 
@@ -42,44 +48,77 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _iroot(n: int, e: int) -> int:
+    """floor(n^(1/e)) for n >= 1, by integer Newton steps from above."""
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def prime_power(n: int):
     """Return (p, e) with n = p^e, or None if n is not a prime power."""
     if n < 2:
         return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return (n, 1) if is_prime(n) else None
-        if n % p:
-            continue
-        e = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            e += 1
-        return (p, e) if m == 1 else None
+    for e in range(1, n.bit_length()):
+        r = _iroot(n, e)
+        if r ** e == n and is_prime(r):
+            return r, e
     return None
 
 
+def _rho_factor(n: int) -> int:
+    """A nontrivial factor of a composite n (Pollard's rho in Brent's
+    variant, gcds batched 128 steps at a time)."""
+    for c in range(1, n):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = gcd(acc, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+    raise ValueError(f"{n} is prime")  # pragma: no cover
+
+
 def factor_into_prime_powers(n: int) -> list[tuple[int, int]]:
-    """Factor n >= 2 into [(p, e), ...] with p ascending."""
-    out = []
+    """Factor n >= 2 into [(p, e), ...] with p ascending: trial division by
+    the integers below 1000, then Pollard-Brent rho on the cofactor."""
+    counts = {}
     m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
+    for p in range(2, 1000):
+        while m % p == 0:
+            m //= p
+            counts[p] = counts.get(p, 0) + 1
+    rest = [m] if m > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _rho_factor(m)
+            rest += [d, m // d]
+    return sorted(counts.items())
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p (coefficient lists, ascending degree, ints in [0, p))
+# polynomials over a field F (lists of element codes, ascending degree)
 
 
 def trim(poly):
@@ -89,60 +128,62 @@ def trim(poly):
     return poly
 
 
-def poly_add_p(a, b, p):
+def poly_sub(F, a, b):
     n = max(len(a), len(b))
-    return trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)])
+    return trim([F.sub(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
+                 for i in range(n)])
 
 
-def poly_mul_p(a, b, p):
+def poly_mul(F, a, b):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+                out[i + j] = F.add(out[i + j], F.mul(ai, bj))
     return trim(out)
 
 
-def poly_mod_p(a, m, p):
+def poly_mod(F, a, m):
     """Remainder of a modulo m (m need not be monic; leading coeff inverted)."""
     a = trim(a)
     m = trim(m)
     dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
+    inv_lead = F.inv(m[-1])
+    while a and len(a) - 1 >= dm:
         shift = len(a) - 1 - dm
-        c = a[-1] * inv_lead % p
+        c = F.mul(a[-1], inv_lead)
         for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
+            a[shift + i] = F.sub(a[shift + i], F.mul(c, mi))
         a = trim(a)
     return a
 
 
-def poly_gcd_p(a, b, p):
+def poly_gcd(F, a, b):
+    """Monic gcd of a and b."""
     a, b = trim(a), trim(b)
     while b:
-        a, b = b, poly_mod_p(a, b, p)
+        a, b = b, poly_mod(F, a, b)
     if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
+        inv = F.inv(a[-1])
+        a = [F.mul(inv, c) for c in a]
     return a
 
 
-def poly_powmod_p(base, exp, m, p):
+def poly_powmod(F, base, exp, m):
     result = [1]
-    base = poly_mod_p(base, m, p)
+    base = poly_mod(F, base, m)
     while exp:
         if exp & 1:
-            result = poly_mod_p(poly_mul_p(result, base, p), m, p)
-        base = poly_mod_p(poly_mul_p(base, base, p), m, p)
+            result = poly_mod(F, poly_mul(F, result, base), m)
+        base = poly_mod(F, poly_mul(F, base, base), m)
         exp >>= 1
     return result
 
 
-def irreducible_mod_p(poly, p) -> bool:
-    """Rabin irreducibility test for a polynomial over F_p."""
+def irreducible(F, poly) -> bool:
+    """Rabin irreducibility test over F."""
     poly = trim(poly)
     n = len(poly) - 1
     if n <= 0:
@@ -150,24 +191,22 @@ def irreducible_mod_p(poly, p) -> bool:
     if n == 1:
         return True
     x = [0, 1]
-    # x^(p^n) == x mod poly
-    t = poly_powmod_p(x, p ** n, poly, p)
-    if trim(poly_add_p(t, [(-c) % p for c in x], p)):
+    # x^(q^n) == x mod poly
+    if poly_sub(F, poly_powmod(F, x, F.q ** n, poly), x):
         return False
-    for d in sorted({q for q, _ in factor_into_prime_powers(n)}):
-        t = poly_powmod_p(x, p ** (n // d), poly, p)
-        g = poly_gcd_p(poly_add_p(t, [(-c) % p for c in x], p), poly, p)
-        if len(g) - 1 > 0:
+    for d in sorted({r for r, _ in factor_into_prime_powers(n)}):
+        t = poly_powmod(F, x, F.q ** (n // d), poly)
+        if len(poly_gcd(F, poly_sub(F, t, x), poly)) > 1:
             return False
     return True
 
 
-def power_of_irreducible(gbar, p):
-    """Decompose gbar = w^e over F_p with w irreducible.
+def power_of_irreducible(F, gbar):
+    """Decompose gbar = w^e over F with w irreducible.
 
     Returns (w, e) or None when gbar has at least two distinct irreducible
     factors.  Uses distinct-degree gcds: scanning mu upward, the first
-    nontrivial gcd(gbar, x^(p^mu) - x) collects exactly the distinct
+    nontrivial gcd(gbar, x^(q^mu) - x) collects exactly the distinct
     degree-mu factors.
     """
     gbar = trim(gbar)
@@ -176,8 +215,8 @@ def power_of_irreducible(gbar, p):
         return None
     x = [0, 1]
     for mu in range(1, deg + 1):
-        t = poly_powmod_p(x, p ** mu, gbar, p)
-        g = poly_gcd_p(poly_add_p(t, [(-c) % p for c in x], p), gbar, p)
+        t = poly_powmod(F, x, F.q ** mu, gbar)
+        g = poly_gcd(F, poly_sub(F, t, x), gbar)
         dg = len(g) - 1
         if dg <= 0:
             continue
@@ -190,30 +229,25 @@ def power_of_irreducible(gbar, p):
         e = deg // mu
         acc = [1]
         for _ in range(e):
-            acc = poly_mul_p(acc, w, p)
-        lead = gbar[-1]
-        if trim([(gi - lead * ai) % p for gi, ai in zip(gbar + [0] * len(acc), acc + [0] * len(gbar))]):
+            acc = poly_mul(F, acc, w)
+        if poly_sub(F, gbar, [F.mul(gbar[-1], c) for c in acc]):
             return None
         return w, e
     return None
 
 
-def smallest_irreducible(p, deg):
-    """Deterministically pick the monic irreducible of given degree over F_p
-    whose non-leading coefficient vector, read as a base-p integer, is
-    smallest."""
-    if deg == 1:
-        return [0, 1]
-    for code in range(1, p ** deg):
-        coeffs = []
-        c = code
-        for _ in range(deg):
-            coeffs.append(c % p)
-            c //= p
-        poly = coeffs + [1]
-        if irreducible_mod_p(poly, p):
+def smallest_irreducible(F, deg):
+    """The monic irreducible of the given degree over F whose non-leading
+    coefficient codes, read as the base-q digits of an integer, are
+    smallest; x itself when deg = 1."""
+    q = F.q
+    for code in range(q ** deg):
+        if code % q == 0 and deg > 1:
+            continue  # divisible by x
+        poly = [code // q ** i % q for i in range(deg)] + [1]
+        if irreducible(F, poly):
             return poly
-    raise NotPrime(f"no irreducible of degree {deg} over F_{p}")  # unreachable for prime p
+    raise NotPrime(f"no irreducible of degree {deg} over F_{q}")  # unreachable for prime p
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +311,22 @@ def rref_mod_p(mat, p):
 
 
 class Fq:
-    """Small extension field F_{p^mu} with integer-coded elements."""
+    """Small extension field F_{p^mu} with integer-coded elements; Fq(p)
+    is the prime field."""
 
-    def __init__(self, p: int, w):
+    def __init__(self, p: int, w=(0, 1)):
         self.p = p
-        self.w = trim(list(w))
-        self.mu = len(self.w) - 1
-        self.q = p ** self.mu
+        self.w = trim(w)
+        self.mu = mu = len(self.w) - 1
+        self.q = p ** mu
+        self.prime = self if mu == 1 else Fq(p)
+        self._place = p ** np.arange(mu, dtype=np.int64)
+        # digits of x^j mod w for j < 2 mu - 1; _shift[u, k] holds those of
+        # x^(u+k), so that digits(a x^u) = digits(a) @ _shift[u]
+        pows = self.digits([self.encode(poly_mod(self.prime, [0] * j + [1], self.w))
+                            for j in range(2 * mu - 1)])
+        self._xpows = pows.tolist()
+        self._shift = pows[np.add.outer(np.arange(mu), np.arange(mu))]
 
     def __repr__(self):
         return f"Fq(p={self.p}, mu={self.mu})"
@@ -302,6 +345,10 @@ class Fq:
             c //= self.p
         return out
 
+    def digits(self, codes):
+        """Digit vectors (..., mu) of an array of codes (...)."""
+        return np.asarray(codes, dtype=np.int64)[..., None] // self._place % self.p
+
     def add(self, a, b):
         if self.mu == 1:
             return (a + b) % self.p
@@ -315,8 +362,17 @@ class Fq:
     def mul(self, a, b):
         if self.mu == 1:
             return a * b % self.p
-        prod = poly_mul_p(self.decode(a), self.decode(b), self.p)
-        return self.encode(poly_mod_p(prod, self.w, self.p) + [0] * self.mu)
+        conv = [0] * (2 * self.mu - 1)
+        db = self.decode(b)
+        for i, ai in enumerate(self.decode(a)):
+            if ai:
+                for j, bj in enumerate(db):
+                    conv[i + j] += ai * bj
+        out = conv[:self.mu]
+        for j in range(self.mu, 2 * self.mu - 1):  # fold x^j back below x^mu
+            if conv[j]:
+                out = [o + conv[j] * r for o, r in zip(out, self._xpows[j])]
+        return self.encode(out)
 
     def inv(self, a):
         if a == 0:
@@ -340,139 +396,27 @@ class Fq:
             return (-a) % self.p
         return self.encode([(-x) % self.p for x in self.decode(a)])
 
-    # -- matrices of integer-coded elements --
+    # -- matrices of integer-coded elements, reduced over F_p --
+
+    def expand(self, mat):
+        """The F_p image of an F_q matrix of codes (r, c): row i becomes the
+        digit rows of x^u A[i, :] for u < mu, shape (r*mu, c*mu).  Its row
+        space is the F_q row space of A, so its F_p rank is mu times the
+        F_q rank of A."""
+        a = self.digits(mat)  # (r, c, mu)
+        r, c = a.shape[:2]
+        return (a[:, None] @ self._shift % self.p).reshape(r * self.mu, c * self.mu)
 
     def matrix_rank(self, mat) -> int:
         if self.mu == 1:
             return rank_mod_p(mat, self.p)
-        m = [list(map(int, row)) for row in mat]
-        rows = len(m)
-        cols = len(m[0]) if rows else 0
-        rank = 0
-        for c in range(cols):
-            piv = next((i for i in range(rank, rows) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            inv = self.inv(m[rank][c])
-            m[rank] = [self.mul(inv, v) for v in m[rank]]
-            for i in range(rows):
-                if i != rank and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [self.sub(v, self.mul(f, u)) for v, u in zip(m[i], m[rank])]
-            rank += 1
-        return rank
+        return rank_mod_p(self.expand(mat), self.p) // self.mu
 
     def rref(self, mat):
-        """RREF over F_q; returns (rows list, pivot columns)."""
-        if self.mu == 1:
-            r, piv = rref_mod_p(mat, self.p)
-            return [list(map(int, row)) for row in r], piv
-        m = [list(map(int, row)) for row in mat]
-        rows = len(m)
-        cols = len(m[0]) if rows else 0
-        pivots = []
-        r = 0
-        for c in range(cols):
-            piv = next((i for i in range(r, rows) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = self.inv(m[r][c])
-            m[r] = [self.mul(inv, v) for v in m[r]]
-            for i in range(rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [self.sub(v, self.mul(f, u)) for v, u in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return m[:r], pivots
-
-    # -- polynomials over F_q (lists of integer codes, ascending) --
-
-    def ptrim(self, a):
-        a = list(a)
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    def pmul(self, a, b):
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = self.add(out[i + j], self.mul(ai, bj))
-        return self.ptrim(out)
-
-    def pmod(self, a, m):
-        a = self.ptrim(a)
-        m = self.ptrim(m)
-        dm = len(m) - 1
-        inv_lead = self.inv(m[-1])
-        while a and len(a) - 1 >= dm:
-            shift = len(a) - 1 - dm
-            c = self.mul(a[-1], inv_lead)
-            for i, mi in enumerate(m):
-                a[shift + i] = self.sub(a[shift + i], self.mul(c, mi))
-            a = self.ptrim(a)
-        return a
-
-    def pgcd(self, a, b):
-        a, b = self.ptrim(a), self.ptrim(b)
-        while b:
-            a, b = b, self.pmod(a, b)
-        if a:
-            inv = self.inv(a[-1])
-            a = [self.mul(inv, c) for c in a]
-        return a
-
-    def ppowmod(self, base, e, m):
-        result = [1]
-        base = self.pmod(base, m)
-        while e:
-            if e & 1:
-                result = self.pmod(self.pmul(result, base), m)
-            base = self.pmod(self.pmul(base, base), m)
-            e >>= 1
-        return result
-
-    def irreducible(self, poly) -> bool:
-        """Rabin test over F_q."""
-        poly = self.ptrim(poly)
-        n = len(poly) - 1
-        if n <= 0:
-            return False
-        if n == 1:
-            return True
-        x = [0, 1]
-        t = self.ppowmod(x, self.q ** n, poly)
-        if self.ptrim([self.sub(a, b) for a, b in zip(t + [0, 0], x + [0] * len(t))]):
-            return False
-        for d in sorted({f for f, _ in factor_into_prime_powers(n)}):
-            t = self.ppowmod(x, self.q ** (n // d), poly)
-            diff = [self.sub(a, b) for a, b in zip(t + [0, 0], x + [0] * len(t))]
-            if len(self.pgcd(self.ptrim(diff), poly)) - 1 > 0:
-                return False
-        return True
-
-    def smallest_irreducible_poly(self, deg, prime_coeffs_only=True):
-        """Deterministic irreducible of given degree over F_q.
-
-        Prefers lifts with coefficients in the prime subfield {0..p-1};
-        falls back to general F_q coefficients when no such lift exists.
-        """
-        span = self.p if prime_coeffs_only else self.q
-        for code in range(1, span ** deg):
-            coeffs = []
-            c = code
-            for _ in range(deg):
-                coeffs.append(c % span)
-                c //= span
-            poly = coeffs + [1]
-            if self.irreducible(poly):
-                return poly
-        if prime_coeffs_only:
-            return self.smallest_irreducible_poly(deg, prime_coeffs_only=False)
-        raise ValueError(f"no irreducible of degree {deg} over F_{self.q}")
+        """RREF over F_q as digit vectors: ((r, cols, mu), pivot columns).
+        The rows are every mu-th row of the F_p RREF of the expansion,
+        where the pivots of row i are the columns mu*piv_i + u, u < mu."""
+        rows, piv = rref_mod_p(self.expand(mat), self.p)
+        rows = rows[::self.mu]
+        return (rows.reshape(len(rows), rows.shape[1] // self.mu, self.mu),
+                [c // self.mu for c in piv[::self.mu]])

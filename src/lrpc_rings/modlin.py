@@ -572,9 +572,7 @@ def sample_free_submodule(ring: LocalRingDesc, ambient: int, rank: int,
         codes = rng.integers(0, ring.q, size=(rank, ambient))
         if field.matrix_rank(codes) == rank:
             break
-    rref, pivots = field.rref(codes)
-    digits = np.array([[field.decode(c) for c in row] for row in rref],
-                      dtype=np.int64)
+    digits, pivots = field.rref(codes)
     gens = ring.rand_with_residue(rng, digits)
     for bi, pc in enumerate(pivots):
         gens[:, pc] = 0

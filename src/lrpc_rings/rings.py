@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fq
-from .chain import (ChainRing, RingElem, TensorAlgebra, poly_string,
-                    power_basis_tensor)
+from .chain import (ChainRing, RingElem, TensorAlgebra, check_rank,
+                    poly_string, power_basis_tensor)
 from .errors import MalformedModulus, NotLocal, NotPrime, UnsupportedRing
 
 LOCALITY_CHECK_CAP = 2 ** 16
@@ -51,7 +51,7 @@ class GaloisRingParams:
         h = list(self.h)
         if len(h) != self.mu + 1 or h[-1] % (self.p ** self.s) != 1:
             raise MalformedModulus("h must be monic of degree mu")
-        if not fq.irreducible_mod_p([c % self.p for c in h], self.p):
+        if not fq.irreducible(fq.Fq(self.p), [c % self.p for c in h]):
             raise MalformedModulus("h must be irreducible mod p")
 
 
@@ -334,7 +334,8 @@ def _zps_poly_mod(a, m, char):
 def galois_ring(p: int, s: int, mu: int = 1, h=None) -> LocalRingDesc:
     """The Galois ring GR(p^s, mu); gamma = 1, maximal ideal (p)."""
     char = p ** s
-    default_h = fq.smallest_irreducible(p, mu)
+    check_rank(mu, f"GR({char},{mu})")
+    default_h = fq.smallest_irreducible(fq.Fq(p), mu)
     if h is None:
         h = default_h
     params = GaloisRingParams(p, s, mu, tuple(int(c) for c in h))
@@ -373,7 +374,8 @@ def quotient_ring(p: int, s: int, g) -> LocalRingDesc:
     d = len(g) - 1
     if d < 1 or g[-1] != 1:
         raise MalformedModulus("quotient modulus must be monic of degree >= 1")
-    shape = fq.power_of_irreducible([c % p for c in g], p)
+    check_rank(d, f"Z{char}[x]/(g) with deg g = {d}")
+    shape = fq.power_of_irreducible(fq.Fq(p), [c % p for c in g])
     if shape is None:
         raise NotLocal(f"{poly_string(g, spec=True)} mod {p} is not a power of a single "
                        "irreducible; the quotient is not local")
@@ -417,23 +419,15 @@ def _quotient_ring_general(p, s, g, w, e, spec):
     d = len(g) - 1
     mu = len(w) - 1
 
-    # residue map in the power basis: xi |-> xbar in F_p[x]/(w)
+    # residue map in the power basis, xi |-> xbar in F_p[x]/(w): row i of
+    # xbar_pows holds the digits of xbar^i (xbar has code p)
     fqw = fq.Fq(p, w)
-    xbar_pows = [fqw.encode([1] + [0] * (mu - 1))]
-    xbar = fqw.encode(([0, 1] + [0] * mu)[:mu])
-    for _ in range(1, d):
-        xbar_pows.append(fqw.mul(xbar_pows[-1], xbar))
-
-    def presidue(a):
-        out = 0
-        for i, c in enumerate(a):
-            out = fqw.add(out, fqw.mul(int(c) % p, xbar_pows[i]))
-        return out
+    xbar_pows = fqw.digits([fqw.pow(p, i) for i in range(d)])
 
     # the quotient in its power basis; its maximal ideal (p, w) has
     # nilpotency index at most s*e, and its units have nonzero residue
     pw = TensorAlgebra(char, p, fqw.q, s * e, power_basis_tensor(g, char))
-    pw.is_unit = lambda a: presidue(a) != 0
+    pw.is_unit = lambda a: ((np.asarray(a) % p) @ xbar_pows % p).any(axis=-1)
 
     def peval(poly, x):
         # evaluate an integer-coefficient polynomial at a power-basis element

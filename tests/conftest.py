@@ -94,3 +94,50 @@ def gauss_inverse_oracle(arith, m):
         a = (a - arith.mul(coefs[:, None, :], a[col][None, :, :])) % arith.char
         inv = (inv - arith.mul(coefs[:, None, :], inv[col][None, :, :])) % arith.char
     return inv
+
+
+def fq_rank_oracle(field, mat):
+    """Oracle: rank over F_q by Gauss elimination one element at a time in
+    the field's own arithmetic (the loop that preceded Fq.matrix_rank's
+    reduction over F_p)."""
+    m = [list(map(int, row)) for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    rank = 0
+    for c in range(cols):
+        piv = next((i for i in range(rank, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = field.inv(m[rank][c])
+        m[rank] = [field.mul(inv, v) for v in m[rank]]
+        for i in range(rows):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [field.sub(v, field.mul(f, u)) for v, u in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def fq_rref_oracle(field, mat):
+    """Oracle: RREF over F_q as (rows of codes, pivot columns), by the same
+    element-by-element elimination as :func:`fq_rank_oracle`."""
+    m = [list(map(int, row)) for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, v) for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [field.sub(v, field.mul(f, u)) for v, u in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
