@@ -34,11 +34,14 @@ b_mod = ext.support([ext.from_poly([1, 0, 0, 2, 1]).flat,   # t^4+2t^3+1
 print("\nA:", free_module_test(a_mod), "(free rank, is free)")
 print("B:", free_module_test(b_mod))
 
-# the unit-pivot factorization behind the free-module test: A = P T Q
-fact = unit_pivot_factor(z4, a_mod.gens)
-print("reduced generators of A (rows of T Q):")
-print(fact.tq_rows()[..., 0])
-print("reconstruction P T Q == A:", np.array_equal(fact.reconstruct(), a_mod.gens))
+# the unit-pivot Gauss-Jordan form behind the free-module test:
+# W = U A[:, perm] with U invertible and W[:, :r] = (I_r; 0)
+w, perm, r = unit_pivot_factor(z4, a_mod.gens)
+jordan_rows = np.empty_like(w)
+jordan_rows[:, perm] = w  # columns back in A's order
+print(f"Jordan rows of A (r = {r}):")
+print(jordan_rows[..., 0])
+print("the Jordan rows span A:", Submodule(z4, 5, jordan_rows).equals(a_mod))
 
 # sums, intersections and products need not be free
 print("\nA + B:", free_module_test(a_mod.sum(b_mod)), " <- free rank 3, not free")

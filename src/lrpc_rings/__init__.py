@@ -9,18 +9,17 @@ Monte Carlo failure-probability simulator.
 
 from . import errors
 from .chain import ChainRing
-from .extension import ExtElem, ExtensionDesc
+from .extension import ExtensionDesc
 from .lrpc import (CodeParams, DecoderState, DecodingFailure, LrpcCode,
                    build_h_ext, code_from_text, code_to_text, decode_local,
                    encode, erasure_decode, generate_code, sample_error,
                    syndrome)
 from .modlin import (MatR, SolutionSet, SquarePropertyReport, Submodule,
-                     SupportModule, TriFactorization, count_free_submodules,
-                     count_independent_tuples, free_module_test, free_rank,
-                     general_intersection, intersect_with_free, module_product,
-                     module_rank, sample_free_submodule, scale_module,
-                     solve_linear, square_property_check, recover_factor,
-                     unit_pivot_factor)
+                     count_free_submodules, count_independent_tuples,
+                     free_module_test, free_rank, general_intersection,
+                     intersect_with_free, module_product, module_rank,
+                     sample_free_submodule, scale_module, solve_linear,
+                     square_property_check, recover_factor, unit_pivot_factor)
 from .product_ring import (ProductDecodingFailure, ProductExtensionDesc,
                            ProductLrpcCode, ProductRingDesc, ProductSubmodule,
                            decode_product, decompose_ring, encode_product,

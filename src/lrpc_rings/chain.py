@@ -40,6 +40,14 @@ def check_rank(D, what):
                               f"at most {MAX_RANK} is supported")
 
 
+def check_residue_field(p, mu, what):
+    """Refuse a residue field F_q, q = p^mu, past 2^63: its elements are
+    int64 codes below q, and samplers draw them with rng.integers(0, q)."""
+    if p ** mu > 2 ** 63:
+        raise UnsupportedRing(f"{what} has a residue field of size {p}^{mu}; "
+                              "at most 2^63 is supported")
+
+
 def power_basis_tensor(f, char, mul=np.multiply):
     """Structure tensor T[i, j] = x^(i+j) mod f of the power basis of A[x]/(f).
 
@@ -321,6 +329,7 @@ class ChainRing(TensorAlgebra):
         if s < 1 or mu < 1:
             raise MalformedModulus("need s >= 1 and mu >= 1")
         check_rank(mu, f"GR({p ** s},{mu})")
+        check_residue_field(p, mu, f"GR({p ** s},{mu})")
         self.s = s
         self.mu = mu
         char = p ** s

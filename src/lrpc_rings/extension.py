@@ -113,8 +113,6 @@ class ExtensionDesc(TensorAlgebra):
     mul = TensorAlgebra.mul
     matmul = TensorAlgebra.matmul
     inverse = TensorAlgebra.inverse
-    ext_arith = TensorAlgebra.arith
-    ext_inverse = inverse
 
     def vec_rep(self, a):
         """R-linear bijection S -> R^m: (..., D_S) -> (..., m, D_R)."""
@@ -182,5 +180,3 @@ class ExtensionDesc(TensorAlgebra):
         u = u.reshape(-1, self.D)
         return Submodule(self.base, self.m, self.vec_rep(u))
 
-
-ExtElem = RingElem  # one element class serves S and its base ring

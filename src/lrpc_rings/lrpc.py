@@ -19,10 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import (BadRank, ExtensionMismatch, GenerationFailed,
-                     NoInvertibleMinor, NoSolution, NotInF, RankDeficient)
+                     NoInvertibleMinor, NoSolution, NotInF, ParseError,
+                     RankDeficient)
 from .extension import ExtensionDesc
 from .modlin import (Submodule, column_jordan, free_module_test, free_rank,
-                     intersect_with_free, module_product, row_jordan,
+                     intersect_with_free, module_product,
                      sample_free_submodule, square_property_check,
                      unit_pivot_factor)
 
@@ -116,7 +117,7 @@ class LrpcCode:
     def _compute_flags(self):
         ext, ring = self.ext, self.ext.base
         n, k, lam = self.params.n, self.params.k, self.params.lam
-        if unit_pivot_factor(ext, self.H, track_p=False).r != n - k:
+        if unit_pivot_factor(ext, self.H)[2] != n - k:
             raise GenerationFailed("parity-check matrix must have full free "
                                    "row rank over the extension")
         col_codes = ring.residue_codes(self.H_ext)
@@ -156,7 +157,7 @@ class LrpcCode:
         """
         ext = self.ext
         n, k = self.params.n, self.params.k
-        w, perm, r = row_jordan(ext, self.H)
+        w, perm, r = unit_pivot_factor(ext, self.H)
         if r != n - k:
             raise NoInvertibleMinor("parity-check matrix admits no invertible "
                                     "(n-k) x (n-k) column submatrix")
@@ -449,15 +450,24 @@ def code_to_text(code: LrpcCode) -> str:
 
 
 def code_from_text(text: str) -> LrpcCode:
+    """The code dumped by :func:`code_to_text`; raises ParseError when the
+    header or the JSON body is malformed."""
     from .specparse import parse_local_atom
-    lines = text.strip().split("\n", 1)
-    if not lines or lines[0].strip() != SERIAL_HEADER:
-        raise NoSolution(f"missing or unsupported header (want {SERIAL_HEADER})")
-    body = json.loads(lines[1])
-    ring = parse_local_atom(body["ring"])
-    ext = ExtensionDesc(ring, int(body["m"]), f=np.array(body["f"], dtype=np.int64))
-    params = CodeParams(int(body["n"]), int(body["k"]), int(body["lambda"]),
-                        int(body["t_max"]))
-    return LrpcCode(ext, params, np.array(body["H"], dtype=np.int64),
-                    np.array(body["F_basis"], dtype=np.int64),
-                    flags=body.get("flags"))
+    header, _, payload = text.strip().partition("\n")
+    if header.strip() != SERIAL_HEADER:
+        raise ParseError("missing or unsupported header", 0, SERIAL_HEADER)
+    at = len(header) + 1
+    try:
+        body = json.loads(payload)
+        ring_spec, flags = body["ring"], body.get("flags")
+        if not isinstance(ring_spec, str) or not isinstance(flags, (dict, type(None))):
+            raise TypeError("ring must be a string and flags an object")
+        m, n, k, lam, t_max = (int(body[key]) for key in ("m", "n", "k", "lambda", "t_max"))
+        f, h_matrix, f_basis = (np.array(body[key], dtype=np.int64)
+                                for key in ("f", "H", "F_basis"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, at + exc.pos) from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed {SERIAL_HEADER} body: {exc!r}", at) from exc
+    ext = ExtensionDesc(parse_local_atom(ring_spec), m, f=f)
+    return LrpcCode(ext, CodeParams(n, k, lam, t_max), h_matrix, f_basis, flags=flags)

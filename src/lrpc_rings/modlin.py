@@ -2,16 +2,18 @@
 
 Linear systems over R are expanded into systems over the maximal Galois
 subring R0 (one block per basis element z_l) and solved completely by the
-Howell-form machinery of the chain module.  Free-rank and freeness are
-decided by the unit-pivot factorization A = P T Q, whose pivot count
-equals the rank of the residue-projected generators.  On top of that sit
-the intersection, product, counting, sampling and product-recovery
+Howell-form machinery of the chain module.  Every other elimination is
+one Gauss-Jordan kernel with unit pivots, :func:`unit_pivot_factor`:
+its pivot count is the free rank (the rank of the residue-projected
+generators), and :func:`column_jordan` and :func:`gauss_inverse` run it
+on a matrix with an identity block appended.  On top of that sit the
+intersection, product, counting, sampling and product-recovery
 operations used by the decoder.
 
 Matrices over R are numpy arrays of shape (rows, cols, D); vectors are
 (cols, D).  A Submodule of R^n stores a generator matrix and lazily
-caches its factorization, free rank and membership form (the caches are
-write-once, so concurrent readers are safe).
+caches its Jordan form, reduced generators and membership form (the
+caches are write-once, so concurrent readers are safe).
 """
 
 from __future__ import annotations
@@ -69,136 +71,21 @@ def _as_vector(ring, v):
 
 
 # ---------------------------------------------------------------------------
-# unit-pivot factorization  A = P T Q
+# unit-pivot Gauss-Jordan elimination
 
 
-@dataclass
-class TriFactorization:
-    """A = P T Q with P invertible, Q a column permutation, and
-    T = [[T1, T2], [0, T3]]: T1 upper uni-triangular of size r, every entry
-    of T3 a non-unit.  ``perm`` maps T's column j to A's column perm[j].
-    P/Pinv are tracked on request only (rank queries do not need them)."""
-
-    arith: object
-    P: Optional[np.ndarray]
-    Pinv: Optional[np.ndarray]
-    T: np.ndarray
-    perm: np.ndarray
-    r: int
-
-    @property
-    def t3_zero(self) -> bool:
-        return not self.T[self.r:].any()
-
-    def tq_rows(self) -> np.ndarray:
-        """Rows of T Q, i.e. T with columns moved back to A's order."""
-        out = np.zeros_like(self.T)
-        out[:, self.perm] = self.T
-        return out
-
-    def reconstruct(self) -> np.ndarray:
-        """P T Q; equals the factored matrix exactly."""
-        if self.P is None:
-            raise NotFree("factorization was computed without P tracking")
-        pt = self.arith.matmul(self.P, self.T)
-        out = np.zeros_like(pt)
-        out[:, self.perm] = pt
-        return out
-
-
-def unit_pivot_factor(arith, a, track_p: bool = True) -> TriFactorization:
-    """Factor A = P T Q by elimination with unit pivots.
-
-    Works over any local arithmetic (base ring or extension): an entry is
-    a pivot candidate iff it is a unit, everything left over lands in the
-    T3 block with entries in the maximal ideal.  Column scanning is
-    left-to-right, rows top-down, matching the elimination order of the
-    free-module test.
-    """
-    a = np.asarray(a, dtype=np.int64) % arith.char
-    s, n = a.shape[0], a.shape[1]
-    d = a.shape[2]
-    t = a.copy()
-    p_mat = p_inv = None
-    if track_p:
-        p_mat = np.zeros((s, s, d), dtype=np.int64)
-        p_inv = np.zeros((s, s, d), dtype=np.int64)
-        idx = np.arange(s)
-        p_mat[idx, idx] = arith.one
-        p_inv[idx, idx] = arith.one
-    perm = np.arange(n)
-    h = 0
-    while h < s and h < n:
-        units = arith.is_unit(t[h:, h:])
-        unit_cols = np.nonzero(units.any(axis=0))[0]
-        if unit_cols.size == 0:
-            break
-        col = h + int(unit_cols[0])
-        row = h + int(np.argmax(units[:, unit_cols[0]]))
-        if row != h:
-            t[[h, row]] = t[[row, h]]
-            if track_p:
-                p_inv[[h, row]] = p_inv[[row, h]]
-                p_mat[:, [h, row]] = p_mat[:, [row, h]]
-        if col != h:
-            t[:, [h, col]] = t[:, [col, h]]
-            perm[[h, col]] = perm[[col, h]]
-        u = t[h, h].copy()
-        ui = arith.inverse(u)
-        t[h] = arith.mul(t[h], ui)
-        if track_p:
-            p_inv[h] = arith.mul(p_inv[h], ui)
-            p_mat[:, h] = arith.mul(p_mat[:, h], u)
-        if h + 1 < s:
-            coefs = t[h + 1:, h].copy()
-            if coefs.any():
-                t[h + 1:] = (t[h + 1:] - arith.mul(coefs[:, None, :], t[h][None, :, :])) % arith.char
-                if track_p:
-                    p_inv[h + 1:] = (p_inv[h + 1:] - arith.mul(coefs[:, None, :], p_inv[h][None, :, :])) % arith.char
-                    delta = arith.mul(p_mat[:, h + 1:, :], coefs[None, :, :])
-                    p_mat[:, h] = (p_mat[:, h] + delta.sum(axis=1)) % arith.char
-        h += 1
-    return TriFactorization(arith, p_mat, p_inv, t, perm, h)
-
-
-def column_jordan(arith, b, exc=NotFree):
-    """T (n x n, invertible) with B T = (I_r | 0) for B with independent rows.
-
-    The column operations run on B stacked over I_n, whose lower block
-    becomes T.  Raises ``exc`` when some row cannot produce a unit pivot,
-    which happens exactly when the rows are not linearly independent over
-    the local ring.
-    """
-    b = np.asarray(b, dtype=np.int64) % arith.char
-    r, n = b.shape[0], b.shape[1]
-    w = np.zeros((r + n, n, b.shape[2]), dtype=np.int64)
-    w[:r] = b
-    w[r + np.arange(n), np.arange(n)] = arith.one
-    for i in range(r):
-        units = np.nonzero(arith.is_unit(w[i, i:]))[0]
-        if units.size == 0:
-            raise exc("rows are not linearly independent over the ring")
-        punit = i + int(units[0])
-        if punit != i:
-            w[:, [i, punit]] = w[:, [punit, i]]
-        w[:, i] = arith.mul(w[:, i], arith.inverse(w[i, i]))
-        coefs = w[i].copy()
-        coefs[i] = 0
-        if coefs.any():
-            w = (w - arith.mul(coefs[None, :, :], w[:, i][:, None, :])) % arith.char
-    return w[r:]
-
-
-def row_jordan(arith, a, ncols=None):
+def unit_pivot_factor(arith, a, ncols=None):
     """Gauss-Jordan elimination of the rows of A with unit pivots.
 
-    Pivots are sought in the first ``ncols`` columns (all by default) by
-    the rule of :func:`unit_pivot_factor`: the leftmost column with a unit
-    at or below the current row, and the topmost unit row in it; a column
+    Works over any local arithmetic (base ring or extension): an entry is
+    a pivot candidate iff it is a unit.  Pivots are sought in the first
+    ``ncols`` columns (all by default): the leftmost column with a unit at
+    or below the current row, and the topmost unit row in it; a column
     swap brings each pivot to the front.  Returns (W, perm, r) with
     W = U A[:, perm] for an invertible U, W[:, :r] = (I_r; 0) and no unit
     left in W[r:, r:ncols]; ``perm`` maps W's column j to A's column
-    perm[j].  For A = (A1 | A2) with A1 invertible of size r, W[:, r:]
+    perm[j].  r is the free rank of the row module, which is free iff
+    W[r:] = 0.  For A = (A1 | A2) with A1 invertible of size r, W[:, r:]
     is A1^-1 A2.
     """
     w = np.asarray(a, dtype=np.int64) % arith.char
@@ -227,6 +114,25 @@ def row_jordan(arith, a, ncols=None):
     return w, perm, h
 
 
+def column_jordan(arith, b, exc=NotFree):
+    """T (n x n, invertible) with B T = (I_r | 0) for B with independent rows.
+
+    Row reduction of (B^T | I_n) with pivots in B^T's r columns gives
+    (U B^T | U) with U B^T = (I_r; 0), so T = U^T.  Raises ``exc`` when
+    fewer than r pivots are units, which happens exactly when the rows
+    are not linearly independent over the local ring; otherwise no column
+    of B^T moved, since a column without a unit pivot never gains one.
+    """
+    bt = np.swapaxes(np.asarray(b, dtype=np.int64), 0, 1)
+    n, r = bt.shape[0], bt.shape[1]
+    eye = np.zeros((n, n, bt.shape[2]), dtype=np.int64)
+    eye[np.arange(n), np.arange(n)] = arith.one
+    w, _, rank = unit_pivot_factor(arith, np.concatenate([bt, eye], axis=1), ncols=r)
+    if rank < r:
+        raise exc("rows are not linearly independent over the ring")
+    return np.swapaxes(w[:, r:], 0, 1)
+
+
 def gauss_inverse(arith, m, exc=NotFree):
     """Inverse of a square matrix over a local arithmetic: Gauss-Jordan
     with unit pivots on (M | I), whose right block becomes M^-1."""
@@ -234,7 +140,7 @@ def gauss_inverse(arith, m, exc=NotFree):
     k = m.shape[0]
     eye = np.zeros_like(m)
     eye[np.arange(k), np.arange(k)] = arith.one
-    w, _, r = row_jordan(arith, np.concatenate([m, eye], axis=1), ncols=k)
+    w, _, r = unit_pivot_factor(arith, np.concatenate([m, eye], axis=1), ncols=k)
     if r < k:
         raise exc("matrix is not invertible over the ring")
     return w[:, k:]
@@ -259,7 +165,7 @@ class Submodule:
             raise AmbientMismatch(
                 f"generators must be rows of length {ambient} over the ring")
         self.gens = gens % ring.char
-        self._fact: Optional[TriFactorization] = None
+        self._jordan = None
         self._reduced: Optional[np.ndarray] = None
         self._member_form = None
 
@@ -274,27 +180,31 @@ class Submodule:
         gens[idx, idx] = ring.one
         return cls(ring, ambient, gens)
 
-    def factorization(self) -> TriFactorization:
-        if self._fact is None:
-            self._fact = unit_pivot_factor(self.ring, self.gens, track_p=False)
-        return self._fact
+    def jordan(self):
+        """(W, perm, r) of :func:`unit_pivot_factor` on the generators."""
+        if self._jordan is None:
+            self._jordan = unit_pivot_factor(self.ring, self.gens)
+        return self._jordan
+
+    def _jordan_rows(self, stop=None) -> np.ndarray:
+        """Rows of W up to ``stop``, with the column permutation undone."""
+        w, perm, _ = self.jordan()
+        out = np.empty_like(w[:stop])
+        out[:, perm] = w[:stop]
+        return out
 
     def reduced_gens(self) -> np.ndarray:
-        """Nonzero rows of T Q: a smaller generating set for the module."""
+        """Nonzero Jordan rows: a smaller generating set for the module."""
         if self._reduced is None:
-            rows = self.factorization().tq_rows()
-            if rows.shape[0] == 0:
-                self._reduced = rows
-            else:
-                keep = rows.reshape(rows.shape[0], -1).any(axis=1)
-                self._reduced = rows[keep]
+            rows = self._jordan_rows()
+            self._reduced = rows[rows.any(axis=(1, 2))]
         return self._reduced
 
     def basis(self) -> np.ndarray:
         r, free = free_module_test(self)
         if not free:
             raise NotFree("module is not free; it has no basis")
-        return self.factorization().tq_rows()[:r]
+        return self._jordan_rows(r)
 
     def is_zero(self) -> bool:
         return not self.gens.any()
@@ -354,11 +264,6 @@ class Submodule:
                 f"gens={self.gens.shape[0]})")
 
 
-# SupportModule is a Submodule of R^m whose generator rows are the vector
-# representations of extension elements.
-SupportModule = Submodule
-
-
 # ---------------------------------------------------------------------------
 # linear systems
 
@@ -406,10 +311,10 @@ def solve_linear(ring: LocalRingDesc, a, b) -> SolutionSet:
 
 
 def free_module_test(n_mod: Submodule):
-    """(free rank, is the module free): pivot count of the unit-pivot
-    factorization, and the vanishing of the T3 block."""
-    fact = n_mod.factorization()
-    return fact.r, fact.t3_zero
+    """(free rank, is the module free): the unit-pivot count r of the
+    Jordan form W, and the vanishing of W's rows below r."""
+    w, _, r = n_mod.jordan()
+    return r, not w[r:].any()
 
 
 def free_rank(n_mod: Submodule) -> int:
@@ -454,9 +359,10 @@ def module_rank(n_mod: Submodule) -> int:
 def intersect_with_free(n_mod: Submodule, g_mod: Submodule) -> Submodule:
     """N intersected with a free module G.
 
-    Brings a basis B of G to B T = (I_r | 0) with T invertible; then
-    y = x Ngens lies in G iff x (Ngens T2) = 0, so the intersection is the
-    image of the left kernel of Ngens T2.  Costs
+    G's cached Jordan form is (I_r | X) on the permuted columns, so
+    y lies in G iff y T2 = 0 for T2 = [-X; I] with rows placed by perm;
+    y = x Ngens lies in G iff x (Ngens T2) = 0, and the intersection is
+    the image of the left kernel of Ngens T2.  Costs
     O(n^2 max(gamma^3 s, r)) base-ring operations for s generators of N.
     """
     ring = n_mod.ring
@@ -469,9 +375,11 @@ def intersect_with_free(n_mod: Submodule, g_mod: Submodule) -> Submodule:
         return Submodule.zero(ring, n_mod.ambient)
     if r == n_mod.ambient:
         return Submodule(ring, n_mod.ambient, n_mod.gens)
-    basis = g_mod.basis()
-    t = column_jordan(ring, basis)
-    t2 = t[:, r:, :]
+    w, perm, _ = g_mod.jordan()
+    n = n_mod.ambient
+    t2 = np.zeros((n, n - r, ring.D), dtype=np.int64)
+    t2[perm[:r]] = ring.neg(w[:r, r:])
+    t2[perm[r:], np.arange(n - r)] = ring.one
     ngens = n_mod.reduced_gens()
     m = ring.matmul(ngens, t2)
     kernel = ring.left_kernel(m)

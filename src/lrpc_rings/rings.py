@@ -27,7 +27,7 @@ import numpy as np
 
 from . import fq
 from .chain import (ChainRing, RingElem, TensorAlgebra, check_rank,
-                    poly_string, power_basis_tensor)
+                    check_residue_field, poly_string, power_basis_tensor)
 from .errors import MalformedModulus, NotLocal, NotPrime, UnsupportedRing
 
 LOCALITY_CHECK_CAP = 2 ** 16
@@ -191,11 +191,6 @@ class LocalRingDesc(TensorAlgebra):
         """Residue-field image as integer codes (base-p digits)."""
         return self.residue(a) @ self._psi_powers
 
-    def residue_project(self, a):
-        """Projection onto the residue field F_q, as an integer code; a
-        surjective ring homomorphism whose kernel is the maximal ideal."""
-        return self.residue_codes(self.coerce(a))
-
     def is_unit(self, a):
         """True where the residue image is nonzero."""
         if self.D == 1:
@@ -335,6 +330,7 @@ def galois_ring(p: int, s: int, mu: int = 1, h=None) -> LocalRingDesc:
     """The Galois ring GR(p^s, mu); gamma = 1, maximal ideal (p)."""
     char = p ** s
     check_rank(mu, f"GR({char},{mu})")
+    check_residue_field(p, mu, f"GR({char},{mu})")
     default_h = fq.smallest_irreducible(fq.Fq(p), mu)
     if h is None:
         h = default_h

@@ -96,6 +96,33 @@ def gauss_inverse_oracle(arith, m):
     return inv
 
 
+def unit_pivot_factor_oracle(arith, a):
+    """Oracle: forward elimination with unit pivots (leftmost unit column,
+    then topmost unit row), the loop that preceded the Gauss-Jordan
+    modlin.unit_pivot_factor.  Returns (T, perm, r): T = [[T1, T2], [0, T3]]
+    with T1 upper uni-triangular of size r and no unit in T3, equal to
+    A[:, perm] up to invertible row operations."""
+    t = np.asarray(a, dtype=np.int64) % arith.char
+    s, n = t.shape[0], t.shape[1]
+    perm = np.arange(n)
+    h = 0
+    while h < s and h < n:
+        units = arith.is_unit(t[h:, h:])
+        unit_cols = np.nonzero(units.any(axis=0))[0]
+        if unit_cols.size == 0:
+            break
+        col = h + int(unit_cols[0])
+        row = h + int(np.argmax(units[:, unit_cols[0]]))
+        t[[h, row]] = t[[row, h]]
+        t[:, [h, col]] = t[:, [col, h]]
+        perm[[h, col]] = perm[[col, h]]
+        t[h] = arith.mul(t[h], arith.inverse(t[h, h].copy()))
+        coefs = t[h + 1:, h].copy()
+        t[h + 1:] = (t[h + 1:] - arith.mul(coefs[:, None, :], t[h][None, :, :])) % arith.char
+        h += 1
+    return t, perm, h
+
+
 def fq_rank_oracle(field, mat):
     """Oracle: rank over F_q by Gauss elimination one element at a time in
     the field's own arithmetic (the loop that preceded Fq.matrix_rank's

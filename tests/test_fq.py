@@ -205,3 +205,24 @@ def test_rank_cap_refuses_before_building(rxi):
         parse_ring_spec(f"Z4 ext m={big}")
     with pytest.raises(errors.UnsupportedRing):
         parse_ring_spec(f"GR(4,{big}) ext m=2")
+
+
+def test_residue_fields_past_int64_codes_refuse():
+    """Residue codes are int64 below q = p^mu: q > 2^63 refuses at both
+    entry points, before the modulus search, and for a quotient whose
+    residue field is that large; q = 2^63 builds with its largest code
+    intact."""
+    with pytest.raises(errors.UnsupportedRing):
+        galois_ring(2, 1, 64)
+    start = time.perf_counter()
+    with pytest.raises(errors.UnsupportedRing):
+        galois_ring(7, 1, 23)  # the degree-23 modulus search alone takes seconds
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(errors.UnsupportedRing):
+        parse_ring_spec("GR(2,64) ext m=1")
+    with pytest.raises(errors.UnsupportedRing):
+        quotient_ring(2, 1, [1, 1, 0, 1, 1] + [0] * 59 + [1])  # x^64+x^4+x^3+x+1
+    with pytest.warns(UserWarning, match="locality is trusted"):
+        ring = galois_ring(2, 1, 63)
+    assert ring.q == 2 ** 63
+    assert int(ring.residue_codes(np.ones(63, dtype=np.int64))) == 2 ** 63 - 1

@@ -38,6 +38,6 @@ def test_decode_roundtrip_general_base(make_ring):
 
 
 def test_contract_name_aliases(rxi, s5):
-    assert int(rxi.residue_project(rxi.from_poly([3, 2]))) == 1
+    assert int(rxi.residue_codes(rxi.from_poly([3, 2]).flat)) == 1
     th = s5.theta().flat
-    assert np.array_equal(s5.mul(s5.ext_inverse(th), th), s5.one)
+    assert np.array_equal(s5.mul(s5.inverse(th), th), s5.one)

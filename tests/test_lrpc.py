@@ -5,9 +5,10 @@ from lrpc_rings import (CodeParams, DecodingFailure, ExtensionDesc, Submodule,
                         build_h_ext, code_from_text, code_to_text, decode_local,
                         encode, erasure_decode, errors, free_module_test,
                         free_rank, generate_code, module_product, sample_error,
-                        syndrome, unit_pivot_factor)
+                        syndrome)
 
-from conftest import gauss_inverse_oracle, schoolbook_ext_mul
+from conftest import (gauss_inverse_oracle, schoolbook_ext_mul,
+                      unit_pivot_factor_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -206,11 +207,11 @@ def test_syndrome_and_encode_maps(ring_name, request, z4, rxi, rng):
 
 def _generator_two_eliminations(code):
     """Oracle: G as built before the single Gauss-Jordan pass, from the
-    pivots of unit_pivot_factor (with P tracking) and a separate inverse
-    of H1 = H[:, piv]."""
+    pivots of a forward elimination and a separate inverse of
+    H1 = H[:, piv]."""
     ext, n, k = code.ext, code.params.n, code.params.k
-    fact = unit_pivot_factor(ext, code.H)
-    piv, rest = fact.perm[:n - k], fact.perm[n - k:]
+    _, perm, _ = unit_pivot_factor_oracle(ext, code.H)
+    piv, rest = perm[:n - k], perm[n - k:]
     h1_inv = gauss_inverse_oracle(ext, code.H[:, piv])
     x = ext.neg(ext.matmul(h1_inv, code.H[:, rest]))
     g = np.zeros((k, n, ext.D), dtype=np.int64)
@@ -382,5 +383,13 @@ class TestSerialization:
             assert np.array_equal(out, c)
 
     def test_bad_header(self):
-        with pytest.raises(errors.NoSolution):
+        with pytest.raises(errors.ParseError):
             code_from_text("lrpc-ring/2\n{}")
+
+    @pytest.mark.parametrize("text", [
+        "lrpc-ring/1\n{not json", "lrpc-ring/1\n{}", "lrpc-ring/1",
+        "lrpc-ring/1\n[]", "lrpc-ring/2\n{}"],
+        ids=["bad-json", "no-keys", "no-body", "list-body", "wrong-header"])
+    def test_malformed_file_raises_parse_error(self, text):
+        with pytest.raises(errors.ParseError):
+            code_from_text(text)

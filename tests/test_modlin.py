@@ -8,9 +8,10 @@ from lrpc_rings import (MatR, Submodule, count_free_submodules,
                         sample_free_submodule, solve_linear,
                         square_property_check, unit_pivot_factor)
 from lrpc_rings import ExtensionDesc
-from lrpc_rings.modlin import column_jordan, gauss_inverse, row_jordan
+from lrpc_rings.modlin import column_jordan, gauss_inverse
 
-from conftest import brute_solution_set, gauss_inverse_oracle
+from conftest import (brute_solution_set, gauss_inverse_oracle,
+                      unit_pivot_factor_oracle)
 
 
 def _golden_system(rxi):
@@ -71,53 +72,62 @@ class TestSolveLinear:
 class TestUnitPivotFactor:
     def test_worked_example_rows(self, z4, s5):
         a_sup = _support(s5, [3, 2, 0, 3, 0], [1, 3, 0, 2, 2])
-        fact = unit_pivot_factor(z4, a_sup.gens)
-        assert fact.r == 2
-        assert np.array_equal(fact.tq_rows()[..., 0],
-                              [[1, 2, 0, 1, 0], [0, 1, 0, 1, 2]])
+        w, perm, r = unit_pivot_factor(z4, a_sup.gens)
+        assert r == 2 and perm.tolist() == [0, 1, 2, 3, 4]
+        jordan = [[1, 0, 0, 3, 0], [0, 1, 0, 1, 2]]
+        assert np.array_equal(w[..., 0], jordan)
+        assert np.array_equal(a_sup.basis()[..., 0], jordan)
 
     def test_zero_and_identity(self, z4):
-        zf = unit_pivot_factor(z4, np.zeros((2, 3, 1), dtype=np.int64))
-        assert zf.r == 0 and zf.t3_zero and not zf.T.any()
+        w, perm, r = unit_pivot_factor(z4, np.zeros((2, 3, 1), dtype=np.int64))
+        assert r == 0 and not w.any() and perm.tolist() == [0, 1, 2]
         eye = Submodule.full(z4, 3).gens
-        idf = unit_pivot_factor(z4, eye)
-        assert idf.r == 3 and idf.t3_zero
+        w, perm, r = unit_pivot_factor(z4, eye)
+        assert r == 3 and np.array_equal(w, eye)
 
     @pytest.mark.parametrize("ring_name", ["z4", "z9", "rxi", "gr42"])
     def test_ptq_exact_and_p_invertible(self, ring_name, request, rng):
+        """A Q = P W exactly for the column permutation Q = perm and an
+        invertible P = U^-1, with W in Jordan form: the forward-elimination
+        oracle's r, perm and rows r:, W[:, :r] = (I; 0), and W's rows span
+        the module of A[:, perm]."""
         ring = request.getfixturevalue(ring_name)
         for _ in range(12):
             s_, n_ = rng.integers(1, 5, 2)
             a = ring.rand(rng, (s_, n_))
-            fact = unit_pivot_factor(ring, a)
-            assert np.array_equal(fact.reconstruct(), a)
+            w, perm, r = unit_pivot_factor(ring, a)
+            t, o_perm, o_r = unit_pivot_factor_oracle(ring, a)
+            assert r == o_r and np.array_equal(perm, o_perm)
+            assert np.array_equal(w[r:], t[r:])
             eye = Submodule.full(ring, s_).gens
-            assert np.array_equal(ring.matmul(fact.P, fact.Pinv), eye)
-            # T1 upper uni-triangular, T3 entries all non-units
-            for i in range(fact.r):
-                assert np.array_equal(fact.T[i, i], ring.one)
-                assert not fact.T[i, :i].any()
-            t3 = fact.T[fact.r:, fact.r:]
-            if t3.size:
-                assert not ring.is_unit(t3).any()
+            assert np.array_equal(w[:, :r], eye[:, :r])
+            assert Submodule(ring, n_, w).equals(Submodule(ring, n_, a[:, perm]))
+            # U from the same elimination of (A | I): its pivots lie in A
+            wu, u_perm, u_r = unit_pivot_factor(
+                ring, np.concatenate([a, eye], axis=1), ncols=n_)
+            u = wu[:, n_:]
+            assert u_r == r and np.array_equal(u_perm[:n_], perm)
+            assert np.array_equal(wu[:, :n_], w)
+            assert np.array_equal(ring.matmul(u, a[:, perm]), w)
+            assert ring.residue_field.matrix_rank(ring.residue_codes(u)) == s_
 
 
 def test_pivot_order_without_units_in_first_column(z4, rxi):
-    """Leftmost unit column, topmost unit row: values pinned from the
-    column-by-column scans that preceded the vectorized ones."""
+    """Leftmost unit column, topmost unit row: perm, r and the rows below
+    r pinned from the column-by-column scans that preceded the vectorized
+    ones; the rows above r are those rows reduced by the pivot rows."""
     a4 = np.array([[2, 2, 1, 0], [0, 3, 2, 1], [2, 1, 0, 3]])[..., None]
     ax = np.array([[[2, 1], [0, 3], [1, 1]],
                    [[0, 1], [2, 2], [3, 0]],
                    [[2, 0], [1, 2], [0, 1]]])
     for ring, a, perm, t in (
-            (z4, a4, [1, 2, 0, 3], [[1, 2, 0, 3], [0, 1, 2, 2], [0, 0, 2, 0]]),
-            (rxi, ax, [1, 2, 0], [[[1, 0], [0, 1], [2, 0]],
+            (z4, a4, [1, 2, 0, 3], [[1, 0, 0, 3], [0, 1, 2, 2], [0, 0, 2, 0]]),
+            (rxi, ax, [1, 2, 0], [[[1, 0], [0, 0], [2, 0]],
                                   [[0, 0], [1, 0], [0, 3]],
                                   [[0, 0], [0, 0], [2, 0]]])):
-        fact = unit_pivot_factor(ring, a)
-        assert fact.perm.tolist() == perm and fact.r == 2
-        assert np.array_equal(fact.T, np.reshape(t, a.shape))
-        assert np.array_equal(fact.reconstruct(), a)
+        w, w_perm, r = unit_pivot_factor(ring, a)
+        assert w_perm.tolist() == perm and r == 2
+        assert np.array_equal(w, np.reshape(t, a.shape))
     b4 = np.array([[2, 3, 1, 0], [1, 2, 2, 3]])[..., None]
     bx = np.array([[[2, 1], [1, 3], [0, 1]], [[1, 0], [2, 1], [3, 3]]])
     for ring, b, t in (
@@ -158,13 +168,14 @@ def _column_jordan_oracle(arith, b):
 @pytest.mark.parametrize("ring_name", ["z4", "z9", "rxi", "s5"])
 def test_eliminations_match_two_block_loops(ring_name, request, rng):
     """gauss_inverse and column_jordan on random matrices equal the loops
-    that kept the identity block apart, and singular input raises;
-    row_jordan brings (M | B) to (I | M1^-1 B1) on permuted columns."""
+    that kept the identity block apart, and singular or dependent input
+    raises;
+    unit_pivot_factor brings (M | B) to (I | M1^-1 B1) on permuted columns."""
     ring = request.getfixturevalue(ring_name)
     for size in (1, 2, 4, 6):
         for _ in range(4):
             m = ring.rand(rng, (size, size))
-            if unit_pivot_factor(ring, m, track_p=False).r < size:
+            if unit_pivot_factor_oracle(ring, m)[2] < size:
                 with pytest.raises(errors.NotFree):
                     gauss_inverse(ring, m)
                 continue
@@ -174,12 +185,14 @@ def test_eliminations_match_two_block_loops(ring_name, request, rng):
             eye[np.arange(size), np.arange(size)] = ring.one
             assert np.array_equal(ring.matmul(m, inv), eye)
             b = ring.rand(rng, (max(size - 2, 1), size))
-            if unit_pivot_factor(ring, b, track_p=False).r < b.shape[0]:
+            if unit_pivot_factor_oracle(ring, b)[2] < b.shape[0]:
+                with pytest.raises(errors.NotFree):
+                    column_jordan(ring, b)
                 continue
             t = column_jordan(ring, b)
             assert np.array_equal(t, _column_jordan_oracle(ring, b))
             a = np.concatenate([m, b.reshape(size, -1, ring.D)], axis=1)
-            w, perm, r = row_jordan(ring, a)  # (I | A1^-1 A2) on columns perm
+            w, perm, r = unit_pivot_factor(ring, a)  # (I | A1^-1 A2) on columns perm
             assert r == size and sorted(perm) == list(range(a.shape[1]))
             assert np.array_equal(w[:, :size], eye)
             a1_inv = gauss_inverse_oracle(ring, a[:, perm[:size]])
