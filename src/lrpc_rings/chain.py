@@ -27,8 +27,7 @@ from .errors import (MalformedModulus, NotAUnit, NotPrime, RingMismatch,
 
 # The largest rank D over Z_char a ring may have.  It bounds the dense
 # (D, D, D) structure tensor and its two product views to 2 MiB each (int64
-# or float64), and the (D, D, D, D) associativity check of a local ring to
-# 128 MiB per operand.  The workloads and tests use D <= 40.
+# or float64).  The workloads and tests use D <= 40.
 MAX_RANK = 64
 
 
@@ -321,7 +320,9 @@ class RingElem:
 
 
 class ChainRing(TensorAlgebra):
-    """GR(p^s, mu) = Z_{p^s}[x]/(h) with h monic, irreducible mod p."""
+    """GR(p^s, mu) = Z_{p^s}[x]/(h) with h monic, irreducible mod p: the
+    default modulus of :func:`fq.smallest_irreducible` unless h is given,
+    in which case h is checked."""
 
     def __init__(self, p: int, s: int, mu: int, h=None):
         if not fq.is_prime(p):
@@ -335,11 +336,12 @@ class ChainRing(TensorAlgebra):
         char = p ** s
         if h is None:
             h = fq.smallest_irreducible(fq.Fq(p), mu)
-        h = [int(c) % char for c in h]
-        if len(h) != mu + 1 or h[-1] != 1:
-            raise MalformedModulus("modulus must be monic of the stated degree")
-        if mu > 1 and not fq.irreducible(fq.Fq(p), [c % p for c in h]):
-            raise MalformedModulus("modulus is not irreducible mod p")
+        else:
+            h = [int(c) % char for c in h]
+            if len(h) != mu + 1 or h[-1] != 1:
+                raise MalformedModulus("modulus must be monic of the stated degree")
+            if mu > 1 and not fq.irreducible(fq.Fq(p), [c % p for c in h]):
+                raise MalformedModulus("modulus is not irreducible mod p")
         self.h = np.array(h, dtype=np.int64)
         super().__init__(char, p, p ** mu, s, power_basis_tensor(self.h, char))
 

@@ -88,7 +88,8 @@ class DecoderState:
 class LrpcCode:
     """An LRPC code: parity-check matrix, support-module basis with
     precomputed inverses, expanded matrix H_ext, and encoder/decoder
-    precomputations: the column solver P, the generator G, and the Z_char
+    precomputations: the Jordan form of H over S (read by the flags and the
+    generator), the column solver P, the generator G, and the Z_char
     matrices of r -> r H^T and m -> m G (see TensorAlgebra.right_map).
     Immutable after construction."""
 
@@ -106,6 +107,7 @@ class LrpcCode:
         self.F_inv = np.array([ext.inverse(f) for f in self.F_basis])
         self.F_module = Submodule(ext.base, ext.m, ext.vec_rep(self.F_basis))
         self.H_ext = build_h_ext(ext, self.H, self.F_basis)
+        self._h_jordan = unit_pivot_factor(ext, self.H)
         self.flags = dict(flags) if flags else self._compute_flags()
         self._P = self._column_solver()
         self._G = self._generator_matrix()
@@ -117,7 +119,7 @@ class LrpcCode:
     def _compute_flags(self):
         ext, ring = self.ext, self.ext.base
         n, k, lam = self.params.n, self.params.k, self.params.lam
-        if unit_pivot_factor(ext, self.H)[2] != n - k:
+        if self._h_jordan[2] != n - k:
             raise GenerationFailed("parity-check matrix must have full free "
                                    "row rank over the extension")
         col_codes = ring.residue_codes(self.H_ext)
@@ -151,13 +153,13 @@ class LrpcCode:
     def _generator_matrix(self):
         """Systematic-style generator G with H G^T = 0 and free rank k.
 
-        One Gauss-Jordan pass brings H to (I | X) on permuted columns
+        The Jordan form of H over S is (I | X) on permuted columns
         (piv | rest), where X = H1^-1 H2 for H1 = H[:, piv], H2 = H[:, rest];
         then G[:, piv] = -X^T and G[:, rest] = I_k.
         """
         ext = self.ext
         n, k = self.params.n, self.params.k
-        w, perm, r = unit_pivot_factor(ext, self.H)
+        w, perm, r = self._h_jordan
         if r != n - k:
             raise NoInvertibleMinor("parity-check matrix admits no invertible "
                                     "(n-k) x (n-k) column submatrix")
@@ -314,9 +316,6 @@ def erasure_decode(code: LrpcCode, support_basis, synd) -> np.ndarray:
         return np.zeros((n, ext.D), dtype=np.int64)
     prods = ext.mul(code.F_basis[:, None, :], basis[None, :, :])  # (lam, t', D_S)
     u_mat = ext.vec_rep(prods.reshape(lam * t_p, ext.D))          # rows: ell*t' + u
-    codes = ring.residue_codes(u_mat)
-    if ring.residue_field.matrix_rank(codes) != lam * t_p:
-        raise RankDeficient("support-basis products are not linearly independent")
     t_full = column_jordan(ring, u_mat, exc=RankDeficient)
     v_mat = ext.vec_rep(synd)                                     # (n-k, m, D_R)
     vt = ring.matmul(v_mat, t_full)
@@ -419,7 +418,7 @@ def sample_error(ext: ExtensionDesc, n: int, t: int, rng,
         return np.zeros((n, ext.D), dtype=np.int64)
     ring = ext.base
     support = sample_free_submodule(ring, ext.m, t, rng)
-    basis = ext.unrep(support.basis())
+    basis = ext.unrep(support.gens)  # a basis: its pivot block is the identity
     for _ in range(max_attempts):
         c = ring.rand(rng, (n, t))
         if ring.residue_field.matrix_rank(ring.residue_codes(c)) == t:

@@ -209,27 +209,27 @@ class Submodule:
     def is_zero(self) -> bool:
         return not self.gens.any()
 
-    def contains(self, v) -> bool:
-        v = _as_vector(self.ring, v)
+    def _member_solve(self, v):
+        """x over R0 (expanded as by ``expand_vector``) with x . gens = v,
+        or None when v is not a member."""
+        ring = self.ring
+        v = _as_vector(ring, v)
         if v.shape[0] != self.ambient:
             raise AmbientMismatch("vector length does not match the ambient space")
         if not self.gens.any():
-            return not v.any()
+            return None if v.any() else np.zeros(
+                (self.gens.shape[0] * ring.gamma, ring.mu), dtype=np.int64)
         if self._member_form is None:
-            self._member_form = self.ring.solve_form(np.swapaxes(self.gens, 0, 1))
-        return self._member_form.member_solve(self.ring.expand_vector(v)) is not None
+            self._member_form = ring.solve_form(np.swapaxes(self.gens, 0, 1))
+        return self._member_form.member_solve(ring.expand_vector(v))
+
+    def contains(self, v) -> bool:
+        return self._member_solve(v) is not None
 
     def coefficients_of(self, v):
         """Coefficients x with x . gens = v, or None when v is not a member."""
-        v = _as_vector(self.ring, v)
-        if not self.gens.any():
-            return None if v.any() else np.zeros((self.gens.shape[0], self.ring.D), dtype=np.int64)
-        if self._member_form is None:
-            self._member_form = self.ring.solve_form(np.swapaxes(self.gens, 0, 1))
-        w = self._member_form.member_solve(self.ring.expand_vector(v))
-        if w is None:
-            return None
-        return self.ring.contract_vectors(w)
+        w = self._member_solve(v)
+        return None if w is None else self.ring.contract_vectors(w)
 
     def equals(self, other: "Submodule") -> bool:
         """Submodule equality by mutual membership of generators."""

@@ -14,13 +14,19 @@ generates R0 over Z_{p^s}.  Multiplication is a bilinear form given by a
 precomputed (D, D, D) structure tensor, so all arithmetic vectorizes over
 numpy arrays with trailing axis D.
 
+Rings are valid by construction.  Each constructor checks its input once:
+p prime, s, mu >= 1, a monic modulus that is irreducible mod p (Galois
+rings) or a power w^e of one irreducible mod p (quotients), and the rank
+and residue-field caps.  Locality follows from those checks, and every
+structure tensor is a power-basis tensor or its change of basis by an
+inverted matrix, so nothing is re-verified when a ring is built.
+
 Descriptors are immutable after construction and safely shareable across
 threads; elements are plain values and every operation is pure.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,29 +36,19 @@ from .chain import (ChainRing, RingElem, TensorAlgebra, check_rank,
                     check_residue_field, poly_string, power_basis_tensor)
 from .errors import MalformedModulus, NotLocal, NotPrime, UnsupportedRing
 
-LOCALITY_CHECK_CAP = 2 ** 16
+ENUMERATION_CAP = 2 ** 16
 
 
 @dataclass(frozen=True)
 class GaloisRingParams:
     """Parameters of GR(p^s, mu): characteristic p^s, residue degree mu,
-    monic modulus h of degree mu, irreducible mod p."""
+    monic modulus h of degree mu, irreducible mod p.  A plain record:
+    :func:`construct_local_ring` checks it when it builds the ring."""
 
     p: int
     s: int
     mu: int
     h: tuple
-
-    def __post_init__(self):
-        if not fq.is_prime(self.p):
-            raise NotPrime(f"{self.p} is not prime")
-        if self.s < 1 or self.mu < 1:
-            raise MalformedModulus("need s >= 1 and mu >= 1")
-        h = list(self.h)
-        if len(h) != self.mu + 1 or h[-1] % (self.p ** self.s) != 1:
-            raise MalformedModulus("h must be monic of degree mu")
-        if not fq.irreducible(fq.Fq(self.p), [c % self.p for c in h]):
-            raise MalformedModulus("h must be irreducible mod p")
 
 
 @dataclass(frozen=True)
@@ -63,117 +59,44 @@ class QuotientSpec:
     poly: tuple
 
 
-def _fp_nullspace(mat, p):
-    """Basis of {x : x @ mat = 0 over F_p} for an integer matrix (rows, cols)."""
-    mat = np.asarray(mat, dtype=np.int64) % p
-    rows, cols = mat.shape
-    rref, pivots = fq.rref_mod_p(mat.T, p)  # solves mat.T y = 0 with y = x^T
-    free = [c for c in range(rows) if c not in pivots]
-    basis = np.zeros((len(free), rows), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = (-rref[ri, fc]) % p
-    return basis
-
-
-def _fp_solve_all(a, b, p):
-    """One solution X of A X = B over F_p (A (r,c), B (r,k)); A must have
-    full column-rank coverage of B's span."""
-    a = np.asarray(a, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    r, c = a.shape
-    k = b.shape[1]
-    aug = np.concatenate([a, b], axis=1)
-    rref, pivots = fq.rref_mod_p(aug, p)
-    x = np.zeros((c, k), dtype=np.int64)
-    for ri, pc in enumerate(pivots):
-        if pc >= c:
-            raise NotLocal("inconsistent residue system")  # pragma: no cover
-        x[pc] = rref[ri, c:]
-    return x
-
-
 class LocalRingDesc(TensorAlgebra):
     """Descriptor of a finite commutative local ring (immutable once built).
 
     Carries the structure tensor, residue projection, maximal ideal data
     and the chain subring R0 used for linear-system solving.  Elements are
     plain numpy coordinate arrays; the methods broadcast over leading axes.
+
+    The constructors below are the only intended callers: they check their
+    input, and what they pass is valid by construction.  ``psi_mat`` maps
+    flat coordinates to residue digits; its first mu rows are the identity,
+    since the flat basis starts 1, y, ..., y^(mu-1) and the residue field
+    is F_p[y]/(h mod p).
     """
 
-    def __init__(self, base: GaloisRingParams, gamma, tensor, psi_mat,
+    def __init__(self, chain: ChainRing, gamma, tensor, psi_mat,
                  maximal_ideal_gen_coords, spec_string, power_basis=True):
-        super().__init__(base.p ** base.s, base.p, base.p ** base.mu,
-                         base.s * gamma, tensor)
-        self.base = base
-        self.s = base.s
-        self.mu = base.mu
+        super().__init__(chain.char, chain.p, chain.q, chain.s * gamma, tensor)
+        self.chain = chain
+        self.base = GaloisRingParams(chain.p, chain.s, chain.mu, tuple(chain.h.tolist()))
+        self.s = chain.s
+        self.mu = mu = chain.mu
         self.gamma = gamma
         self.size = self.char ** self.D
-        self.psi_mat = np.asarray(psi_mat, dtype=np.int64) % base.p
+        self.psi_mat = np.asarray(psi_mat, dtype=np.int64) % self.p
         self.maximal_ideal_gens = [np.asarray(g, dtype=np.int64) % self.char
                                    for g in maximal_ideal_gen_coords]
         self.spec_string = spec_string
         self.power_basis = power_basis
-        self.chain = ChainRing(base.p, base.s, base.mu, list(base.h))
-        self.residue_field = fq.Fq(base.p, [c % base.p for c in base.h])
-        self._psi_powers = self.p ** np.arange(self.mu, dtype=np.int64)
-        self._psi_kernel = _fp_nullspace(self.psi_mat, self.p)
-        self._psi_lift = _fp_solve_all(self.psi_mat.T, np.eye(self.mu, dtype=np.int64), self.p).T
+        self.residue_field = fq.Fq(self.p, [c % self.p for c in self.base.h])
+        self._psi_powers = self.p ** np.arange(mu, dtype=np.int64)
+        # the residue map is x -> x[:mu] + x[mu:] @ psi[mu:]: its kernel has
+        # the rows e_j - psi[j] (j >= mu), and e_u lifts the digit e_u
+        self._psi_kernel = np.concatenate(
+            [-self.psi_mat[mu:] % self.p, np.eye(self.D - mu, dtype=np.int64)], axis=1)
+        self._psi_lift = np.eye(mu, self.D, dtype=np.int64)
         self._zvecs = np.zeros((gamma, self.D), dtype=np.int64)
         for ell in range(gamma):
-            self._zvecs[ell, ell * self.mu] = 1
-        self._validate()
-
-    # ------------------------------------------------------------------
-    # construction checks
-
-    def _validate(self):
-        t = self.mult_tensor
-        d = self.D
-        if not np.array_equal(t[0] % self.char, np.eye(d, dtype=np.int64) % self.char):
-            raise MalformedModulus("first basis element must be the identity")
-        if not np.array_equal(t, np.swapaxes(t, 0, 1)):
-            raise MalformedModulus("structure constants are not commutative")
-        lhs = np.einsum("abe,eck->abck", t, t) % self.char
-        rhs = np.einsum("bce,aek->abck", t, t) % self.char
-        if not np.array_equal(lhs, rhs):
-            raise MalformedModulus("structure constants are not associative")
-        if (self._psi_lift @ self.psi_mat % self.p != np.eye(self.mu, dtype=np.int64)).any():
-            raise NotLocal("residue projection is not surjective")  # pragma: no cover
-        if self.size <= LOCALITY_CHECK_CAP:
-            self._check_locality_exhaustive()
-        else:
-            warnings.warn(
-                f"ring of size {self.size} exceeds the exhaustive locality "
-                f"check cap ({LOCALITY_CHECK_CAP}); locality is trusted",
-                stacklevel=4)
-
-    def _check_locality_exhaustive(self):
-        elems = self.enumerate_elements()
-        units = self.is_unit(elems)
-        # the ideal generated by the maximal-ideal generators, as a
-        # Z_{p^s}-lattice spanned by {basis_a * gen_i}
-        rows = []
-        basis = np.eye(self.D, dtype=np.int64)
-        for g in self.maximal_ideal_gens:
-            rows.append(self.mul(basis, g[None, :]))
-        lattice = np.concatenate(rows, axis=0) if rows else np.zeros((0, self.D))
-        zps = ChainRing(self.p, self.s, 1)
-        hf = zps.howell(lattice.reshape(-1, self.D, 1))
-        res = elems.copy()
-        alive = np.ones(len(elems), dtype=bool)
-        for i, c in enumerate(hf.cols):
-            pv = hf.vals[i]
-            pw = self.p ** pv
-            bad = alive & (res[:, c] % pw != 0)
-            alive &= ~bad
-            qcoef = res[:, c] // pw
-            res = (res - qcoef[:, None] * hf.rows[i, :, 0][None, :]) % self.char
-        in_ideal = alive & ~res.any(axis=1)
-        if not np.array_equal(in_ideal, ~units):
-            raise NotLocal("non-units do not form the stated maximal ideal")
+            self._zvecs[ell, ell * mu] = 1
 
     # ------------------------------------------------------------------
     # arithmetic: TensorAlgebra's, bound again in this class's own dict so
@@ -237,7 +160,7 @@ class LocalRingDesc(TensorAlgebra):
         out = self.rand_unit(rng, shape)
         return np.where(np.asarray(pick == 0)[..., None], 0, out)
 
-    def enumerate_elements(self, cap=LOCALITY_CHECK_CAP):
+    def enumerate_elements(self, cap=ENUMERATION_CAP):
         if self.size > cap:
             raise NotLocal(f"ring too large to enumerate ({self.size} elements)")
         grids = np.meshgrid(*([np.arange(self.char, dtype=np.int64)] * self.D),
@@ -313,40 +236,26 @@ class LocalRingDesc(TensorAlgebra):
 # constructors
 
 
-def _zps_poly_mod(a, m, char):
-    """Remainder of integer-coefficient a modulo monic m, coefficients mod char."""
-    a = [c % char for c in a]
-    dm = len(m) - 1
-    while len(a) > dm:
-        lead = a[-1]
-        if lead:
-            for i in range(dm + 1):
-                a[len(a) - 1 - dm + i] = (a[len(a) - 1 - dm + i] - lead * m[i]) % char
-        a.pop()
-    return a + [0] * (dm - len(a))
+def _galois(chain: ChainRing, spec) -> LocalRingDesc:
+    """The Galois ring ``chain`` as a local ring: gamma = 1, maximal ideal (p)."""
+    mgen = np.zeros(chain.mu, dtype=np.int64)
+    mgen[0] = chain.p
+    return LocalRingDesc(chain, 1, chain.mult_tensor, np.eye(chain.mu, dtype=np.int64),
+                         [mgen], spec)
 
 
 def galois_ring(p: int, s: int, mu: int = 1, h=None) -> LocalRingDesc:
     """The Galois ring GR(p^s, mu); gamma = 1, maximal ideal (p)."""
-    char = p ** s
-    check_rank(mu, f"GR({char},{mu})")
-    check_residue_field(p, mu, f"GR({char},{mu})")
-    default_h = fq.smallest_irreducible(fq.Fq(p), mu)
-    if h is None:
-        h = default_h
-    params = GaloisRingParams(p, s, mu, tuple(int(c) for c in h))
-    tensor = power_basis_tensor([c % char for c in h], char)
-    psi = np.eye(mu, dtype=np.int64)
-    mgen = np.zeros(mu, dtype=np.int64)
-    mgen[0] = p
+    chain = ChainRing(p, s, mu, h)
+    char, h_red = chain.char, chain.h.tolist()
     if mu == 1:
         spec = f"Z{char}"
-    elif [c % char for c in h] == [c % char for c in default_h]:
+    elif h is None or h_red == fq.smallest_irreducible(fq.Fq(p), mu):
         spec = f"GR({char},{mu})"
     else:
         # grammar-compatible form that pins the non-default modulus
-        spec = f"Z{char}[x]/({poly_string([int(c) % char for c in h], spec=True)})"
-    return LocalRingDesc(params, 1, tensor, psi, [mgen], spec)
+        spec = f"Z{char}[x]/({poly_string(h_red, spec=True)})"
+    return _galois(chain, spec)
 
 
 def Zmod(q: int) -> LocalRingDesc:
@@ -378,18 +287,12 @@ def quotient_ring(p: int, s: int, g) -> LocalRingDesc:
     w, e = shape
     mu = len(w) - 1
     spec = f"Z{char}[x]/({poly_string(g, spec=True)})"
+    check_residue_field(p, mu, spec)
     if e == 1:
         # the quotient is itself a Galois ring with modulus g
-        params = GaloisRingParams(p, s, mu, tuple(g))
-        tensor = power_basis_tensor(g, char)
-        psi = np.eye(mu, dtype=np.int64)
-        mgen = np.zeros(mu, dtype=np.int64)
-        mgen[0] = p
-        return LocalRingDesc(params, 1, tensor, psi, [mgen], spec)
+        return _galois(ChainRing(p, s, mu, g), spec)
     if mu == 1:
         # R0 = Z_{p^s}; power basis 1, xi, ..., xi^(d-1)
-        params = GaloisRingParams(p, s, 1, (0, 1))
-        tensor = power_basis_tensor(g, char)
         a = (-w[0]) % p  # w = x - a
         psi = np.array([[pow(int(a), i, p)] for i in range(d)], dtype=np.int64)
         p_gen = np.zeros(d, dtype=np.int64)
@@ -397,7 +300,7 @@ def quotient_ring(p: int, s: int, g) -> LocalRingDesc:
         w_gen = np.zeros(d, dtype=np.int64)
         w_gen[0] = (-a) % char
         w_gen[1] = 1
-        return LocalRingDesc(params, e, tensor, psi,
+        return LocalRingDesc(ChainRing(p, s, 1), e, power_basis_tensor(g, char), psi,
                              [p_gen, w_gen], spec)
     return _quotient_ring_general(p, s, g, w, e, spec)
 
@@ -472,8 +375,7 @@ def _quotient_ring_general(p, s, g, w, e, spec):
         psi[u, u] = 1  # z_1 y^u |-> xbar^u; z_{i>1} blocks map to 0
     p_gen = (c_inv @ np.array([p] + [0] * (d - 1), dtype=np.int64)) % char
     w_gen = (c_inv @ w_of_xi) % char
-    params = GaloisRingParams(p, s, mu, tuple(h))
-    return LocalRingDesc(params, e, new_tensor, psi, [p_gen, w_gen], spec,
+    return LocalRingDesc(ChainRing(p, s, mu, h), e, new_tensor, psi, [p_gen, w_gen], spec,
                          power_basis=False)
 
 

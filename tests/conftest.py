@@ -74,6 +74,41 @@ def brute_solution_set(ring, a, b):
     return {x.tobytes() for x in xs[ok]}
 
 
+def local_ring_oracle(ring):
+    """Oracle: the checks a local ring's construction does not run.  The
+    structure tensor has the identity as basis element 0 and is
+    commutative and associative; the residue map is multiplicative and
+    onto F_q; and, by enumeration, the elements with an inverse, the
+    elements ``is_unit`` accepts and the complement of the ideal generated
+    by ``maximal_ideal_gens`` are the same set.  The samplers built on the
+    residue map draw from the ideal and from the stated residue classes."""
+    t, char = ring.mult_tensor, ring.char
+    assert np.array_equal(t[0], np.eye(ring.D, dtype=np.int64))
+    assert np.array_equal(t, np.swapaxes(t, 0, 1))
+    assert np.array_equal(np.einsum("abe,eck->abck", t, t) % char,
+                          np.einsum("bce,aek->abck", t, t) % char)
+    elems = ring.enumerate_elements()
+    codes = ring.residue_codes(elems)
+    assert sorted(set(codes.tolist())) == list(range(ring.q))
+    field = ring.residue_field
+    table = np.array([[field.mul(a, b) for b in range(ring.q)] for a in range(ring.q)])
+    prods = ring.mul(elems[:, None, :], elems[None, :, :])
+    assert np.array_equal(ring.residue_codes(prods), table[codes[:, None], codes[None, :]])
+    invertible = (prods == ring.one).all(axis=-1).any(axis=1)
+    assert np.array_equal(ring.is_unit(elems), invertible)
+    ideal = np.zeros((1, ring.D), dtype=np.int64)
+    for g in ring.maximal_ideal_gens:
+        scaled = ring.mul(elems, g[None, :])
+        ideal = np.unique((ideal[None, :, :] + scaled[:, None, :]).reshape(-1, ring.D)
+                          % char, axis=0)
+    in_ideal = np.isin(elems @ char ** np.arange(ring.D), ideal @ char ** np.arange(ring.D))
+    assert np.array_equal(in_ideal, ~invertible)
+    rng = np.random.default_rng(0)
+    assert not ring.is_unit(ring.rand_ideal(rng, (64,))).any()
+    digits = rng.integers(0, ring.p, size=(64, ring.mu))
+    assert np.array_equal(ring.residue(ring.rand_with_residue(rng, digits)), digits)
+
+
 def gauss_inverse_oracle(arith, m):
     """Oracle: inverse by row operations applied to M and to I separately,
     column by column with the topmost unit pivot (the loop that preceded

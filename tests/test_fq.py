@@ -3,6 +3,7 @@ matrix rank and RREF over F_q, factoring, and the rank cap."""
 
 import itertools
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -222,7 +223,15 @@ def test_residue_fields_past_int64_codes_refuse():
         parse_ring_spec("GR(2,64) ext m=1")
     with pytest.raises(errors.UnsupportedRing):
         quotient_ring(2, 1, [1, 1, 0, 1, 1] + [0] * 59 + [1])  # x^64+x^4+x^3+x+1
-    with pytest.warns(UserWarning, match="locality is trusted"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # valid by construction: no warning
         ring = galois_ring(2, 1, 63)
     assert ring.q == 2 ** 63
     assert int(ring.residue_codes(np.ones(63, dtype=np.int64))) == 2 ** 63 - 1
+
+
+def test_quotient_residue_field_refusal_names_the_spec():
+    """The refusal names the quotient as written, not its Galois subring."""
+    with pytest.raises(errors.UnsupportedRing,
+                       match=r"^Z2\[x\]/\(x\^64\+x\^4\+x\^3\+x\+1\) has a residue field of size 2\^64"):
+        quotient_ring(2, 1, [1, 1, 0, 1, 1] + [0] * 59 + [1])

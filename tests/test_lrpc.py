@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -381,6 +383,27 @@ class TestSerialization:
         out = decode_local(clone, (c + e) % ext.char)
         if isinstance(out, np.ndarray):
             assert np.array_equal(out, c)
+
+    def test_flags_and_generator_share_one_elimination(self, small_code, monkeypatch):
+        """Without flags, H is eliminated over S once, for the flags and the
+        generator together."""
+        from lrpc_rings import lrpc, modlin
+        over_s = []
+        kernel = modlin.unit_pivot_factor
+
+        def spy(arith, a, ncols=None):
+            if isinstance(arith, ExtensionDesc):
+                over_s.append(np.asarray(a).shape)
+            return kernel(arith, a, ncols)
+
+        monkeypatch.setattr(lrpc, "unit_pivot_factor", spy)
+        monkeypatch.setattr(modlin, "unit_pivot_factor", spy)
+        head, body = code_to_text(small_code).split("\n", 1)
+        body = json.loads(body)
+        del body["flags"]
+        clone = code_from_text(head + "\n" + json.dumps(body))
+        assert over_s == [(6, 10, clone.ext.D)]
+        assert clone.flags == small_code.flags
 
     def test_bad_header(self):
         with pytest.raises(errors.ParseError):

@@ -7,7 +7,7 @@ from lrpc_rings import (MatR, Submodule, count_free_submodules,
                         module_product, module_rank, recover_factor,
                         sample_free_submodule, solve_linear,
                         square_property_check, unit_pivot_factor)
-from lrpc_rings import ExtensionDesc
+from lrpc_rings import ExtensionDesc, Zmod
 from lrpc_rings.modlin import column_jordan, gauss_inverse
 
 from conftest import (brute_solution_set, gauss_inverse_oracle,
@@ -199,6 +199,28 @@ def test_eliminations_match_two_block_loops(ring_name, request, rng):
             assert np.array_equal(w[:, size:], ring.matmul(a1_inv, a[:, perm[size:]]))
 
 
+class TestMembership:
+    def test_coefficients_reproduce_members(self, rxi, rng):
+        for gens in (rxi.rand(rng, (2, 3)), np.zeros((2, 3, rxi.D), dtype=np.int64)):
+            sub = Submodule(rxi, 3, gens)
+            x = rxi.rand(rng, (2,))
+            v = rxi.matmul(x[None], sub.gens)[0]
+            assert sub.contains(v)
+            coeffs = sub.coefficients_of(v)
+            assert coeffs.shape == (2, rxi.D)
+            assert np.array_equal(rxi.matmul(coeffs[None], sub.gens)[0], v)
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_wrong_length_raises_ambient_mismatch(self, rxi, rng, length):
+        for gens in (rxi.rand(rng, (2, 3)), np.zeros((2, 3, rxi.D), dtype=np.int64)):
+            sub = Submodule(rxi, 3, gens)
+            v = rxi.rand(rng, (length,))
+            with pytest.raises(errors.AmbientMismatch):
+                sub.contains(v)
+            with pytest.raises(errors.AmbientMismatch):
+                sub.coefficients_of(v)
+
+
 class TestFreeAndRank:
     def test_worked_example_suite(self, s5):
         a_sup = _support(s5, [3, 2, 0, 3, 0], [1, 3, 0, 2, 2])
@@ -336,6 +358,16 @@ class TestSampling:
             for _ in range(10):
                 sub = sample_free_submodule(rxi, 3, rank, rng)
                 assert free_module_test(sub) == (rank, True)
+
+    @pytest.mark.parametrize("ring_name", ["z2", "z3", "z4", "z9", "gr42", "rxi"])
+    def test_generators_are_the_jordan_basis(self, ring_name, request, rng):
+        """The sampled generators carry an identity pivot block, so basis()
+        gives them back row for row (sample_error uses them as the basis)."""
+        ring = (Zmod(int(ring_name[1:])) if ring_name in ("z2", "z3")
+                else request.getfixturevalue(ring_name))
+        for ambient, rank in ((5, 1), (6, 3), (9, 8), (12, 5)):
+            sub = sample_free_submodule(ring, ambient, rank, rng)
+            assert np.array_equal(sub.basis(), sub.gens)
 
     def test_uniform_over_rank1_submodules_z4sq(self, z4, rng):
         # all 6 rank-1 free submodules of Z4^2, identified by the smallest

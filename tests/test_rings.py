@@ -1,9 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 
 from lrpc_rings import (ChainRing, ExtensionDesc, GaloisRingParams,
-                        QuotientSpec, Zmod, construct_local_ring, errors,
+                        QuotientSpec, Zmod, construct_local_ring, errors, fq,
                         galois_ring, quotient_ring)
+
+from conftest import local_ring_oracle
 
 
 def test_z4_construction(z4):
@@ -118,7 +122,7 @@ def test_residue_projection(z4, rxi, rng):
 
 
 def test_units_exactly_complement_maximal_ideal(z4, rxi, gr42, z9):
-    # verified exhaustively at construction; re-check directly here
+    # construction does not check this; local_ring_oracle and this test do
     for ring in (z4, rxi, gr42, z9):
         elems = ring.enumerate_elements()
         units = ring.is_unit(elems)
@@ -185,3 +189,49 @@ def test_struct_consts_view(rxi):
     assert not c[1, 1].any()
     # z1 row encodes the identity
     assert c[0, 1, 1, 0] == 1 and c[0, 0, 0, 0] == 1
+
+
+# one ring from each constructor branch
+CONSTRUCTOR_BRANCHES = {
+    "Zmod(4)": lambda: Zmod(4),
+    "Zmod(9)": lambda: Zmod(9),
+    "GR(4,2)": lambda: galois_ring(2, 2, 2),
+    "GR(9,2)-h": lambda: galois_ring(3, 2, 2, h=[2, 1, 1]),
+    "quot-e1": lambda: quotient_ring(2, 2, [1, 1, 1]),
+    "quot-mu1-a0": lambda: quotient_ring(2, 2, [0, 0, 1]),
+    "quot-mu1-a1": lambda: quotient_ring(3, 2, [1, 7, 1]),
+    "quot-hensel": lambda: quotient_ring(2, 2, [1, 2, 3, 2, 1]),  # (x^2+x+1)^2
+}
+
+
+@pytest.mark.parametrize("branch", sorted(CONSTRUCTOR_BRANCHES))
+def test_constructor_branches_build_local_rings(branch):
+    local_ring_oracle(CONSTRUCTOR_BRANCHES[branch]())
+
+
+def test_large_rings_build_without_self_checks():
+    """Rank 63 and 64: no D^4 associativity check at construction."""
+    for build in (lambda: galois_ring(2, 1, 63), lambda: quotient_ring(2, 1, [0] * 64 + [1])):
+        start = time.perf_counter()
+        build()
+        assert time.perf_counter() - start < 1.0
+
+
+def test_galois_subring_is_rabin_tested_once(monkeypatch):
+    """The default modulus is only searched for; a given one is tested once."""
+    calls = []
+    rabin = fq.irreducible
+    monkeypatch.setattr(fq, "irreducible", lambda F, poly: calls.append(1) or rabin(F, poly))
+
+    def count(build):
+        del calls[:]
+        build()
+        return len(calls)
+
+    assert count(lambda: galois_ring(2, 2, 12)) == count(
+        lambda: fq.smallest_irreducible(fq.Fq(2), 12))
+    # a given modulus: one Rabin test; the search only names the spec
+    assert count(lambda: galois_ring(3, 2, 2, h=[2, 1, 1])) == 1 + count(
+        lambda: fq.smallest_irreducible(fq.Fq(3), 2))
+    # e = 1: power_of_irreducible, then one Rabin test
+    assert count(lambda: quotient_ring(3, 2, [2, 1, 1])) == 1
