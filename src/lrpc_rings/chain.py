@@ -223,10 +223,16 @@ class TensorAlgebra:
         return rng.integers(0, self.char, size=tuple(shape) + (self.D,), dtype=np.int64)
 
     def rand_unit(self, rng, shape=()):
+        return self.rand_accepted(rng, shape, self.is_unit)
+
+    def rand_accepted(self, rng, shape, accept):
+        """Uniform over the elements where ``accept`` (vectorized over rows
+        of coordinates) holds: each rejected entry is redrawn until it
+        passes."""
         out = self.rand(rng, shape)
         flat = out.reshape(-1, self.D)
         while True:
-            bad = ~self.is_unit(flat)
+            bad = ~accept(flat)
             n_bad = int(bad.sum())
             if n_bad == 0:
                 break

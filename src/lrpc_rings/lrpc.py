@@ -23,7 +23,7 @@ from .errors import (BadRank, ExtensionMismatch, GenerationFailed,
                      RankDeficient)
 from .extension import ExtensionDesc
 from .modlin import (Submodule, column_jordan, free_module_test, free_rank,
-                     intersect_with_free, module_product,
+                     intersect_preimages, module_product,
                      sample_free_submodule, square_property_check,
                      unit_pivot_factor)
 
@@ -104,7 +104,7 @@ class LrpcCode:
         self.F_basis = np.asarray(f_basis, dtype=np.int64) % ext.char
         if self.F_basis.shape != (lam, ext.D) or not np.array_equal(self.F_basis[0], ext.one):
             raise ExtensionMismatch("F basis must have lambda rows starting with 1")
-        self.F_inv = np.array([ext.inverse(f) for f in self.F_basis])
+        self.F_inv = np.array([ext.one] + [ext.inverse(f) for f in self.F_basis[1:]])
         self.F_module = Submodule(ext.base, ext.m, ext.vec_rep(self.F_basis))
         self.H_ext = build_h_ext(ext, self.H, self.F_basis)
         self._h_jordan = unit_pivot_factor(ext, self.H)
@@ -340,11 +340,13 @@ def decode_local(code: LrpcCode, received, with_state: bool = False):
 
     Follows the decoder line by line: syndrome, syndrome support and its
     freeness (line 5), divisibility of its free rank by lambda (line 8),
-    scaled supports and their intersection (lines 11-13), freeness and
-    rank checks of the candidate support (lines 14-17), erasure decoding
-    (line 18).  The recovered error is re-verified against the syndrome
-    before the codeword is returned; the decoder never returns a
-    non-codeword.
+    the candidate support E' = S cap f_2^-1 S cap ... cap f_lambda^-1 S
+    (lines 11-13), freeness and rank checks of E' (lines 14-17), erasure
+    decoding (line 18).  E' comes from S's cached Jordan form by one left
+    kernel (:func:`intersect_preimages`); the scaled supports f_i^-1 S are
+    recorded in the state but never eliminated.  The recovered error is
+    re-verified against the syndrome before the codeword is returned; the
+    decoder never returns a non-codeword.
     """
     ext = code.ext
     ring = ext.base
@@ -370,15 +372,9 @@ def decode_local(code: LrpcCode, received, with_state: bool = False):
         return fail(8, f"lambda does not divide frk(S) = {nu}")
     t_p = nu // lam
     state.t_prime = t_p
-    s_elems = ext.unrep(s_sup.basis())
-    scaled = [s_sup]
-    e_prime = s_sup
-    for i in range(1, lam):
-        gens_i = ext.mul(s_elems, code.F_inv[i][None, :])
-        s_i = Submodule(ring, ext.m, ext.vec_rep(gens_i))
-        scaled.append(s_i)
-        e_prime = intersect_with_free(e_prime, s_i)
-    state.scaled_supports = scaled
+    scaled = ext.mul(code.F_inv[1:, None, :], ext.unrep(s_sup.basis())[None, :, :])
+    state.scaled_supports = [s_sup] + [Submodule(ring, ext.m, ext.vec_rep(g)) for g in scaled]
+    e_prime = intersect_preimages(ext, s_sup, code.F_basis[1:])
     state.error_support = e_prime
     r_e, e_free = free_module_test(e_prime)
     if not e_free:

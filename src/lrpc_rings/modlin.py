@@ -5,10 +5,12 @@ subring R0 (one block per basis element z_l) and solved completely by the
 Howell-form machinery of the chain module.  Every other elimination is
 one Gauss-Jordan kernel with unit pivots, :func:`unit_pivot_factor`:
 its pivot count is the free rank (the rank of the residue-projected
-generators), and :func:`column_jordan` and :func:`gauss_inverse` run it
-on a matrix with an identity block appended.  On top of that sit the
-intersection, product, counting, sampling and product-recovery
-operations used by the decoder.
+generators), and :func:`column_jordan`, :func:`gauss_inverse` and the
+free case of ``LocalRingDesc.left_kernel`` run it on a matrix with an
+identity block appended.  On top of that sit the intersection, product,
+counting, sampling and product-recovery operations used by the decoder;
+the decoder's E' = S cap f_2^-1 S cap ... is :func:`intersect_preimages`,
+one left kernel read off S's Jordan form.
 
 Matrices over R are numpy arrays of shape (rows, cols, D); vectors are
 (cols, D).  A Submodule of R^n stores a generator matrix and lazily
@@ -86,30 +88,43 @@ def unit_pivot_factor(arith, a, ncols=None):
     left in W[r:, r:ncols]; ``perm`` maps W's column j to A's column
     perm[j].  r is the free rank of the row module, which is free iff
     W[r:] = 0.  For A = (A1 | A2) with A1 invertible of size r, W[:, r:]
-    is A1^-1 A2.
+    is A1^-1 A2.  Over Z_char itself (D == 1) the steps run on the
+    (rows, cols) view, with a unit test mod p and a Python-int pivot
+    inverse; the pivots and the result are the same.
     """
-    w = np.asarray(a, dtype=np.int64) % arith.char
+    char = arith.char
+    w = np.asarray(a, dtype=np.int64) % char
     s, n = w.shape[0], w.shape[1] if ncols is None else ncols
     perm = np.arange(w.shape[1])
+    scalar = arith.D == 1
+    v = w.reshape(w.shape[:2]) if scalar else w  # a view: steps on v update w
     h = 0
     while h < s and h < n:
-        units = arith.is_unit(w[h:, h:n])
-        unit_cols = np.nonzero(units.any(axis=0))[0]
-        if unit_cols.size == 0:
+        units = v[h:, h:n] % arith.p != 0 if scalar else arith.is_unit(w[h:, h:n])
+        unit_cols = units.any(axis=0)
+        c = int(unit_cols.argmax())
+        if not unit_cols[c]:
             break
-        col = h + int(unit_cols[0])
-        row = h + int(np.argmax(units[:, unit_cols[0]]))
+        col, row = h + c, h + int(units[:, c].argmax())
         if row != h:
-            w[[h, row]] = w[[row, h]]
+            v[[h, row]] = v[[row, h]]
         if col != h:
-            w[:, [h, col]] = w[:, [col, h]]
+            v[:, [h, col]] = v[:, [col, h]]
             perm[[h, col]] = perm[[col, h]]
         # columns left of h are unit vectors, zero in row h: skip them
-        w[h, h:] = arith.mul(w[h, h:], arith.inverse(w[h, h]))
-        coefs = w[:, h].copy()
+        piv = v[h, h:]
+        coefs = v[:, h].copy()
         coefs[h] = 0
-        if coefs.any():
-            w[:, h:] = (w[:, h:] - arith.mul(coefs[:, None, :], w[h, h:][None, :, :])) % arith.char
+        if scalar:
+            piv *= pow(int(piv[0]), -1, char)
+            piv %= char
+            if coefs.any():
+                v[:, h:] -= coefs[:, None] * piv
+                v[:, h:] %= char
+        else:
+            piv[:] = arith.mul(piv, arith.inverse(piv[0]))
+            if coefs.any():
+                w[:, h:] = (w[:, h:] - arith.mul(coefs[:, None, :], piv[None, :, :])) % char
         h += 1
     return w, perm, h
 
@@ -356,14 +371,28 @@ def module_rank(n_mod: Submodule) -> int:
 # intersections
 
 
+def _free_complement(g_mod: Submodule) -> np.ndarray:
+    """T2 (n x (n-r)) with y in G iff y T2 = 0, for G free of rank r.
+
+    G's cached Jordan form is (I_r | X) on the permuted columns, so
+    T2 = [-X; I] with rows placed by perm.
+    """
+    ring = g_mod.ring
+    w, perm, r = g_mod.jordan()
+    n = g_mod.ambient
+    t2 = np.zeros((n, n - r, ring.D), dtype=np.int64)
+    t2[perm[:r]] = ring.neg(w[:r, r:])
+    t2[perm[r:], np.arange(n - r)] = ring.one
+    return t2
+
+
 def intersect_with_free(n_mod: Submodule, g_mod: Submodule) -> Submodule:
     """N intersected with a free module G.
 
-    G's cached Jordan form is (I_r | X) on the permuted columns, so
-    y lies in G iff y T2 = 0 for T2 = [-X; I] with rows placed by perm;
-    y = x Ngens lies in G iff x (Ngens T2) = 0, and the intersection is
-    the image of the left kernel of Ngens T2.  Costs
-    O(n^2 max(gamma^3 s, r)) base-ring operations for s generators of N.
+    y = x Ngens lies in G iff x (Ngens T2) = 0 for G's complement T2 (see
+    :func:`_free_complement`), and the intersection is the image of the
+    left kernel of Ngens T2.  Costs O(n^2 max(gamma^3 s, r)) base-ring
+    operations for s generators of N.
     """
     ring = n_mod.ring
     if n_mod.ambient != g_mod.ambient or ring is not g_mod.ring:
@@ -375,18 +404,40 @@ def intersect_with_free(n_mod: Submodule, g_mod: Submodule) -> Submodule:
         return Submodule.zero(ring, n_mod.ambient)
     if r == n_mod.ambient:
         return Submodule(ring, n_mod.ambient, n_mod.gens)
-    w, perm, _ = g_mod.jordan()
-    n = n_mod.ambient
-    t2 = np.zeros((n, n - r, ring.D), dtype=np.int64)
-    t2[perm[:r]] = ring.neg(w[:r, r:])
-    t2[perm[r:], np.arange(n - r)] = ring.one
     ngens = n_mod.reduced_gens()
-    m = ring.matmul(ngens, t2)
-    kernel = ring.left_kernel(m)
+    kernel = ring.left_kernel(ring.matmul(ngens, _free_complement(g_mod)))
     if kernel.shape[0] == 0:
         return Submodule.zero(ring, n_mod.ambient)
-    gens = ring.matmul(kernel, ngens)
-    return Submodule(ring, n_mod.ambient, gens)
+    return Submodule(ring, n_mod.ambient, ring.matmul(kernel, ngens))
+
+
+def intersect_preimages(ext, g_mod: Submodule, scalars) -> Submodule:
+    """G intersected with {y : a y in G} for every a in ``scalars``, for a
+    free submodule G of S (as R^m); for units a these are the a^-1 G.
+
+    With B G's Jordan basis and T2 its complement, y = x B lies in
+    {y : a y in G} iff x (vec(a B) T2) = 0.  So the intersection is K B for
+    K the left kernel of Z = [vec(a_i B) T2 for every a_i], of shape
+    r x (#scalars)(m - r): one kernel, and no elimination of any a^-1 G.
+    """
+    ring = ext.base
+    if g_mod.ring is not ring or g_mod.ambient != ext.m:
+        raise AmbientMismatch("the module must live in R^m over the extension's base ring")
+    r, is_free = free_module_test(g_mod)
+    if not is_free:
+        raise NotFree("the module must be free")
+    scalars = np.asarray(scalars, dtype=np.int64).reshape(-1, ext.D)
+    m, ell = ext.m, scalars.shape[0]
+    if r == 0 or r == m or ell == 0:
+        return g_mod
+    basis = g_mod.basis()
+    scaled = ext.vec_rep(ext.mul(scalars[:, None, :], ext.unrep(basis)[None, :, :]))
+    z = ring.matmul(scaled.reshape(ell * r, m, ring.D), _free_complement(g_mod))
+    z = z.reshape(ell, r, m - r, ring.D).transpose(1, 0, 2, 3).reshape(r, -1, ring.D)
+    kernel = ring.left_kernel(z)
+    if kernel.shape[0] == 0:
+        return Submodule.zero(ring, m)
+    return Submodule(ring, m, ring.matmul(kernel, basis))
 
 
 def general_intersection(n1: Submodule, n2: Submodule) -> Submodule:

@@ -21,6 +21,10 @@ and residue-field caps.  Locality follows from those checks, and every
 structure tensor is a power-basis tensor or its change of basis by an
 inverted matrix, so nothing is re-verified when a ring is built.
 
+Left kernels come from the unit-pivot kernel of ``modlin`` whenever the
+kernel is free, and from the Howell form of the expansion over R0
+otherwise.
+
 Descriptors are immutable after construction and safely shareable across
 threads; elements are plain values and every operation is pure.
 """
@@ -153,16 +157,21 @@ class LocalRingDesc(TensorAlgebra):
         return (head + self.rand_ideal(rng, digits.shape[:-1])) % self.char
 
     def rand_unit_or_zero(self, rng, shape=()):
-        """Uniform over R* union {0}."""
+        """Uniform over R* union {0}: zero with probability 1/(|R*| + 1),
+        else a uniform unit.  Past int64 (|R*| >= 2^63) uniform elements are
+        redrawn until each is a unit or zero instead."""
         shape = tuple(shape)
         n_units = self.size - self.size // self.q
+        if n_units >= 2 ** 63:
+            return self.rand_accepted(
+                rng, shape, lambda a: self.is_unit(a) | ~a.any(axis=-1))
         pick = rng.integers(0, n_units + 1, size=shape)
         out = self.rand_unit(rng, shape)
         return np.where(np.asarray(pick == 0)[..., None], 0, out)
 
     def enumerate_elements(self, cap=ENUMERATION_CAP):
         if self.size > cap:
-            raise NotLocal(f"ring too large to enumerate ({self.size} elements)")
+            raise UnsupportedRing(f"ring too large to enumerate ({self.size} elements)")
         grids = np.meshgrid(*([np.arange(self.char, dtype=np.int64)] * self.D),
                             indexing="ij")
         return np.stack(grids, axis=-1).reshape(-1, self.D)
@@ -203,8 +212,22 @@ class LocalRingDesc(TensorAlgebra):
         return particular, self.contract_vectors(ker)
 
     def left_kernel(self, m):
-        """Generators of {x in R^k : x M = 0} for M of shape (k, n, D)."""
+        """Generators of {x in R^k : x M = 0} for M of shape (k, n, D).
+
+        The unit-pivot kernel on (M | I_k), with pivots in M's n columns,
+        gives W = (U M[:, perm] | U) for an invertible U.  When W[r:, :n] = 0
+        (no non-unit left below the r pivots) the kernel is free, with basis
+        U[r:] = W[r:, n:].  Otherwise the Howell form of M's expansion over
+        R0 gives its generators.
+        """
+        from .modlin import unit_pivot_factor  # modlin imports this module
         m = np.asarray(m, dtype=np.int64)
+        k, n = m.shape[0], m.shape[1]
+        eye = np.zeros((k, k, self.D), dtype=np.int64)
+        eye[np.arange(k), np.arange(k)] = self.one
+        w, _, r = unit_pivot_factor(self, np.concatenate([m, eye], axis=1), ncols=n)
+        if not w[r:, :n].any():
+            return w[r:, n:]
         mt = np.swapaxes(m, 0, 1)
         big = np.swapaxes(self.expand_matrix(mt), 0, 1)
         ker = self.chain.left_kernel(big)

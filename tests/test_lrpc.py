@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from lrpc_rings import (CodeParams, DecodingFailure, ExtensionDesc, Submodule,
-                        build_h_ext, code_from_text, code_to_text, decode_local,
-                        encode, erasure_decode, errors, free_module_test,
-                        free_rank, generate_code, module_product, sample_error,
+                        Zmod, build_h_ext, code_from_text, code_to_text,
+                        decode_local, encode, erasure_decode, errors,
+                        free_module_test, free_rank, generate_code,
+                        intersect_with_free, module_product, sample_error,
                         syndrome)
 
 from conftest import (gauss_inverse_oracle, schoolbook_ext_mul,
@@ -334,6 +335,71 @@ class TestDecodeLocal:
             assert free_rank(ef) == lam * t
             checked += 1
         assert checked >= 20
+
+
+def _sequential_decode(code, received):
+    """Oracle: the decoder with lines 11-13 as one intersect_with_free per
+    scaled support, E' = ((S cap f_2^-1 S) cap f_3^-1 S) cap ...  Returns
+    the word or failure line, and E' (None before line 11)."""
+    ext = code.ext
+    lam = code.params.lam
+    s = syndrome(code, received)
+    if not s.any():
+        return received, None
+    s_sup = ext.support(s)
+    nu, s_free = free_module_test(s_sup)
+    if not s_free:
+        return 5, None
+    if nu % lam:
+        return 8, None
+    basis = ext.unrep(s_sup.basis())
+    e_prime = s_sup
+    for i in range(1, lam):
+        gens_i = ext.mul(basis, code.F_inv[i][None, :])
+        e_prime = intersect_with_free(e_prime, Submodule(ext.base, ext.m, ext.vec_rep(gens_i)))
+    r_e, e_free = free_module_test(e_prime)
+    if not e_free:
+        return 14, e_prime
+    if r_e != nu // lam or free_rank(module_product(ext, e_prime, code.F_module)) != nu:
+        return 16, e_prime
+    try:
+        err = erasure_decode(code, ext.unrep(e_prime.basis()), s)
+    except (errors.NoSolution, errors.RankDeficient):
+        return 18, e_prime
+    return (received - err) % ext.char, e_prime
+
+
+@pytest.mark.parametrize("base", [None, "Z2", "Z4"])
+def test_decode_matches_sequential_intersections(base, small_code):
+    """decode_local against the sequential oracle, word by word: the same
+    word or failure line, and an error support equal to the oracle's E'.
+    None is the lambda = 2 code; Z2 and Z4 are lambda = 3 codes over
+    ext m=13, whose decodes reach lines 0, 8 and 16 (and 5 and 14 over Z4)."""
+    rng = np.random.default_rng(3)
+    if base is None:
+        code = small_code
+    else:
+        code = generate_code(CodeParams(12, 6, 3, 2),
+                             ExtensionDesc(Zmod(int(base[1:])), 13), rng)
+    ext, n, k = code.ext, code.params.n, code.params.k
+    lines = set()
+    for trial in range(60):
+        cw = encode(code, ext.rand(rng, (k,)))
+        received = (cw + sample_error(ext, n, 1 + trial % 3, rng)) % ext.char
+        out, state = decode_local(code, received, with_state=True)
+        want, e_prime = _sequential_decode(code, received)
+        if isinstance(want, int):
+            assert isinstance(out, DecodingFailure) and out.line == want
+            lines.add(want)
+        else:
+            assert isinstance(out, np.ndarray) and np.array_equal(out, want)
+            lines.add(0)
+        if e_prime is None:
+            assert state.error_support is None
+        else:
+            assert state.error_support.equals(e_prime)
+            assert len(state.scaled_supports) == code.params.lam
+    assert {0, 16} <= lines if code.params.lam == 3 else 0 in lines
 
 
 class TestSampleError:

@@ -8,7 +8,8 @@ from lrpc_rings import (MatR, Submodule, count_free_submodules,
                         sample_free_submodule, solve_linear,
                         square_property_check, unit_pivot_factor)
 from lrpc_rings import ExtensionDesc, Zmod
-from lrpc_rings.modlin import column_jordan, gauss_inverse
+from lrpc_rings.modlin import (column_jordan, gauss_inverse, intersect_preimages,
+                               scale_module)
 
 from conftest import (brute_solution_set, gauss_inverse_oracle,
                       unit_pivot_factor_oracle)
@@ -295,6 +296,102 @@ class TestIntersections:
                 a = intersect_with_free(n1, g)
                 b = general_intersection(n1, g)
                 assert a.equals(b)
+
+
+def _howell_left_kernel(ring, m):
+    """Oracle: the left kernel from the Howell form of M's expansion over
+    R0 alone (LocalRingDesc.left_kernel's fallback, run on every input)."""
+    big = np.swapaxes(ring.expand_matrix(np.swapaxes(m, 0, 1)), 0, 1)
+    return ring.contract_vectors(ring.chain.left_kernel(big)).reshape(-1, m.shape[0], ring.D)
+
+
+def _brute_left_kernel(ring, m):
+    """Oracle: every x in R^k with x M = 0, by enumeration, as bytes."""
+    elems = ring.enumerate_elements()
+    k = m.shape[0]
+    xs = elems[np.indices([len(elems)] * k).reshape(k, -1).T]
+    prods = ring.mul(xs[:, :, None, :], m[None]).sum(axis=1) % ring.char
+    return {x.tobytes() for x in xs[~prods.any(axis=(1, 2))]}
+
+
+class TestLeftKernel:
+    @staticmethod
+    def _check(ring, m):
+        """Rows satisfy x M = 0 and span the Howell kernel; returns them."""
+        ker = ring.left_kernel(m)
+        k = m.shape[0]
+        assert ker.shape[1:] == (k, ring.D)
+        if ker.shape[0]:
+            assert not ring.matmul(ker, m).any()
+        assert Submodule(ring, k, ker).equals(Submodule(ring, k, _howell_left_kernel(ring, m)))
+        return ker
+
+    @pytest.mark.parametrize("ring_name", ["z4", "z9", "rxi", "gr42"])
+    def test_random_against_howell(self, ring_name, request, rng):
+        ring = request.getfixturevalue(ring_name)
+        for _ in range(40):
+            k, n = rng.integers(1, 6, 2)
+            m = ring.rand(rng, (k, n))
+            if rng.integers(2):
+                m = ring.mul(m, ring.rand_ideal(rng, (k, n)))  # non-unit entries
+            self._check(ring, m)
+
+    @pytest.mark.parametrize("ring_name", ["z4", "rxi"])
+    def test_small_shapes_against_brute_force(self, ring_name, request, rng):
+        ring = request.getfixturevalue(ring_name)
+        for _ in range(20):
+            k, n = rng.integers(1, 3, 2) if ring.D > 1 else rng.integers(1, 4, 2)
+            m = ring.rand(rng, (k, n))
+            ker = self._check(ring, m)
+            span = Submodule(ring, k, ker).elements()
+            assert {x.tobytes() for x in span} == _brute_left_kernel(ring, m)
+
+    def test_free_kernels_skip_the_howell_form(self, z4, rxi, rng, monkeypatch):
+        for ring in (z4, rxi):
+            def no_howell(*_):
+                raise AssertionError("free kernel went through the Howell form")
+            monkeypatch.setattr(ring.chain, "left_kernel", no_howell)
+            m = np.concatenate([Submodule.full(ring, 2).gens, ring.rand(rng, (2, 2))])
+            ker = ring.left_kernel(m)
+            assert ker.shape[0] == 2 and free_module_test(Submodule(ring, 4, ker)) == (2, True)
+            assert not ring.matmul(ker, m).any()
+
+    def test_non_free_kernels_take_the_fallback(self, z4, rxi):
+        """Non-units left below the pivots: the kernel is not free, so the
+        unit-pivot rows alone cannot give it."""
+        e = lambda c0, c1=0: rxi.from_poly([c0, c1]).flat
+        cases = ((z4, np.array([[[2]]])),
+                 (z4, np.array([[[1], [0]], [[1], [2]]])),
+                 (rxi, np.array([[e(0, 1)], [e(2)]])),
+                 (rxi, np.array([[e(1), e(0, 1)], [e(1, 1), e(2, 1)]])))
+        for ring, m in cases:
+            ker = self._check(ring, m)
+            assert not free_module_test(Submodule(ring, m.shape[0], ker))[1]
+            span = Submodule(ring, m.shape[0], ker).elements()
+            assert {x.tobytes() for x in span} == _brute_left_kernel(ring, m)
+
+
+class TestIntersectPreimages:
+    @pytest.mark.parametrize("ring_name", ["z4", "rxi"])
+    def test_matches_sequential_intersections(self, ring_name, request, rng):
+        """G cap a_1^-1 G cap ... equals the intersect_with_free loop over
+        the scaled modules a_i^-1 G, for units a_i of S."""
+        ring = request.getfixturevalue(ring_name)
+        ext = ExtensionDesc(ring, 6)
+        for _ in range(8):
+            g = sample_free_submodule(ring, 6, int(rng.integers(1, 6)), rng)
+            units = ext.rand_unit(rng, (int(rng.integers(0, 3)),))
+            got = intersect_preimages(ext, g, units)
+            want = g
+            for a in units:
+                want = intersect_with_free(want, scale_module(ext, g, ext.inverse(a)))
+            assert got.equals(want)
+
+    def test_rejects_non_free(self, z4):
+        ext = ExtensionDesc(z4, 2)
+        bad = Submodule(z4, 2, np.array([[[2], [0]]]))
+        with pytest.raises(errors.NotFree):
+            intersect_preimages(ext, bad, ext.one[None])
 
 
 class TestModuleProduct:

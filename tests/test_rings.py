@@ -174,6 +174,34 @@ def test_sampling_helpers(rxi, rng):
     assert mask_zero.any()
 
 
+def test_rand_unit_or_zero_stream_and_past_int64(rxi):
+    """Up to |R| = 2^63 the draws are one pick in [0, |R*|] and a unit, in
+    that order; past it (Z2[x]/(x^64), |R*| = 2^63) each entry is a uniform
+    element redrawn until it is a unit or zero."""
+    got = rxi.rand_unit_or_zero(np.random.default_rng(5), (50,))
+    rng = np.random.default_rng(5)
+    pick = rng.integers(0, 9, size=(50,))
+    assert np.array_equal(got, np.where((pick == 0)[:, None], 0, rxi.rand_unit(rng, (50,))))
+    big = quotient_ring(2, 1, [0] * 64 + [1])
+    assert big.size == 2 ** 64
+    draws = big.rand_unit_or_zero(np.random.default_rng(5), (40, 3))
+    assert draws.shape == (40, 3, 64)
+    assert (big.is_unit(draws) | ~draws.any(axis=-1)).all()
+    assert np.array_equal(draws, big.rand_unit_or_zero(np.random.default_rng(5), (40, 3)))
+
+
+def test_rand_accepted_is_uniform_over_units_and_zero(rxi):
+    draws = rxi.rand_accepted(np.random.default_rng(1), (9000,),
+                              lambda a: rxi.is_unit(a) | ~a.any(axis=-1))
+    _, counts = np.unique(draws, axis=0, return_counts=True)
+    assert len(counts) == 9 and counts.min() > 850 and counts.max() < 1150
+
+
+def test_enumeration_refuses_large_rings_as_unsupported():
+    with pytest.raises(errors.UnsupportedRing, match="too large to enumerate"):
+        galois_ring(2, 1, 20).enumerate_elements()
+
+
 def test_custom_galois_modulus_spec_roundtrip():
     from lrpc_rings import parse_local_atom
     ring = galois_ring(3, 2, 2, h=[2, 1, 1])
