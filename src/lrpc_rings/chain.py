@@ -358,9 +358,6 @@ class ChainRing(TensorAlgebra):
         """Units are the elements of valuation 0: some coefficient prime to p."""
         return (np.asarray(a) % self.p).any(axis=-1)
 
-    def is_zero(self, a):
-        return not np.any(a)
-
     def val(self, a):
         """p-adic valuation of one element: min coefficient valuation, s for 0."""
         a = np.asarray(a)
@@ -377,10 +374,6 @@ class ChainRing(TensorAlgebra):
             if v == 0:
                 return 0
         return v
-
-    def unit_part(self, a, v):
-        """u with a = p^v * u exactly (canonical representative)."""
-        return np.asarray(a) // (self.p ** v)
 
     def divide_exact(self, a, v):
         """a // p^v coefficientwise; exact when val(a) >= v."""
@@ -419,7 +412,7 @@ class ChainRing(TensorAlgebra):
                 c = int(nz[0])
                 v = self.val(r[c])
                 if c not in pivots:
-                    u = self.unit_part(r[c], v)
+                    u = self.divide_exact(r[c], v)
                     if not np.array_equal(u % self.char, self.one):
                         r = self.mul(r, self.inverse(u)) % self.char
                     pivots[c] = [r, v]
@@ -428,7 +421,7 @@ class ChainRing(TensorAlgebra):
                     break
                 pr, pv = pivots[c]
                 if v < pv:
-                    u = self.unit_part(r[c], v)
+                    u = self.divide_exact(r[c], v)
                     if not np.array_equal(u % self.char, self.one):
                         r = self.mul(r, self.inverse(u)) % self.char
                     pivots[c] = [r, v]

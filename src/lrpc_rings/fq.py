@@ -391,11 +391,6 @@ class Fq:
             e >>= 1
         return result
 
-    def neg(self, a):
-        if self.mu == 1:
-            return (-a) % self.p
-        return self.encode([(-x) % self.p for x in self.decode(a)])
-
     # -- matrices of integer-coded elements, reduced over F_p --
 
     def expand(self, mat):

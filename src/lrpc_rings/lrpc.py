@@ -23,11 +23,12 @@ from .errors import (BadRank, ExtensionMismatch, GenerationFailed,
                      RankDeficient)
 from .extension import ExtensionDesc
 from .modlin import (Submodule, column_jordan, free_module_test, free_rank,
-                     intersect_preimages, module_product,
-                     sample_free_submodule, square_property_check,
-                     unit_pivot_factor)
+                     intersect_preimages, sample_free_submodule,
+                     square_property_check, unit_pivot_factor)
 
 SERIAL_HEADER = "lrpc-ring/1"
+GENERATION_ATTEMPTS = 1000  # draws of F, of each row of H, and of H itself
+ERROR_ATTEMPTS = 100  # coefficient matrices per sampled error
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,17 @@ class DecoderState:
 class LrpcCode:
     """An LRPC code: parity-check matrix, support-module basis with
     precomputed inverses, expanded matrix H_ext, and encoder/decoder
-    precomputations: the Jordan form of H over S (read by the flags and the
-    generator), the column solver P, the generator G, and the Z_char
+    precomputations: the column solver P, the Jordan form of H over S (read
+    by the flags and the generator), the generator G, and the Z_char
     matrices of r -> r H^T and m -> m G (see TensorAlgebra.right_map).
-    Immutable after construction."""
+    Immutable after construction.
+
+    Each rank condition is tested once, where its precomputation is built,
+    and both raise NoInvertibleMinor: H_ext has full column rank (unique
+    decoding) iff the column solver P exists, and H has full free row rank
+    over S iff its Jordan form has n - k pivots.  Every code that
+    constructs is therefore uniquely decodable.  ``flags``, when given, is
+    trusted for the other three properties."""
 
     def __init__(self, ext: ExtensionDesc, params: CodeParams, h_matrix,
                  f_basis, flags=None):
@@ -104,12 +112,15 @@ class LrpcCode:
         self.F_basis = np.asarray(f_basis, dtype=np.int64) % ext.char
         if self.F_basis.shape != (lam, ext.D) or not np.array_equal(self.F_basis[0], ext.one):
             raise ExtensionMismatch("F basis must have lambda rows starting with 1")
+        self.H_ext = build_h_ext(ext, self.H, self.F_basis)
+        self._P = self._column_solver()
+        self._h_jordan = unit_pivot_factor(ext, self.H)
+        if self._h_jordan[2] != n - k:
+            raise NoInvertibleMinor("parity-check matrix admits no invertible "
+                                    "(n-k) x (n-k) column submatrix")
         self.F_inv = np.array([ext.one] + [ext.inverse(f) for f in self.F_basis[1:]])
         self.F_module = Submodule(ext.base, ext.m, ext.vec_rep(self.F_basis))
-        self.H_ext = build_h_ext(ext, self.H, self.F_basis)
-        self._h_jordan = unit_pivot_factor(ext, self.H)
         self.flags = dict(flags) if flags else self._compute_flags()
-        self._P = self._column_solver()
         self._G = self._generator_matrix()
         self._syndrome_map = ext.right_map(np.swapaxes(self.H, 0, 1))
         self._encode_map = ext.right_map(self._G)
@@ -119,12 +130,6 @@ class LrpcCode:
     def _compute_flags(self):
         ext, ring = self.ext, self.ext.base
         n, k, lam = self.params.n, self.params.k, self.params.lam
-        if self._h_jordan[2] != n - k:
-            raise GenerationFailed("parity-check matrix must have full free "
-                                   "row rank over the extension")
-        col_codes = ring.residue_codes(self.H_ext)
-        unique = (lam * (n - k) >= n
-                  and ring.residue_field.matrix_rank(col_codes) == n)
         coeff = self._coefficients()
         span_ok = all(
             ring.residue_field.matrix_rank(ring.residue_codes(coeff[i])) == lam
@@ -133,7 +138,7 @@ class LrpcCode:
             bool(ring.is_unit(coeff[i, j, ell])) or not coeff[i, j, ell].any()
             for i in range(n - k) for j in range(n) for ell in range(lam))
         sq = square_property_check(ext, self.F_module).has_square_property
-        return {"unique_decoding": bool(unique),
+        return {"unique_decoding": True,
                 "maximal_row_span": bool(span_ok),
                 "unity": bool(unity),
                 "square_property": bool(sq)}
@@ -144,10 +149,11 @@ class LrpcCode:
         return self.H_ext.reshape(n - k, lam, n, self.ext.base.D).transpose(0, 2, 1, 3)
 
     def _column_solver(self):
-        """P with P H_ext = (I_n; 0); exists by the unique-decoding property."""
+        """P with P H_ext = (I_n; 0).  It exists iff H_ext has an invertible
+        n x n row minor (unique decoding); else raises NoInvertibleMinor."""
         ring = self.ext.base
         b = np.swapaxes(self.H_ext, 0, 1)
-        t = column_jordan(ring, b, exc=GenerationFailed)
+        t = column_jordan(ring, b, exc=NoInvertibleMinor)
         return np.swapaxes(t, 0, 1).copy()
 
     def _generator_matrix(self):
@@ -159,10 +165,7 @@ class LrpcCode:
         """
         ext = self.ext
         n, k = self.params.n, self.params.k
-        w, perm, r = self._h_jordan
-        if r != n - k:
-            raise NoInvertibleMinor("parity-check matrix admits no invertible "
-                                    "(n-k) x (n-k) column submatrix")
+        w, perm, _ = self._h_jordan
         piv, rest = perm[:n - k], perm[n - k:]
         g = np.zeros((k, n, ext.D), dtype=np.int64)
         g[:, piv] = np.swapaxes(ext.neg(w[:, n - k:]), 0, 1)
@@ -201,22 +204,21 @@ def build_h_ext(ext: ExtensionDesc, h_matrix, f_basis) -> np.ndarray:
     return coeffs.transpose(0, 2, 1, 3).reshape(rows * lam, n, ring.D)
 
 
-def generate_code(params: CodeParams, ext: ExtensionDesc, rng,
-                  max_attempts: int = 1000) -> LrpcCode:
+def generate_code(params: CodeParams, ext: ExtensionDesc, rng) -> LrpcCode:
     """Sample an LRPC code with the unique-decoding, maximal-row-span,
     unity and square properties, by rejection.
 
     F is drawn as a free rank-lambda module containing 1 and redrawn until
     the square-property check passes; H coefficients are drawn from
     R* union {0} (unity), rows are redrawn until they span F, and the whole
-    matrix is redrawn until it has full free row rank over S and full free
-    column rank of H_ext over R.
+    matrix is redrawn while LrpcCode refuses it (NoInvertibleMinor: H_ext
+    lacks full column rank over R or H full free row rank over S).
     """
     ring = ext.base
     n, k, lam = params.n, params.k, params.lam
     params.validate_for_extension(ext.m)
     report = None
-    for _ in range(max_attempts):
+    for _ in range(GENERATION_ATTEMPTS):
         gens = np.concatenate([ext.one[None, :], ext.rand(rng, (lam - 1,))], axis=0)
         f_sub = Submodule(ring, ext.m, ext.vec_rep(gens))
         if free_rank(f_sub) != lam:
@@ -230,11 +232,11 @@ def generate_code(params: CodeParams, ext: ExtensionDesc, rng,
                                "square property")
     f_basis = report.suitable_basis
 
-    for _ in range(max_attempts):
+    for _ in range(GENERATION_ATTEMPTS):
         coeff = np.zeros((n - k, n, lam, ring.D), dtype=np.int64)
         ok = True
         for i in range(n - k):
-            for _ in range(max_attempts):
+            for _ in range(GENERATION_ATTEMPTS):
                 row = ring.rand_unit_or_zero(rng, (n, lam))
                 codes = ring.residue_codes(row)
                 if ring.residue_field.matrix_rank(codes) == lam:
@@ -249,15 +251,11 @@ def generate_code(params: CodeParams, ext: ExtensionDesc, rng,
         for ell in range(lam):
             h_matrix = (h_matrix + ext.scalar_mul(coeff[:, :, ell, :],
                                                   f_basis[ell])) % ext.char
-        h_ext = coeff.transpose(0, 2, 1, 3).reshape((n - k) * lam, n, ring.D)
-        col_codes = ring.residue_codes(h_ext)
-        if ring.residue_field.matrix_rank(col_codes) != n:
-            continue
         flags = {"unique_decoding": True, "maximal_row_span": True,
                  "unity": True, "square_property": True}
         try:
             return LrpcCode(ext, params, h_matrix, f_basis, flags)
-        except NoInvertibleMinor:  # H lacks full free row rank over S
+        except NoInvertibleMinor:
             continue
     raise GenerationFailed("retry budget exhausted while sampling H; "
                            "parameters are likely infeasible")
@@ -300,8 +298,9 @@ def erasure_decode(code: LrpcCode, support_basis, synd) -> np.ndarray:
     Expresses each syndrome entry over the product basis {eps_u f_ell}
     (coordinates found by inverting the basis-product matrix U on the
     right), then solves H_ext E = B with the precomputed column solver.
-    Raises NoSolution when the syndrome is not expressible (wrong support)
-    and RankDeficient when the support violates frk(E F) = lambda * t.
+    Raises RankDeficient when the support violates frk(E F) = lambda * t
+    (the products eps_u f_ell are dependent; the decoder's line 16) and
+    otherwise NoSolution when the syndrome is not expressible (wrong support).
     Costs O(lambda n max(n^2, m^2)) base-ring operations.
     """
     ext = code.ext
@@ -344,12 +343,14 @@ def decode_local(code: LrpcCode, received, with_state: bool = False):
     (lines 11-13), freeness and rank checks of E' (lines 14-17), erasure
     decoding (line 18).  E' comes from S's cached Jordan form by one left
     kernel (:func:`intersect_preimages`); the scaled supports f_i^-1 S are
-    recorded in the state but never eliminated.  The recovered error is
-    re-verified against the syndrome before the codeword is returned; the
-    decoder never returns a non-codeword.
+    built only for the state, and never eliminated.  Line 16's product
+    condition frk(E'F) = nu is tested once, by the elimination of the
+    products f_ell eps_u that starts :func:`erasure_decode`: its
+    RankDeficient is line 16, its NoSolution line 18.  The recovered error
+    is re-verified against the syndrome before the codeword is returned;
+    the decoder never returns a non-codeword.
     """
     ext = code.ext
-    ring = ext.base
     lam = code.params.lam
     r = _as_svector(ext, received, code.params.n)
     s = syndrome(code, r)
@@ -372,8 +373,10 @@ def decode_local(code: LrpcCode, received, with_state: bool = False):
         return fail(8, f"lambda does not divide frk(S) = {nu}")
     t_p = nu // lam
     state.t_prime = t_p
-    scaled = ext.mul(code.F_inv[1:, None, :], ext.unrep(s_sup.basis())[None, :, :])
-    state.scaled_supports = [s_sup] + [Submodule(ring, ext.m, ext.vec_rep(g)) for g in scaled]
+    if with_state:
+        scaled = ext.mul(code.F_inv[1:, None, :], ext.unrep(s_sup.basis())[None, :, :])
+        state.scaled_supports = [s_sup] + [Submodule(ext.base, ext.m, ext.vec_rep(g))
+                                           for g in scaled]
     e_prime = intersect_preimages(ext, s_sup, code.F_basis[1:])
     state.error_support = e_prime
     r_e, e_free = free_module_test(e_prime)
@@ -381,12 +384,11 @@ def decode_local(code: LrpcCode, received, with_state: bool = False):
         return fail(14, "intersected support is not a free module")
     if r_e != t_p:
         return fail(16, f"frk of the intersected support is {r_e}, expected {t_p}")
-    ef = module_product(ext, e_prime, code.F_module)
-    if free_rank(ef) != nu:
-        return fail(16, "product of candidate support with F has wrong free rank")
     try:
         err = erasure_decode(code, ext.unrep(e_prime.basis()), s)
-    except (NoSolution, RankDeficient) as exc:
+    except RankDeficient:
+        return fail(16, "product of candidate support with F has wrong free rank")
+    except NoSolution as exc:
         return fail(18, str(exc))
     if not np.array_equal(syndrome(code, err), s):  # pragma: no cover
         return fail(18, "recovered error does not reproduce the syndrome")
@@ -399,8 +401,7 @@ def decode_local(code: LrpcCode, received, with_state: bool = False):
 # error sampling
 
 
-def sample_error(ext: ExtensionDesc, n: int, t: int, rng,
-                 max_attempts: int = 100) -> np.ndarray:
+def sample_error(ext: ExtensionDesc, n: int, t: int, rng) -> np.ndarray:
     """Uniform error vector of length n with free support of rank exactly t.
 
     Uniform free support via sample_free_submodule, then a uniform
@@ -415,7 +416,7 @@ def sample_error(ext: ExtensionDesc, n: int, t: int, rng,
     ring = ext.base
     support = sample_free_submodule(ring, ext.m, t, rng)
     basis = ext.unrep(support.gens)  # a basis: its pivot block is the identity
-    for _ in range(max_attempts):
+    for _ in range(ERROR_ATTEMPTS):
         c = ring.rand(rng, (n, t))
         if ring.residue_field.matrix_rank(ring.residue_codes(c)) == t:
             vec = ring.mul(c[:, :, None, :], ext.vec_rep(basis)[None, :, :, :])
@@ -446,7 +447,8 @@ def code_to_text(code: LrpcCode) -> str:
 
 def code_from_text(text: str) -> LrpcCode:
     """The code dumped by :func:`code_to_text`; raises ParseError when the
-    header or the JSON body is malformed."""
+    header or the JSON body is malformed, or when the body's ``flags``
+    differ from the flags recomputed from H and the F basis."""
     from .specparse import parse_local_atom
     header, _, payload = text.strip().partition("\n")
     if header.strip() != SERIAL_HEADER:
@@ -465,4 +467,8 @@ def code_from_text(text: str) -> LrpcCode:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed {SERIAL_HEADER} body: {exc!r}", at) from exc
     ext = ExtensionDesc(parse_local_atom(ring_spec), m, f=f)
-    return LrpcCode(ext, CodeParams(n, k, lam, t_max), h_matrix, f_basis, flags=flags)
+    code = LrpcCode(ext, CodeParams(n, k, lam, t_max), h_matrix, f_basis)
+    if flags is not None and flags != code.flags:
+        raise ParseError(f"flags {flags} differ from the recomputed flags "
+                         f"{code.flags}", at)
+    return code

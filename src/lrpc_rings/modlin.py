@@ -526,12 +526,11 @@ def sample_free_submodule(ring: LocalRingDesc, ambient: int, rank: int,
         raise BadRank(f"rank must lie in [0, {ambient}]")
     if rank == 0:
         return Submodule.zero(ring, ambient)
-    field = ring.residue_field
     while True:
         codes = rng.integers(0, ring.q, size=(rank, ambient))
-        if field.matrix_rank(codes) == rank:
+        digits, pivots = ring.residue_field.rref(codes)
+        if len(pivots) == rank:
             break
-    digits, pivots = field.rref(codes)
     gens = ring.rand_with_residue(rng, digits)
     for bi, pc in enumerate(pivots):
         gens[:, pc] = 0

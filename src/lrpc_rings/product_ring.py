@@ -24,7 +24,7 @@ from .errors import (ExtensionMismatch, IndexOutOfRange, RingMismatch,
 from .extension import ExtensionDesc
 from .lrpc import (CodeParams, DecodingFailure, LrpcCode, decode_local,
                    encode, generate_code, sample_error, syndrome)
-from .modlin import Submodule, free_module_test, free_rank, module_rank
+from .modlin import Submodule, free_module_test, module_rank
 from .rings import LocalRingDesc, Zmod
 
 
@@ -163,11 +163,6 @@ class ProductSubmodule:
         self.factors = list(factors)
         self.ambient = factors[0].ambient
 
-    @classmethod
-    def from_generators(cls, ring: ProductRingDesc, ambient, gens):
-        """gens: tuple of per-factor (s, ambient, D_j) arrays."""
-        return cls([Submodule(r, ambient, g) for r, g in zip(ring.factors, gens)])
-
 
 def localized_rank(n_mod: ProductSubmodule):
     """(rank, free_rank, is_free) of a product-ring submodule.
@@ -178,9 +173,8 @@ def localized_rank(n_mod: ProductSubmodule):
     """
     ranks = [module_rank(s) for s in n_mod.factors]
     frees = [free_module_test(s) for s in n_mod.factors]
-    frks = [free_rank(s) for s in n_mod.factors]
-    is_free = (all(f[1] for f in frees)
-               and len({f[0] for f in frees}) == 1)
+    frks = {r for r, _ in frees}
+    is_free = all(free for _, free in frees) and len(frks) == 1
     return max(ranks), min(frks), is_free
 
 

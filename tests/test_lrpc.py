@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from lrpc_rings import (CodeParams, DecodingFailure, ExtensionDesc, Submodule,
-                        Zmod, build_h_ext, code_from_text, code_to_text,
-                        decode_local, encode, erasure_decode, errors,
-                        free_module_test, free_rank, generate_code,
+from lrpc_rings import (CodeParams, DecodingFailure, ExtensionDesc, LrpcCode,
+                        Submodule, Zmod, build_h_ext, code_from_text,
+                        code_to_text, decode_local, encode, erasure_decode,
+                        errors, free_module_test, free_rank, generate_code,
                         intersect_with_free, module_product, sample_error,
-                        syndrome)
+                        sample_free_submodule, syndrome, unit_pivot_factor)
 
 from conftest import (gauss_inverse_oracle, schoolbook_ext_mul,
                       unit_pivot_factor_oracle)
@@ -55,6 +55,28 @@ class TestGeneration:
         assert np.array_equal(small_code.F_basis[0], small_code.ext.one)
         for f, fi in zip(small_code.F_basis, small_code.F_inv):
             assert np.array_equal(small_code.ext.mul(f, fi), small_code.ext.one)
+
+
+@pytest.mark.parametrize("flags", [None, "given"])
+def test_rank_conditions_raise_no_invertible_minor(flags, z4):
+    """LrpcCode refuses an H_ext without full column rank (no column
+    solver) and an H without full free row rank over S (no generator),
+    with or without flags."""
+    ext = ExtensionDesc(z4, 8)
+    code = generate_code(CodeParams(6, 2, 3, 0), ext, np.random.default_rng(0))
+    ring, n, k = ext.base, code.params.n, code.params.k
+    flags = code.flags if flags else None
+    zero_col = code.H.copy()
+    zero_col[:, 0] = 0  # H_ext's column 0 vanishes; H keeps full row rank
+    assert unit_pivot_factor(ext, zero_col)[2] == n - k
+    with pytest.raises(errors.NoInvertibleMinor, match="not linearly independent"):
+        LrpcCode(ext, code.params, zero_col, code.F_basis, flags)
+    repeated_row = code.H.copy()
+    repeated_row[-1] = repeated_row[0]  # H_ext keeps full column rank
+    h_ext = build_h_ext(ext, repeated_row, code.F_basis)
+    assert ring.residue_field.matrix_rank(ring.residue_codes(h_ext)) == n
+    with pytest.raises(errors.NoInvertibleMinor, match="column submatrix"):
+        LrpcCode(ext, code.params, repeated_row, code.F_basis, flags)
 
 
 class TestBuildHExt:
@@ -268,6 +290,36 @@ class TestErasureDecode:
             erasure_decode(small_code, ext.unrep(other.basis()), s)
 
 
+@pytest.mark.parametrize("spec, m", [("Z2", 5), ("Z4", 6), ("Z4[x]/(x^2)", 5)])
+def test_rank_deficient_iff_product_rank_drops(spec, m):
+    """erasure_decode raises RankDeficient exactly when frk(E F) < lambda t
+    (the decoder's line 16), and otherwise recovers an error supported on
+    E.  Over these small extensions, lambda t = 4 products of a random
+    rank-2 support often fail to be independent."""
+    from lrpc_rings.specparse import parse_local_atom
+    ext = ExtensionDesc(parse_local_atom(spec), m)
+    ring = ext.base
+    rng = np.random.default_rng(0)
+    code = generate_code(CodeParams(6, 3, 2, 1), ext, rng)
+    n, lam, t = code.params.n, code.params.lam, 2
+    outcomes = set()
+    for _ in range(30):
+        sup = sample_free_submodule(ring, m, t, rng)
+        basis = ext.unrep(sup.basis())
+        c = ring.rand(rng, (n, t))
+        e = ext.unrep(ring.mul(c[:, :, None, :], ext.vec_rep(basis)[None]).sum(axis=1)
+                      % ext.char)
+        deficient = free_rank(module_product(ext, sup, code.F_module)) < lam * t
+        try:
+            got = erasure_decode(code, basis, syndrome(code, e))
+        except errors.RankDeficient:
+            assert deficient
+        else:
+            assert not deficient and np.array_equal(got, e)
+        outcomes.add(deficient)
+    assert outcomes == {False, True}
+
+
 class TestDecodeLocal:
     def test_no_error(self, small_code, rng):
         msg = small_code.ext.rand(rng, (small_code.params.k,))
@@ -470,6 +522,16 @@ class TestSerialization:
         clone = code_from_text(head + "\n" + json.dumps(body))
         assert over_s == [(6, 10, clone.ext.D)]
         assert clone.flags == small_code.flags
+
+    @pytest.mark.parametrize("flag", ["unique_decoding", "maximal_row_span",
+                                      "unity", "square_property"])
+    def test_flipped_flag_raises_parse_error(self, small_code, flag):
+        """The flags in a file are checked against the recomputed ones."""
+        head, body = code_to_text(small_code).split("\n", 1)
+        body = json.loads(body)
+        body["flags"][flag] = not body["flags"][flag]
+        with pytest.raises(errors.ParseError, match="recomputed flags"):
+            code_from_text(head + "\n" + json.dumps(body))
 
     def test_bad_header(self):
         with pytest.raises(errors.ParseError):
