@@ -448,31 +448,24 @@ class ChainRing(TensorAlgebra):
         of generators of the homogeneous solution module.
         """
         a = np.asarray(a, dtype=np.int64) % self.char
-        m, n = a.shape[0], a.shape[1]
-        hf = self._augmented_transpose_form(a)
-        kernel = hf.kernel_part()
-        coeffs = hf.member_solve(np.asarray(b, dtype=np.int64).reshape(m, self.mu) % self.char)
-        particular = None if coeffs is None else coeffs
-        return particular, kernel
+        m = a.shape[0]
+        hf = self.kernel_form(np.swapaxes(a, 0, 1))
+        particular = hf.member_solve(np.asarray(b, dtype=np.int64).reshape(m, self.mu) % self.char)
+        return particular, hf.kernel_part()
 
     def left_kernel(self, mat):
         """Generators of {x : x M = 0} for M of shape (k, n, mu)."""
-        mat = np.asarray(mat, dtype=np.int64) % self.char
+        return self.kernel_form(mat).kernel_part()
+
+    def kernel_form(self, mat):
+        """Howell form of (M | I_k) for M of shape (k, n, mu): its kernel
+        part generates {x : x M = 0}, and its member_solve gives some x
+        with x M = v."""
         k, n = mat.shape[0], mat.shape[1]
         aug = np.zeros((k, n + k, self.mu), dtype=np.int64)
-        aug[:, :n] = mat % self.char
+        aug[:, :n] = mat
         aug[np.arange(k), n + np.arange(k)] = self.one
-        hf = self.howell(aug, n_main=n)
-        return hf.kernel_part()
-
-    def _augmented_transpose_form(self, a):
-        """Howell form of [A^T | I], used for solving A x = b."""
-        m, n = a.shape[0], a.shape[1]
-        at = np.swapaxes(a, 0, 1)  # (n, m, mu)
-        aug = np.zeros((n, m + n, self.mu), dtype=np.int64)
-        aug[:, :m] = at
-        aug[np.arange(n), m + np.arange(n)] = self.one
-        return self.howell(aug, n_main=m)
+        return self.howell(aug, n_main=n)
 
 
 class HowellForm:

@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import (BadRank, ExtensionMismatch, GenerationFailed,
-                     NoInvertibleMinor, NoSolution, NotInF, ParseError,
-                     RankDeficient)
+                     NoInvertibleMinor, NoSolution, NotFree, NotInF,
+                     ParseError, RankDeficient)
 from .extension import ExtensionDesc
-from .modlin import (Submodule, column_jordan, free_module_test, free_rank,
+from .modlin import (Submodule, column_jordan, free_module_test,
                      intersect_preimages, sample_free_submodule,
                      square_property_check, unit_pivot_factor)
 
@@ -87,12 +88,12 @@ class DecoderState:
 
 
 class LrpcCode:
-    """An LRPC code: parity-check matrix, support-module basis with
-    precomputed inverses, expanded matrix H_ext, and encoder/decoder
-    precomputations: the column solver P, the Jordan form of H over S (read
-    by the flags and the generator), the generator G, and the Z_char
-    matrices of r -> r H^T and m -> m G (see TensorAlgebra.right_map).
-    Immutable after construction.
+    """An LRPC code: parity-check matrix, support-module basis (its
+    inverses ``F_inv`` are computed on first read), expanded matrix H_ext,
+    and encoder/decoder precomputations: the column solver P, the Jordan
+    form of H over S (read by the flags and the generator), the generator
+    G, and the Z_char matrices of r -> r H^T and m -> m G (see
+    TensorAlgebra.right_map).  Immutable after construction.
 
     Each rank condition is tested once, where its precomputation is built,
     and both raise NoInvertibleMinor: H_ext has full column rank (unique
@@ -118,12 +119,17 @@ class LrpcCode:
         if self._h_jordan[2] != n - k:
             raise NoInvertibleMinor("parity-check matrix admits no invertible "
                                     "(n-k) x (n-k) column submatrix")
-        self.F_inv = np.array([ext.one] + [ext.inverse(f) for f in self.F_basis[1:]])
         self.F_module = Submodule(ext.base, ext.m, ext.vec_rep(self.F_basis))
         self.flags = dict(flags) if flags else self._compute_flags()
         self._G = self._generator_matrix()
         self._syndrome_map = ext.right_map(np.swapaxes(self.H, 0, 1))
         self._encode_map = ext.right_map(self._G)
+
+    @cached_property
+    def F_inv(self):
+        """Inverses of the F basis elements (units: they have nonzero residue)."""
+        ext = self.ext
+        return np.array([ext.one] + [ext.inverse(f) for f in self.F_basis[1:]])
 
     # -- construction helpers --
 
@@ -134,9 +140,7 @@ class LrpcCode:
         span_ok = all(
             ring.residue_field.matrix_rank(ring.residue_codes(coeff[i])) == lam
             for i in range(n - k))
-        unity = all(
-            bool(ring.is_unit(coeff[i, j, ell])) or not coeff[i, j, ell].any()
-            for i in range(n - k) for j in range(n) for ell in range(lam))
+        unity = (ring.is_unit(coeff) | ~coeff.any(axis=-1)).all()
         sq = square_property_check(ext, self.F_module).has_square_property
         return {"unique_decoding": True,
                 "maximal_row_span": bool(span_ok),
@@ -153,7 +157,11 @@ class LrpcCode:
         n x n row minor (unique decoding); else raises NoInvertibleMinor."""
         ring = self.ext.base
         b = np.swapaxes(self.H_ext, 0, 1)
-        t = column_jordan(ring, b, exc=NoInvertibleMinor)
+        try:
+            t = column_jordan(ring, b)
+        except NotFree:
+            raise NoInvertibleMinor("H_ext lacks full column rank over the ring, "
+                                    "so the code is not uniquely decodable") from None
         return np.swapaxes(t, 0, 1).copy()
 
     def _generator_matrix(self):
@@ -170,9 +178,6 @@ class LrpcCode:
         g = np.zeros((k, n, ext.D), dtype=np.int64)
         g[:, piv] = np.swapaxes(ext.neg(w[:, n - k:]), 0, 1)
         g[np.arange(k), rest] = ext.one
-        chk = ext.matmul(self.H, np.swapaxes(g, 0, 1))
-        if chk.any():
-            raise GenerationFailed("generator construction failed")  # pragma: no cover
         return g
 
     def __repr__(self):
@@ -221,7 +226,7 @@ def generate_code(params: CodeParams, ext: ExtensionDesc, rng) -> LrpcCode:
     for _ in range(GENERATION_ATTEMPTS):
         gens = np.concatenate([ext.one[None, :], ext.rand(rng, (lam - 1,))], axis=0)
         f_sub = Submodule(ring, ext.m, ext.vec_rep(gens))
-        if free_rank(f_sub) != lam:
+        if free_module_test(f_sub) != (lam, True):
             continue
         rep = square_property_check(ext, f_sub)
         if rep.has_square_property:
@@ -234,7 +239,6 @@ def generate_code(params: CodeParams, ext: ExtensionDesc, rng) -> LrpcCode:
 
     for _ in range(GENERATION_ATTEMPTS):
         coeff = np.zeros((n - k, n, lam, ring.D), dtype=np.int64)
-        ok = True
         for i in range(n - k):
             for _ in range(GENERATION_ATTEMPTS):
                 row = ring.rand_unit_or_zero(rng, (n, lam))
@@ -243,10 +247,8 @@ def generate_code(params: CodeParams, ext: ExtensionDesc, rng) -> LrpcCode:
                     coeff[i] = row
                     break
             else:  # pragma: no cover
-                ok = False
-                break
-        if not ok:  # pragma: no cover
-            continue
+                raise GenerationFailed("could not sample a parity-check row "
+                                       "whose coefficients span F")
         h_matrix = np.zeros((n - k, n, ext.D), dtype=np.int64)
         for ell in range(lam):
             h_matrix = (h_matrix + ext.scalar_mul(coeff[:, :, ell, :],

@@ -235,7 +235,7 @@ class Submodule:
             return None if v.any() else np.zeros(
                 (self.gens.shape[0] * ring.gamma, ring.mu), dtype=np.int64)
         if self._member_form is None:
-            self._member_form = ring.solve_form(np.swapaxes(self.gens, 0, 1))
+            self._member_form = ring.solve_form(self.gens)
         return self._member_form.member_solve(ring.expand_vector(v))
 
     def contains(self, v) -> bool:
@@ -343,28 +343,22 @@ def free_rank(n_mod: Submodule) -> int:
 
 
 def module_rank(n_mod: Submodule) -> int:
-    """Minimal number of generators, by greedy elimination (last first).
-
-    A generator g is redundant iff it lies in the module generated by the
-    remaining generators together with m*N; over a local ring this greedy
-    scan yields the rank regardless of elimination order.
-    """
+    """Minimal number of generators: dim_{F_q} N/mN (Nakayama), which is
+    log_q|N| - log_q|mN|, both sizes counted by :func:`_log_size`."""
     ring = n_mod.ring
     gens = n_mod.reduced_gens()
+    m_gens = ring.mul(np.array(ring.maximal_ideal_gens)[:, None, None, :], gens[None])
+    return _log_size(ring, gens) - _log_size(ring, m_gens.reshape(-1, n_mod.ambient, ring.D))
+
+
+def _log_size(ring: LocalRingDesc, gens) -> int:
+    """log_q of the size of the row module of ``gens``: the sum of s - v
+    over the pivots p^v of the Howell form of its R0-expansion.  By the
+    Howell property, the members that vanish left of a pivot's column hold
+    the ideal (p^v) of R0 there, of size q^(s-v)."""
     if gens.shape[0] == 0:
         return 0
-    m_n = [ring.mul(g, mg[None, :])
-           for mg in ring.maximal_ideal_gens for g in gens]
-    m_n = np.array(m_n, dtype=np.int64).reshape(-1, n_mod.ambient, ring.D)
-    keep = list(range(gens.shape[0]))
-    for idx in reversed(range(gens.shape[0])):
-        others = [gens[i] for i in keep if i != idx]
-        span = Submodule(ring, n_mod.ambient,
-                         np.array(others + list(m_n), dtype=np.int64).reshape(
-                             -1, n_mod.ambient, ring.D))
-        if span.contains(gens[idx]):
-            keep.remove(idx)
-    return len(keep)
+    return sum(ring.s - v for v in ring.chain.howell(ring.expand_rows(gens)).vals)
 
 
 # ---------------------------------------------------------------------------
@@ -555,61 +549,48 @@ class SquarePropertyReport:
 def square_property_check(ext, f_mod: Submodule) -> SquarePropertyReport:
     """Check the square property of F and produce a suitable basis.
 
-    Builds a basis with b1 = 1 (swap 1 for any basis element with a unit
-    coefficient in 1's expansion), then decides via frk(F^2) = l(l+1)/2;
-    when that shortcut fails, searches directly for a witness index i0
-    with F intersect (b_i0 F') = 0 before reporting false.
+    The suitable basis is F's Jordan basis, whose first element is 1; then
+    a witness index i0 with F intersect (b_i0 F') = 0 is searched for.
     """
     ring = ext.base
     one_vec = ext.vec_rep(ext.one)
     if not f_mod.contains(one_vec):
         raise OneNotInModule("the module does not contain 1")
     lam, is_free = free_module_test(f_mod)
-    f2 = module_product(ext, f_mod, f_mod)
-    beta2 = module_rank(f2)
+    beta2 = module_rank(module_product(ext, f_mod, f_mod))
     if not is_free:
         return SquarePropertyReport(False, None, beta2, None)
-    basis_vecs = f_mod.basis()
-    coeffs = Submodule(ring, ext.m, basis_vecs).coefficients_of(one_vec)
-    unit_idx = next(i for i in range(lam)
-                    if np.atleast_1d(ring.is_unit(coeffs[i]))[0])
-    order = [unit_idx] + [i for i in range(lam) if i != unit_idx]
-    basis = np.array([ext.one] + [ext.unrep(basis_vecs[i]) for i in order[1:]],
-                     dtype=np.int64)
+    # 1 in F makes some generator a unit in column 0, so the Jordan form
+    # pivots there first (perm[0] = 0).  Its basis rows have b_i[perm[j]] =
+    # delta_ij for j < lam, so 1 = e_0 = sum_i one_vec[perm[i]] b_i = b_1.
+    basis = ext.unrep(f_mod.basis())
     if lam == 1:
         return SquarePropertyReport(True, basis, beta2, None)
-    frk_f2 = free_rank(f2)
-    shortcut = frk_f2 == lam * (lam + 1) // 2
     f_prime = Submodule(ring, ext.m, ext.vec_rep(basis[1:]))
-    witness = None
     for i0 in range(2, lam + 1):
         scaled = scale_module(ext, f_prime, basis[i0 - 1])
         if general_intersection(f_mod, scaled).is_zero():
-            witness = i0
-            break
-    if shortcut and witness is None:  # pragma: no cover - excluded by theory
-        raise AssertionError("square-property shortcut contradicts witness search")
-    if witness is None:
-        return SquarePropertyReport(False, None, beta2, None)
-    return SquarePropertyReport(True, basis, beta2, witness)
+            return SquarePropertyReport(True, basis, beta2, i0)
+    return SquarePropertyReport(False, None, beta2, None)
 
 
 def recover_factor(ext, ab_mod: Submodule, report: SquarePropertyReport) -> Submodule:
     """Recover A from AB and a module B with the square property, as the
     intersection of the modules b_i^{-1} (AB) over the suitable basis.
 
-    Exact recovery holds when frk(A B^2) = rank(A) * beta2; otherwise the
+    The b_i are basis elements of a free module, so they have nonzero
+    residue and are units: b_i^{-1} AB = {y : b_i y in AB}, and for a free
+    AB the intersection is one :func:`intersect_preimages`.  A non-free AB
+    has non-free scalings, which are intersected one by one.  Exact
+    recovery holds when frk(A B^2) = rank(A) * beta2; otherwise the
     result is a module containing A (documented failure mode).
     """
     if not report.has_square_property or report.suitable_basis is None:
         raise NoSuitableBasis("module lacks a suitable basis")
+    scalars = report.suitable_basis[1:]
+    if free_module_test(ab_mod)[1]:
+        return intersect_preimages(ext, ab_mod, scalars)
     result = ab_mod
-    for b in report.suitable_basis[1:]:
-        binv = ext.inverse(b)
-        scaled = scale_module(ext, ab_mod, binv)
-        _, scaled_free = free_module_test(scaled)
-        if scaled_free:
-            result = intersect_with_free(result, scaled)
-        else:
-            result = general_intersection(result, scaled)
+    for b in scalars:
+        result = general_intersection(result, scale_module(ext, ab_mod, ext.inverse(b)))
     return result

@@ -192,6 +192,12 @@ class LocalRingDesc(TensorAlgebra):
         z = z.reshape(r, c, g, g, mu)  # axes: i, j, l, k, u
         return z.transpose(0, 3, 1, 2, 4).reshape(r * g, c * g, mu)
 
+    def expand_rows(self, gens):
+        """R0-expansion of the rows of ``gens`` (k, n, D): the coordinate
+        rows of z_l * g_i, shape (gamma*k, gamma*n, mu), which span the
+        row module over R0."""
+        return np.swapaxes(self.expand_matrix(np.swapaxes(gens, 0, 1)), 0, 1)
+
     def expand_vector(self, b):
         b = np.asarray(b, dtype=np.int64)
         r = b.shape[0]
@@ -228,16 +234,12 @@ class LocalRingDesc(TensorAlgebra):
         w, _, r = unit_pivot_factor(self, np.concatenate([m, eye], axis=1), ncols=n)
         if not w[r:, :n].any():
             return w[r:, n:]
-        mt = np.swapaxes(m, 0, 1)
-        big = np.swapaxes(self.expand_matrix(mt), 0, 1)
-        ker = self.chain.left_kernel(big)
-        if ker.shape[0] == 0:
-            return np.zeros((0, m.shape[0], self.D), dtype=np.int64)
-        return self.contract_vectors(ker)
+        return self.contract_vectors(self.chain.left_kernel(self.expand_rows(m)))
 
-    def solve_form(self, a):
-        """Cacheable Howell form for repeated solves of A x = b (same A)."""
-        return self.chain._augmented_transpose_form(self.expand_matrix(np.asarray(a)))
+    def solve_form(self, gens):
+        """Cacheable Howell form for repeated solves of x . gens = v (same
+        gens): :meth:`ChainRing.kernel_form` of the R0-expanded rows."""
+        return self.chain.kernel_form(self.expand_rows(gens))
 
     def __repr__(self):
         return f"LocalRingDesc({self.spec_string})"

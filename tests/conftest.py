@@ -203,3 +203,88 @@ def fq_rref_oracle(field, mat):
         pivots.append(c)
         r += 1
     return m[:r], pivots
+
+
+def module_rank_oracle(n_mod):
+    """Oracle: minimal number of generators by greedy elimination (last
+    first), the scan that preceded modlin.module_rank's counting.  A
+    generator g is redundant iff it lies in the module generated by the
+    remaining generators together with m*N; over a local ring the scan
+    yields the rank regardless of elimination order."""
+    from lrpc_rings import Submodule
+    ring = n_mod.ring
+    gens = n_mod.reduced_gens()
+    if gens.shape[0] == 0:
+        return 0
+    m_n = [ring.mul(g, mg[None, :])
+           for mg in ring.maximal_ideal_gens for g in gens]
+    m_n = np.array(m_n, dtype=np.int64).reshape(-1, n_mod.ambient, ring.D)
+    keep = list(range(gens.shape[0]))
+    for idx in reversed(range(gens.shape[0])):
+        others = [gens[i] for i in keep if i != idx]
+        span = Submodule(ring, n_mod.ambient,
+                         np.array(others + list(m_n), dtype=np.int64).reshape(
+                             -1, n_mod.ambient, ring.D))
+        if span.contains(gens[idx]):
+            keep.remove(idx)
+    return len(keep)
+
+
+def square_property_oracle(ext, f_mod):
+    """Oracle: the square-property check that preceded modlin's reading of
+    1's coordinates off F's Jordan form.  It solves for them in a second
+    module, ranks F^2 by the greedy scan, and checks that the shortcut
+    frk(F^2) = l(l+1)/2 never contradicts the witness search.  Returns
+    (has, suitable_basis, beta2, i0); raises OneNotInModule like the
+    library."""
+    from lrpc_rings import (Submodule, errors, free_module_test, free_rank,
+                            general_intersection, module_product)
+    from lrpc_rings.modlin import scale_module
+    ring = ext.base
+    one_vec = ext.vec_rep(ext.one)
+    if not f_mod.contains(one_vec):
+        raise errors.OneNotInModule("the module does not contain 1")
+    lam, is_free = free_module_test(f_mod)
+    f2 = module_product(ext, f_mod, f_mod)
+    beta2 = module_rank_oracle(f2)
+    if not is_free:
+        return False, None, beta2, None
+    basis_vecs = f_mod.basis()
+    coeffs = Submodule(ring, ext.m, basis_vecs).coefficients_of(one_vec)
+    unit_idx = next(i for i in range(lam)
+                    if np.atleast_1d(ring.is_unit(coeffs[i]))[0])
+    order = [unit_idx] + [i for i in range(lam) if i != unit_idx]
+    basis = np.array([ext.one] + [ext.unrep(basis_vecs[i]) for i in order[1:]],
+                     dtype=np.int64)
+    if lam == 1:
+        return True, basis, beta2, None
+    shortcut = free_rank(f2) == lam * (lam + 1) // 2
+    f_prime = Submodule(ring, ext.m, ext.vec_rep(basis[1:]))
+    witness = None
+    for i0 in range(2, lam + 1):
+        scaled = scale_module(ext, f_prime, basis[i0 - 1])
+        if general_intersection(f_mod, scaled).is_zero():
+            witness = i0
+            break
+    assert not (shortcut and witness is None), "shortcut without a witness"
+    if witness is None:
+        return False, None, beta2, None
+    return True, basis, beta2, witness
+
+
+def recover_factor_oracle(ext, ab_mod, suitable_basis):
+    """Oracle: AB intersected with b^-1 AB for every suitable-basis element
+    b after the first, one explicit inverse and one intersection at a time
+    (the loop that preceded modlin.recover_factor's single
+    intersect_preimages)."""
+    from lrpc_rings import (free_module_test, general_intersection,
+                            intersect_with_free)
+    from lrpc_rings.modlin import scale_module
+    result = ab_mod
+    for b in suitable_basis[1:]:
+        scaled = scale_module(ext, ab_mod, ext.inverse(b))
+        if free_module_test(scaled)[1]:
+            result = intersect_with_free(result, scaled)
+        else:
+            result = general_intersection(result, scaled)
+    return result

@@ -56,6 +56,56 @@ class TestGeneration:
         for f, fi in zip(small_code.F_basis, small_code.F_inv):
             assert np.array_equal(small_code.ext.mul(f, fi), small_code.ext.one)
 
+    def test_generation_reuses_the_forms_it_built(self, z4, monkeypatch):
+        """generate_code solves for no coordinates.  LrpcCode's constructor
+        multiplies no matrices over S and inverts only the pivots of H's one
+        elimination; F_inv is computed on first read, and inverts F_basis."""
+        calls = dict.fromkeys(["coefficients_of", "matmul", "inverse"], 0)
+
+        def spy(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(Submodule, "coefficients_of")
+        spy(ExtensionDesc, "matmul")
+        spy(ExtensionDesc, "inverse")
+        ext = ExtensionDesc(z4, 10)
+        code = generate_code(CodeParams(10, 4, 2, 2), ext, np.random.default_rng(11))
+        assert calls["coefficients_of"] == 0 and calls["matmul"] == 0
+        calls.update(matmul=0, inverse=0)
+        clone = LrpcCode(ext, code.params, code.H, code.F_basis, code.flags)
+        assert calls["matmul"] == 0
+        in_init, calls["inverse"] = calls["inverse"], 0
+        unit_pivot_factor(ext, code.H)
+        assert in_init == calls["inverse"] == code.params.n - code.params.k
+        calls["inverse"] = 0
+        prods = ext.mul(clone.F_basis, clone.F_inv)
+        assert calls["inverse"] == code.params.lam - 1
+        assert np.array_equal(prods, np.broadcast_to(ext.one, prods.shape))
+
+    def test_flags_read_each_coefficient(self, small_code):
+        """unity fails on one nonzero non-unit coefficient, and
+        maximal_row_span on one row whose coefficients do not span F."""
+        code, ext = small_code, small_code.ext
+
+        def flags_of(coeff):
+            h = sum(ext.scalar_mul(coeff[:, :, ell], f)
+                    for ell, f in enumerate(code.F_basis)) % ext.char
+            return LrpcCode(ext, code.params, h, code.F_basis).flags
+
+        coeff = code._coefficients().copy()
+        coeff[0, 1, 1] = 2  # was 0; H_ext keeps full column rank
+        flags = flags_of(coeff)
+        assert not flags["unity"] and flags["maximal_row_span"]
+        coeff = code._coefficients().copy()
+        coeff[1, :, 1] = coeff[1, :, 0]  # residue rank 1 < lambda
+        flags = flags_of(coeff)
+        assert flags["unity"] and not flags["maximal_row_span"]
+
 
 @pytest.mark.parametrize("flags", [None, "given"])
 def test_rank_conditions_raise_no_invertible_minor(flags, z4):
@@ -69,7 +119,7 @@ def test_rank_conditions_raise_no_invertible_minor(flags, z4):
     zero_col = code.H.copy()
     zero_col[:, 0] = 0  # H_ext's column 0 vanishes; H keeps full row rank
     assert unit_pivot_factor(ext, zero_col)[2] == n - k
-    with pytest.raises(errors.NoInvertibleMinor, match="not linearly independent"):
+    with pytest.raises(errors.NoInvertibleMinor, match="H_ext lacks full column rank"):
         LrpcCode(ext, code.params, zero_col, code.F_basis, flags)
     repeated_row = code.H.copy()
     repeated_row[-1] = repeated_row[0]  # H_ext keeps full column rank

@@ -10,9 +10,16 @@ from lrpc_rings import (MatR, Submodule, count_free_submodules,
 from lrpc_rings import ExtensionDesc, Zmod
 from lrpc_rings.modlin import (column_jordan, gauss_inverse, intersect_preimages,
                                scale_module)
+from lrpc_rings.specparse import parse_local_atom
 
 from conftest import (brute_solution_set, gauss_inverse_oracle,
-                      unit_pivot_factor_oracle)
+                      module_rank_oracle, recover_factor_oracle,
+                      square_property_oracle, unit_pivot_factor_oracle)
+
+# Galois rings, chain quotients and the quotient by (x^2+x+1)^2 over Z4,
+# whose Galois subring GR(4,2) is found by Hensel lifting
+RANK_RINGS = ("Z2", "Z4", "Z9", "GR(4,2)", "Z4[x]/(x^2)", "Z2[x]/(x^3)",
+              "Z4[x]/(x^4+2*x^3+3*x^2+2*x+1)")
 
 
 def _golden_system(rxi):
@@ -251,6 +258,25 @@ class TestFreeAndRank:
         q_mod = Submodule(rxi, 1, np.array([[rxi.from_poly([2]).flat],
                                             [rxi.from_poly([0, 1]).flat]]))
         assert module_rank(q_mod) == 2
+
+    @pytest.mark.parametrize("spec", RANK_RINGS)
+    def test_module_rank_matches_greedy_scan(self, spec, rng):
+        """Counting dim N/mN agrees with the greedy generator scan, on
+        random modules and on modules with generators forced into mR^n."""
+        ring = parse_local_atom(spec)
+        zero = Submodule.zero(ring, 3)
+        assert module_rank(zero) == module_rank_oracle(zero) == 0
+        non_free = 0
+        for _ in range(30):
+            ambient, count = (int(x) for x in rng.integers(1, 5, 2))
+            gens = ring.rand(rng, (count, ambient))
+            if rng.integers(2):
+                cut = int(rng.integers(1, count + 1))
+                gens[:cut] = ring.mul(gens[:cut], ring.rand_ideal(rng, (cut, ambient)))
+            sub = Submodule(ring, ambient, gens)
+            non_free += not free_module_test(sub)[1]
+            assert module_rank(sub) == module_rank_oracle(sub)
+        assert non_free >= 5 or ring.size == ring.q  # a field has only free modules
 
     def test_free_module_rank_equals_frk(self, z4, rng):
         for _ in range(10):
@@ -506,6 +532,46 @@ class TestSquareProperty:
         rep = square_property_check(ext, f_mod)
         assert not rep.has_square_property and rep.suitable_basis is None
 
+    @pytest.mark.parametrize("spec,m", [("Z2", 6), ("Z4", 5), ("Z9", 4), ("GR(4,2)", 3),
+                                        ("Z4[x]/(x^2)", 4), ("Z2[x]/(x^3)", 4)])
+    def test_matches_old_check(self, spec, m, rng):
+        """Same report as the check that solved for 1's coordinates and
+        ranked F^2 by the greedy scan, on free and non-free F."""
+        ring = parse_local_atom(spec)
+        ext = ExtensionDesc(ring, m)
+        seen = set()
+        for _ in range(15):
+            lam = int(rng.integers(1, 4))
+            gens = np.concatenate([ext.one[None], ext.rand(rng, (lam - 1,))])
+            if lam > 1 and rng.integers(3) == 0:
+                gens[1] = ext.scalar_mul(ring.rand_ideal(rng), gens[1])
+            f_mod = ext.support(gens)
+            rep = square_property_check(ext, f_mod)
+            has, basis, beta2, i0 = square_property_oracle(ext, f_mod)
+            assert (rep.has_square_property, rep.beta2, rep.i0) == (has, beta2, i0)
+            if basis is None:
+                assert rep.suitable_basis is None
+            else:
+                assert np.array_equal(rep.suitable_basis, basis)
+            seen.add((has, free_module_test(f_mod)[1]))
+        assert (True, True) in seen
+
+    def test_full_square_rank_implies_witness(self, z4, rxi, rng):
+        """frk(F^2) = l(l+1)/2 gives a witness index i0 (the shortcut the
+        check no longer takes)."""
+        hits = 0
+        for ring, m in ((z4, 8), (rxi, 6)):
+            ext = ExtensionDesc(ring, m)
+            for _ in range(10):
+                lam = int(rng.integers(2, 4))
+                f_mod = ext.support(np.concatenate([ext.one[None], ext.rand(rng, (lam - 1,))]))
+                f2 = module_product(ext, f_mod, f_mod)
+                if free_rank(f2) == lam * (lam + 1) // 2:
+                    hits += 1
+                    rep = square_property_check(ext, f_mod)
+                    assert rep.has_square_property and rep.i0 is not None
+        assert hits >= 10
+
     def test_one_required(self, s5):
         f_mod = s5.support([s5.theta().flat])
         with pytest.raises(errors.OneNotInModule):
@@ -529,6 +595,27 @@ class TestRecoverFactor:
             ab = module_product(ext, a_mod, f_mod)
             assert recover_factor(ext, ab, rep).equals(a_mod)
         assert hits >= 10
+
+    def test_matches_per_inverse_loop(self, z4, rxi, rng):
+        """One intersect_preimages on a free AB, and the intersection loop
+        on a non-free AB, give the module of the loop over explicit b^-1 AB."""
+        seen = set()
+        for ring, m, lam in ((z4, 8, 2), (z4, 8, 3), (rxi, 5, 2)):
+            ext = ExtensionDesc(ring, m)
+            while True:
+                f_mod = ext.support(np.concatenate([ext.one[None], ext.rand(rng, (lam - 1,))]))
+                rep = square_property_check(ext, f_mod)
+                if rep.has_square_property:
+                    break
+            for _ in range(8):
+                a_gens = ext.rand(rng, (int(rng.integers(1, 3)),))
+                if rng.integers(2):
+                    a_gens[0] = ext.scalar_mul(ring.rand_ideal(rng), a_gens[0])
+                ab = module_product(ext, ext.support(a_gens), f_mod)
+                seen.add(free_module_test(ab)[1])
+                want = recover_factor_oracle(ext, ab, rep.suitable_basis)
+                assert recover_factor(ext, ab, rep).equals(want)
+        assert seen == {True, False}
 
     def test_trivial(self, s5):
         one_mod = s5.support([s5.one])
