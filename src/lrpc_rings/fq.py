@@ -213,9 +213,9 @@ def power_of_irreducible(F, gbar):
     deg = len(gbar) - 1
     if deg <= 0:
         return None
-    x = [0, 1]
+    x = t = [0, 1]
     for mu in range(1, deg + 1):
-        t = poly_powmod(F, x, F.q ** mu, gbar)
+        t = poly_powmod(F, t, F.q, gbar)  # x^(q^mu) by one more Frobenius
         g = poly_gcd(F, poly_sub(F, t, x), gbar)
         dg = len(g) - 1
         if dg <= 0:

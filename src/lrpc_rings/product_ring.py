@@ -120,14 +120,8 @@ class ProductExtensionDesc:
     def rand_vector(self, rng, length):
         return tuple(ext.rand(rng, (length,)) for ext in self.factors)
 
-    def zeros(self, length):
-        return tuple(np.zeros((length, ext.D), dtype=np.int64) for ext in self.factors)
-
     def add(self, a, b):
         return tuple(ext.add(x, y) for ext, x, y in zip(self.factors, a, b))
-
-    def sub(self, a, b):
-        return tuple(ext.sub(x, y) for ext, x, y in zip(self.factors, a, b))
 
     def equal(self, a, b) -> bool:
         return all(np.array_equal(x % ext.char, y % ext.char)

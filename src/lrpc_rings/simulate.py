@@ -25,8 +25,8 @@ import numpy as np
 
 from . import specparse
 from .errors import HypothesisViolated, IndexOutOfRange, LrpcError
-from .lrpc import CodeParams, DecodingFailure, decode_local, encode, sample_error
-from .lrpc import generate_code
+# decode_local is unused here: a module attribute that perfbench/test_spans.py patches
+from .lrpc import CodeParams, decode_local  # noqa: F401
 from .product_ring import (ProductDecodingFailure, ProductExtensionDesc,
                            ProductRingDesc, decode_product, encode_product,
                            generate_product_code, sample_error_product)
@@ -138,66 +138,48 @@ def run_trials(config: ExperimentConfig,
                per_trial_hook: Optional[Callable] = None) -> list:
     """Run the Monte Carlo experiment described by the configuration.
 
-    For each t: generate one code (or one per trial when
-    fresh_code_per_trial is set), then per trial sample a random message,
-    a uniform error of free support rank t, decode, and record the
-    outcome.  Failures are tallied by decoder line; a decode to a wrong
+    Every ring runs through the product-ring code; a local ring is its
+    one-factor case.  For each t: generate one code (or one per trial
+    when fresh_code_per_trial is set), then per trial sample a random
+    message, a uniform error of free support rank t in every factor,
+    decode, and record the outcome.  A failure is tallied under the
+    smallest decoder line among the failing factors; a decode to a wrong
     codeword (possible only when the success conditions fail) is tallied
     under line 18.  ``per_trial_hook(t, trial, code, codeword, error,
-    result)`` is invoked after each decode when provided.
+    result)`` is invoked after each decode when provided; it receives the
+    ``ProductLrpcCode`` and per-factor tuples (one-element tuples for a
+    local ring), and ``result`` is a tuple or a ``ProductDecodingFailure``.
     """
-    ring, ext = parse_ring_spec(config.full_spec())
+    _, ext = parse_ring_spec(config.full_spec())
     params = CodeParams(config.n, config.k, config.lam, max(config.t_values))
-    local = ring.rho == 1
     records = []
     for t in config.t_values:
         start = time.perf_counter()
         failures = 0
         hist = {line: 0 for line in REASON_LINES}
-        code = None
+        code = None  # frees the previous t's code before the next is built
         if not config.fresh_code_per_trial:
-            rng = _trial_rng(config.seed, t, 0)
-            code = (generate_code(params, ext.factors[0], rng) if local
-                    else generate_product_code(params, ext, rng))
+            code = generate_product_code(params, ext, _trial_rng(config.seed, t, 0))
         for trial in range(1, config.trials + 1):
             rng = _trial_rng(config.seed, t, trial)
             if config.fresh_code_per_trial:
-                code = (generate_code(params, ext.factors[0], rng) if local
-                        else generate_product_code(params, ext, rng))
-            if local:
-                msg = ext.factors[0].rand(rng, (config.k,))
-                cw = encode(code, msg)
-                err = sample_error(ext.factors[0], config.n, t, rng)
-                res = decode_local(code, (cw + err) % ext.factors[0].char)
-                ok = not isinstance(res, DecodingFailure) and np.array_equal(res, cw)
-                lines = None if ok else (
-                    [res.line] if isinstance(res, DecodingFailure) else [18])
+                code = generate_product_code(params, ext, rng)
+            msg = ext.rand_vector(rng, config.k)
+            cw = encode_product(code, msg)
+            err = sample_error_product(ext, config.n, t, rng)
+            res = decode_product(code, ext.add(cw, err))
+            if isinstance(res, ProductDecodingFailure):
+                line = min(f.line for f in res.failures.values())
             else:
-                msg = ext.rand_vector(rng, config.k)
-                cw = encode_product(code, msg)
-                err = sample_error_product(ext, config.n, t, rng)
-                res = decode_product(code, ext.add(cw, err))
-                ok = (not isinstance(res, (ProductDecodingFailure, DecodingFailure))
-                      and ext.equal(res, cw))
-                if ok:
-                    lines = None
-                elif isinstance(res, ProductDecodingFailure):
-                    lines = [min(f.line for f in res.failures.values())]
-                else:
-                    lines = [18]
-            if not ok:
+                line = None if ext.equal(res, cw) else 18
+            if line is not None:
                 failures += 1
-                for line in lines:
-                    hist[line] += 1
+                hist[line] += 1
             if per_trial_hook is not None:
                 per_trial_hook(t, trial, code, cw, err, res)
-        if local:
-            bound = theoretical_bound(ext.factors[0].base.q, config.lam, t,
-                                      config.m, config.n, config.k)
-        else:
-            bound = product_theoretical_bound([f.base.q for f in ext.factors],
-                                              config.lam, t, config.m,
-                                              config.n, config.k)
+        bound = product_theoretical_bound([f.base.q for f in ext.factors],
+                                          config.lam, t, config.m,
+                                          config.n, config.k)
         wall = int(round((time.perf_counter() - start) * 1000)) if config.timings else 0
         records.append(TrialRecord(
             t=t, trials=config.trials, failures=failures,

@@ -277,6 +277,10 @@ def reference_setup_run():
     cond = {t: [0, 0] for t in config.t_values}  # filtered trials, successes
 
     def hook(t, trial, code, cw, err, res):
+        # Z4 is the one-factor case of the product-ring trial path
+        (code,), (cw,), (err,) = code.codes, cw, err
+        if isinstance(res, tuple):
+            (res,) = res
         ext = code.ext
         s = syndrome(code, err)
         if not s.any():

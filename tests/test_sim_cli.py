@@ -1,10 +1,13 @@
+import hashlib
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from lrpc_rings import (ExperimentConfig, TrialRecord, emit_csv, errors,
+from lrpc_rings import (DecodingFailure, ExperimentConfig,
+                        ProductDecodingFailure, TrialRecord, emit_csv, errors,
                         parse_ring_spec, product_theoretical_bound, read_csv,
                         run_trials, theoretical_bound)
 from lrpc_rings.cli import main as cli_main
@@ -75,6 +78,12 @@ class TestTheoreticalBound:
         b2 = theoretical_bound(2, 2, 1, 10, 10, 4)
         b3 = theoretical_bound(3, 2, 1, 10, 10, 4)
         assert product_theoretical_bound([2, 3], 2, 1, 10, 10, 4) == b2 * b3
+        # one factor: the product bound is the local bound (run_trials
+        # computes every ring's bound_failure column through the product)
+        for q in (2, 4):
+            for t in (0, 1, 2, 4, 6):
+                assert (product_theoretical_bound([q], 2, t, 20, 20, 8)
+                        == theoretical_bound(q, 2, t, 20, 20, 8))
 
 
 class TestRunTrials:
@@ -118,6 +127,52 @@ class TestRunTrials:
                                   fresh_code_per_trial=True)
         (rec,) = run_trials(config)
         assert rec.trials == 10
+
+
+def _outcome_line(cw, res) -> int:
+    """0 for a decode to the sent codeword, else the line it counts under;
+    accepts local (array) and product (tuple) results alike."""
+    if isinstance(res, DecodingFailure):
+        return res.line
+    if isinstance(res, ProductDecodingFailure):
+        return min(f.line for f in res.failures.values())
+    cws, words = (cw, res) if isinstance(res, tuple) else ((cw,), (res,))
+    return 0 if all(np.array_equal(a, b) for a, b in zip(cws, words)) else 18
+
+
+# (config, SHA-256 of the emitted CSV, SHA-256 of the hook's
+# "t,trial,line" sequence); both are fixed by the seed.
+PINNED_RUNS = {
+    "z4": (dict(ring_spec="Z4", m=8, n=8, k=3, lam=2, t_values=(1, 2),
+                trials=40, seed=9),
+           "f3a20fbfb793536d0f02805490fdf88ecf88886c3fbc669c152e0de1025400f9",
+           "a1f6ca4bc04d5e34519d64cd36f750b17d5e51ecbc16091c6fc51972386a573b"),
+    "z4x2-fresh": (dict(ring_spec="Z4[x]/(x^2)", m=6, n=6, k=2, lam=2,
+                        t_values=(1,), trials=30, seed=4,
+                        fresh_code_per_trial=True),
+                   "3c54d892a62b706bdc0166ecc1717e0b1f1a51959afdc18dfe3304408fac8830",
+                   "dd735271358b09816825ce4cd4ac9d892c76854aaf27858b972aa09ec3509a10"),
+    "z6": (dict(ring_spec="Z6", m=6, n=6, k=2, lam=2, t_values=(1,),
+                trials=30, seed=3),
+           "644687fae06f2089231052ba7c408d4e26272df45bb681c8271248535eb54177",
+           "42fd8a0fcb77e02b209900abcb01d20f28983307ad51d2303498ab9ba59c3f20"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_pinned_simulator_output(name, tmp_path):
+    """The CSV and the per-trial outcomes of a seeded run are pinned, so a
+    refactor of the trial loop that claims unchanged behaviour keeps them."""
+    kwargs, csv_sha, seq_sha = PINNED_RUNS[name]
+    seq = hashlib.sha256()
+
+    def hook(t, trial, code, cw, err, res):
+        seq.update(f"{t},{trial},{_outcome_line(cw, res)}\n".encode())
+
+    path = tmp_path / "out.csv"
+    emit_csv(run_trials(ExperimentConfig(**kwargs), per_trial_hook=hook), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_sha
+    assert seq.hexdigest() == seq_sha
 
 
 class TestEmitCsv:
