@@ -9,7 +9,8 @@ is ``Fq(p)``, where the code of an element is the element itself.
 Polynomials over a field are lists of element codes, ascending degree;
 the routines below take the field as their first argument.  Matrices over
 F_q are reduced over F_p, by the vectorized routines ``rank_mod_p`` and
-``rref_mod_p``.
+``rref_mod_p``; over F_2 these XOR rows packed into Python ints
+(``pack_rows``), as the residue-first elimination of ``modlin`` does.
 """
 
 from __future__ import annotations
@@ -251,39 +252,62 @@ def smallest_irreducible(F, deg):
 
 
 # ---------------------------------------------------------------------------
-# F_p matrix routines (vectorized)
+# F_p matrix routines (vectorized; F_2 on rows packed into Python ints)
+
+
+def pack_rows(bits) -> list:
+    """The rows of a 0/1 matrix (rows, cols) as Python ints: bit j of the
+    i-th int is bits[i, j]."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed.tolist()]
+
+
+def unpack_rows(rows, width) -> np.ndarray:
+    """The int64 0/1 matrix (len(rows), width) whose rows ``pack_rows``
+    would pack into ``rows``."""
+    nbytes = (width + 7) // 8
+    data = b"".join(x.to_bytes(nbytes, "little") for x in rows)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little").astype(np.int64)
+
+
+def _rref_mod_2(rows) -> dict:
+    """RREF over F_2 of packed rows: {pivot bit: row}.  Each row has its
+    pivot as its lowest bit and no other row's pivot bit, so the rows in
+    order of their pivot bits are the unique RREF."""
+    piv = {}
+    for x in rows:
+        for bit, y in piv.items():
+            if x & bit:
+                x ^= y
+        if x:
+            low = x & -x
+            for bit, y in piv.items():
+                if y & low:
+                    piv[bit] = y ^ x
+            piv[low] = x
+    return piv
 
 
 def rank_mod_p(mat, p) -> int:
-    """Rank of an integer matrix over F_p."""
+    """Rank of an integer matrix over F_p: the pivot count of its RREF,
+    over F_2 that of the packed rows of its shorter side."""
     m = np.asarray(mat, dtype=np.int64) % p
     if m.size == 0:
         return 0
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        nz = np.nonzero(m[rank:, c])[0]
-        if nz.size == 0:
-            continue
-        i = rank + nz[0]
-        if i != rank:
-            m[[rank, i]] = m[[i, rank]]
-        inv = pow(int(m[rank, c]), p - 2, p)
-        m[rank] = m[rank] * inv % p
-        rest = np.nonzero(m[rank + 1:, c])[0]
-        if rest.size:
-            idx = rank + 1 + rest
-            m[idx] = (m[idx] - np.outer(m[idx, c], m[rank])) % p
-        rank += 1
-    return rank
+    if p == 2:
+        return len(_rref_mod_2(pack_rows(m if m.shape[0] <= m.shape[1] else m.T)))
+    return len(rref_mod_p(m, p)[1])
 
 
 def rref_mod_p(mat, p):
     """Reduced row echelon form over F_p: returns (rref, pivot_columns)."""
     m = np.asarray(mat, dtype=np.int64) % p
     rows, cols = m.shape
+    if p == 2:
+        piv = _rref_mod_2(pack_rows(m))
+        bits = sorted(piv)
+        return unpack_rows([piv[b] for b in bits], cols), [b.bit_length() - 1 for b in bits]
     pivots = []
     r = 0
     for c in range(cols):

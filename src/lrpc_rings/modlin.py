@@ -7,10 +7,15 @@ one Gauss-Jordan kernel with unit pivots, :func:`unit_pivot_factor`:
 its pivot count is the free rank (the rank of the residue-projected
 generators), and :func:`column_jordan`, :func:`gauss_inverse` and the
 free case of ``LocalRingDesc.left_kernel`` run it on a matrix with an
-identity block appended.  On top of that sit the intersection, product,
-counting, sampling and product-recovery operations used by the decoder;
-the decoder's E' = S cap f_2^-1 S cap ... is :func:`intersect_preimages`,
-one left kernel read off S's Jordan form.
+identity block appended.  Over Z_{2^s} it is residue-first: a unit is
+an odd entry, and a row operation with a unit pivot commutes with
+reduction mod 2, so every choice it makes (pivot columns, row and column
+swaps, r) is made on the rows mod 2, packed into Python ints, and W is
+then computed exactly from the Schur form those choices fix.  On top of
+that sit the intersection, product, counting, sampling and
+product-recovery operations used by the decoder; the decoder's
+E' = S cap f_2^-1 S cap ... is :func:`intersect_preimages`, one left
+kernel read off S's Jordan form.
 
 Matrices over R are numpy arrays of shape (rows, cols, D); vectors are
 (cols, D).  A Submodule of R^n stores a generator matrix and lazily
@@ -26,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import fq
 from .errors import (AmbientMismatch, BadRank, NoSuitableBasis, NotFree,
                      OneNotInModule, RingMismatch)
 from .rings import LocalRingDesc
@@ -90,13 +96,19 @@ def unit_pivot_factor(arith, a, ncols=None):
     W[r:] = 0.  For A = (A1 | A2) with A1 invertible of size r, W[:, r:]
     is A1^-1 A2.  Over Z_char itself (D == 1) the steps run on the
     (rows, cols) view, with a unit test mod p and a Python-int pivot
-    inverse; the pivots and the result are the same.
+    inverse.  Over Z_{2^s} every choice (pivots, swaps, r) is made on the
+    packed rows mod 2 instead (:func:`_factor_mod_2`): a row operation
+    with a unit pivot commutes with reduction mod 2, so the choices are
+    those of the loop, and they fix W.  The result is the same on every
+    path.
     """
     char = arith.char
     w = np.asarray(a, dtype=np.int64) % char
     s, n = w.shape[0], w.shape[1] if ncols is None else ncols
-    perm = np.arange(w.shape[1])
     scalar = arith.D == 1
+    if scalar and arith.p == 2:
+        return _factor_mod_2(arith, w, n)
+    perm = np.arange(w.shape[1])
     v = w.reshape(w.shape[:2]) if scalar else w  # a view: steps on v update w
     h = 0
     while h < s and h < n:
@@ -127,6 +139,57 @@ def unit_pivot_factor(arith, a, ncols=None):
                 w[:, h:] = (w[:, h:] - arith.mul(coefs[:, None, :], piv[None, :, :])) % char
         h += 1
     return w, perm, h
+
+
+def _factor_mod_2(arith, w, n):
+    """:func:`unit_pivot_factor` over Z_{2^e} (D == 1) for the canonical
+    A = w of shape (s, N, 1) and pivots in its first n columns.
+
+    The units are the odd entries, and a unit-pivot row operation maps to
+    the same operation on the rows mod 2.  So the loop runs on A mod 2,
+    each row packed into an int with identity bits above column N: pivots
+    by OR, AND and a scan of perm, elimination by XOR.  It fixes perm, r
+    and the row order; the rows of A in that order are (A_R; A_2), and
+    A_R[:, perm] = (A11 | A12).  The pivot rows are combinations of A_R
+    alone, so their identity bits hold X = A11^-1 mod 2 (zero outside R),
+    and they end as B = A11^-1 A_R[:, perm] = (I | A11^-1 A12).  B comes
+    from X A_R by Newton steps B <- (2I - B11) B, each of which squares
+    I - B11, so ceil(log2 e) steps make B11 = I; the rows below are
+    A_2[:, perm] - A21 B.  The products go through the ring's ``_dot``,
+    which splits any sum that could pass 2^63.
+    """
+    char = arith.char
+    s, N = w.shape[0], w.shape[1]
+    v = w[..., 0]
+    rows = [x | 1 << (N + i) for i, x in enumerate(fq.pack_rows(v & 1))]
+    order, perm = list(range(s)), list(range(N))
+    h = 0
+    while h < s and h < n:
+        live = 0
+        for x in rows[h:]:
+            live |= x
+        j = h
+        while j < n and not live >> perm[j] & 1:
+            j += 1
+        if j == n:
+            break
+        bit, i = 1 << perm[j], h
+        while not rows[i] & bit:
+            i += 1
+        rows[h], rows[i] = rows[i], rows[h]
+        order[h], order[i] = order[i], order[h]
+        perm[h], perm[j] = perm[j], perm[h]
+        piv = rows[h]
+        rows = [x ^ piv if x & bit else x for x in rows]
+        rows[h] = piv
+        h += 1
+    a = v.take(perm, axis=1)
+    b = arith._dot(fq.unpack_rows([x >> N for x in rows[:h]], s), a)
+    for _ in range((char.bit_length() - 2).bit_length()):  # ceil(log2 e)
+        b = (2 * b - arith._dot(b[:, :h], b)) % char
+    a2 = a.take(order[h:], axis=0)
+    a2 = (a2 - arith._dot(a2[:, :h], b)) % char
+    return np.concatenate([b, a2])[..., None], np.array(perm, dtype=np.intp), h
 
 
 def column_jordan(arith, b, exc=NotFree):
@@ -343,8 +406,12 @@ def free_rank(n_mod: Submodule) -> int:
 
 
 def module_rank(n_mod: Submodule) -> int:
-    """Minimal number of generators: dim_{F_q} N/mN (Nakayama), which is
-    log_q|N| - log_q|mN|, both sizes counted by :func:`_log_size`."""
+    """Minimal number of generators: dim_{F_q} N/mN (Nakayama).  For a
+    free module it is the free rank; otherwise it is log_q|N| - log_q|mN|,
+    both sizes counted by :func:`_log_size`."""
+    r, free = free_module_test(n_mod)
+    if free:
+        return r
     ring = n_mod.ring
     gens = n_mod.reduced_gens()
     m_gens = ring.mul(np.array(ring.maximal_ideal_gens)[:, None, None, :], gens[None])
@@ -554,16 +621,22 @@ def square_property_check(ext, f_mod: Submodule) -> SquarePropertyReport:
     """
     ring = ext.base
     one_vec = ext.vec_rep(ext.one)
-    if not f_mod.contains(one_vec):
-        raise OneNotInModule("the module does not contain 1")
     lam, is_free = free_module_test(f_mod)
+    # For a free F, 1 in F makes some generator a unit in column 0, so the
+    # Jordan form pivots there first (perm[0] = 0).  Its basis rows have
+    # b_i[perm[j]] = delta_ij for j < lam, so 1 = e_0 = sum_i one_vec[perm[i]]
+    # b_i = b_1: 1 is in F iff the first basis row is 1.
+    if is_free:
+        vecs = f_mod.basis()
+        has_one = lam > 0 and np.array_equal(vecs[0], one_vec)
+    else:
+        has_one = f_mod.contains(one_vec)
+    if not has_one:
+        raise OneNotInModule("the module does not contain 1")
     beta2 = module_rank(module_product(ext, f_mod, f_mod))
     if not is_free:
         return SquarePropertyReport(False, None, beta2, None)
-    # 1 in F makes some generator a unit in column 0, so the Jordan form
-    # pivots there first (perm[0] = 0).  Its basis rows have b_i[perm[j]] =
-    # delta_ij for j < lam, so 1 = e_0 = sum_i one_vec[perm[i]] b_i = b_1.
-    basis = ext.unrep(f_mod.basis())
+    basis = ext.unrep(vecs)
     if lam == 1:
         return SquarePropertyReport(True, basis, beta2, None)
     f_prime = Submodule(ring, ext.m, ext.vec_rep(basis[1:]))

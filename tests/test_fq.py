@@ -147,6 +147,23 @@ def test_rank_and_rref_of_empty_and_dependent_matrices(name):
     assert field.matrix_rank(mat) <= 2
 
 
+def test_rank_and_rref_wider_than_a_machine_word():
+    """Over F_2 the rows are reduced as packed ints: matrices of 65 to 130
+    columns (times mu after the F_p expansion) with a repeated row, a zero
+    column at bit 64 and a row whose only nonzero entry lies past bit 64
+    match the element-by-element oracles in every field."""
+    rng = np.random.default_rng(11)
+    for name in sorted(FIELDS):
+        field = FIELDS[name]
+        for rows, cols in ((3, 65), (5, 70), (12, 130)):
+            mat = rng.integers(0, field.q, size=(rows, cols))
+            mat[:, 64] = 0
+            mat[rows - 1] = mat[0]
+            mat[1] = 0
+            mat[1, cols - 1] = 1
+            _check_against_oracles(field, mat)
+
+
 def _trial_factor(n):
     out, p = [], 2
     while p * p <= n:

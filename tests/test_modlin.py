@@ -7,14 +7,15 @@ from lrpc_rings import (MatR, Submodule, count_free_submodules,
                         module_product, module_rank, recover_factor,
                         sample_free_submodule, solve_linear,
                         square_property_check, unit_pivot_factor)
-from lrpc_rings import ExtensionDesc, Zmod
+from lrpc_rings import ExtensionDesc, Zmod, modlin
 from lrpc_rings.modlin import (column_jordan, gauss_inverse, intersect_preimages,
                                scale_module)
 from lrpc_rings.specparse import parse_local_atom
 
 from conftest import (brute_solution_set, gauss_inverse_oracle,
                       module_rank_oracle, recover_factor_oracle,
-                      square_property_oracle, unit_pivot_factor_oracle)
+                      square_property_oracle, unit_pivot_factor_oracle,
+                      unit_pivot_scalar_oracle)
 
 # Galois rings, chain quotients and the quotient by (x^2+x+1)^2 over Z4,
 # whose Galois subring GR(4,2) is found by Hensel lifting
@@ -150,6 +151,83 @@ def test_pivot_order_without_units_in_first_column(z4, rxi):
             (z4, g4, [[1, 2, 3], [3, 0, 2], [1, 3, 1]]),
             (rxi, gx, [[[0, 3], [1, 1]], [[1, 2], [2, 1]]])):
         assert np.array_equal(gauss_inverse(ring, g), np.reshape(inv, g.shape))
+
+
+def _same_factor(got, want):
+    """(W, perm, r) byte for byte: dtypes, shapes and values."""
+    for g, e in zip(got[:2], want[:2]):
+        assert (g.dtype, g.shape, g.tobytes()) == (e.dtype, e.shape, e.tobytes())
+    assert type(got[2]) is int and got[2] == want[2]
+
+
+def _residue_first_cases(ring, rng):
+    """Inputs (A, ncols) over Z_{2^s}: empty and single-column shapes, no
+    unit at all (r = 0), unreduced entries, hand-built residue patterns,
+    random matrices with sparse residues, zero columns, residue-dependent
+    rows and ncols < N, and the (A | I) blocks that gauss_inverse,
+    column_jordan and left_kernel build."""
+    char = ring.char
+    rand = lambda *shape: rng.integers(0, char, size=shape + (1,))
+    eye = lambda k: Submodule.full(ring, k).gens
+    cases = [(np.zeros((0, 5, 1), dtype=np.int64), None),
+             (np.zeros((0, 5, 1), dtype=np.int64), 2),
+             (np.zeros((3, 0, 1), dtype=np.int64), None),
+             (rand(1, 1), None), (rand(4, 1), None), (2 * rand(4, 1), None),
+             (2 * rand(5, 7), None),
+             (rand(3, 4) - char, None)]
+    # residues needing row and column swaps; a residue-dependent third row
+    for rows in ([[2, 4, 1], [6, 3, 2], [1, 5, 7]],
+                 [[1, 3, 2], [2, 5, 7], [3, 4, 1]]):
+        cases.append((np.array(rows)[..., None] % char, None))
+    for _ in range(60):
+        rows, cols = int(rng.integers(1, 14)), int(rng.integers(1, 30))
+        a = rand(rows, cols)
+        a[rng.random(a.shape) < rng.random()] &= -2  # sparse residues
+        a[:, rng.random(cols) < 0.2] = 0
+        for i in range(1, rows):
+            if rng.random() < 0.3:
+                j, k = rng.integers(0, i, 2)
+                a[i] = (a[j] + a[k] + 2 * rand(cols)) % char
+        ncols = None if rng.random() < 0.5 else int(rng.integers(0, cols + 1))
+        cases.append((a, ncols))
+    for size in (1, 3, 6):
+        cases.append((np.concatenate([rand(size, size), eye(size)], axis=1), size))
+        bt = np.swapaxes(rand(max(size - 2, 1), 20), 0, 1)
+        cases.append((np.concatenate([bt, eye(20)], axis=1), bt.shape[1]))
+        cases.append((np.concatenate([rand(size + 4, size), eye(size + 4)], axis=1), size))
+    return cases
+
+
+@pytest.mark.parametrize("char", [2, 4, 8, 16, 1024, 2 ** 31])
+def test_residue_first_elimination_matches_the_per_pivot_loop(char):
+    """Over Z_{2^s} the pivots, swaps and r are chosen on packed residue
+    rows and W is the Schur form from a Newton-lifted A11^-1 (five steps
+    over Z_{2^31}, the largest D = 1 ring, where sums of products are
+    split): (W, perm, r) equals the per-pivot loop byte for byte."""
+    ring = Zmod(char)
+    rng = np.random.default_rng(char % 997)
+    for a, ncols in _residue_first_cases(ring, rng):
+        _same_factor(unit_pivot_factor(ring, a, ncols),
+                     unit_pivot_scalar_oracle(ring, a, ncols))
+
+
+def test_odd_p_and_wide_rings_keep_the_per_pivot_loop(z4, z9, rxi, gr42, s5, rng,
+                                                      monkeypatch):
+    """Only Z_{2^s} takes the residue-first path: odd p still runs the
+    per-pivot loop (equal to the oracle), and so does every ring with
+    D > 1, including those of characteristic 2^s."""
+    def refuse(*args):
+        raise AssertionError("residue-first path taken")
+
+    monkeypatch.setattr(modlin, "_factor_mod_2", refuse)
+    for ring in (z9, Zmod(3)):
+        for _ in range(10):
+            a = ring.rand(rng, tuple(rng.integers(1, 9, 2)))
+            _same_factor(unit_pivot_factor(ring, a), unit_pivot_scalar_oracle(ring, a))
+    for arith in (rxi, gr42, s5):
+        unit_pivot_factor(arith, arith.rand(rng, (4, 6)))
+    with pytest.raises(AssertionError, match="residue-first"):
+        unit_pivot_factor(z4, z4.rand(rng, (2, 3)))
 
 
 def _column_jordan_oracle(arith, b):
@@ -573,9 +651,34 @@ class TestSquareProperty:
         assert hits >= 10
 
     def test_one_required(self, s5):
-        f_mod = s5.support([s5.theta().flat])
+        """1 in F, decided by F's first Jordan basis row for a free F and
+        by membership otherwise."""
+        theta, one = s5.theta().flat, s5.one
+        two = s5.scalar_mul(np.array([2]), one)
+        for gens in ([theta], [s5.add(one, theta)], [two, theta], [two]):
+            with pytest.raises(errors.OneNotInModule):
+                square_property_check(s5, s5.support(gens))
         with pytest.raises(errors.OneNotInModule):
-            square_property_check(s5, f_mod)
+            square_property_check(s5, Submodule.zero(s5.base, s5.m))
+        for gens in ([theta, s5.add(one, theta)], [s5.add(one, two), theta]):
+            rep = square_property_check(s5, s5.support(gens))
+            assert rep.has_square_property and np.array_equal(rep.suitable_basis[0], one)
+        rep = square_property_check(s5, s5.support([one, two, theta]))
+        assert rep.has_square_property  # <1, 2, theta> = <1, theta> is free
+
+    def test_free_modules_need_no_howell_form(self, s5, monkeypatch):
+        """A free F shows 1 in its first Jordan basis row and a free module
+        is ranked by its free rank: no Howell form and no member solve."""
+        from lrpc_rings.chain import ChainRing
+
+        def refuse(*args):
+            raise AssertionError("Howell form built")
+
+        monkeypatch.setattr(ChainRing, "howell", refuse)
+        f_mod = s5.support([s5.one, s5.theta().flat])
+        assert module_rank(f_mod) == 2
+        rep = square_property_check(s5, f_mod)
+        assert rep.has_square_property and rep.beta2 == 3 and rep.i0 == 2
 
 
 class TestRecoverFactor:
