@@ -85,7 +85,8 @@ class TensorAlgebra:
 
     ``q`` is the size of the residue field and ``upsilon`` a bound on the
     nilpotency index of the maximal ideal, which bounds the Newton steps of
-    :meth:`inverse`.  Subclasses supply ``is_unit`` (the residue map) and
+    :meth:`inverse` (the base rings' inverse; Galois extensions invert by
+    the norm instead).  Subclasses supply ``is_unit`` (the residue map) and
     may refine :meth:`coerce`, :meth:`coords` and :meth:`format_elem`.
     Instances are immutable once built and every operation is pure.
 
@@ -176,9 +177,13 @@ class TensorAlgebra:
         return out
 
     def pow(self, a, e):
+        """a^e by square-and-multiply; for e < 0, (a^-1)^-e, which needs a
+        to be a single unit."""
+        e = int(e)
+        if e < 0:
+            a, e = self.inverse(a), -e
         result = np.broadcast_to(self.one, np.asarray(a).shape).copy()
         base = np.asarray(a) % self.char
-        e = int(e)
         while e:
             if e & 1:
                 result = self.mul(result, base)

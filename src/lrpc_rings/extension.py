@@ -8,12 +8,15 @@ R-module, so each element has a vector representation in R^m.
 Elements are flat coordinate vectors of length D_S = m * D_R over
 Z_{p^s}; index i*D_R + a holds coordinate a (in R's flat basis) of the
 coefficient of theta^i.  Multiplication uses a precomputed structure
-tensor, exactly as in the base ring.  Descriptors are immutable and all
-operations pure, so they are safe to share across threads.
+tensor, exactly as in the base ring.  A unit is inverted by its norm to R,
+through the Frobenius automorphism of S/R.  Descriptors are immutable (the
+Frobenius matrices are built once, on the first inverse) and all operations
+pure, so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -21,7 +24,7 @@ import numpy as np
 from . import fq
 from .chain import (RingElem, TensorAlgebra, check_rank, poly_string,
                     power_basis_tensor)
-from .errors import ExtensionMismatch, MalformedModulus
+from .errors import ExtensionMismatch, MalformedModulus, NotAUnit
 from .rings import LocalRingDesc
 
 
@@ -107,12 +110,77 @@ class ExtensionDesc(TensorAlgebra):
         return f"ExtensionDesc({self.base.spec_string}, m={self.m})"
 
     # ------------------------------------------------------------------
-    # arithmetic: TensorAlgebra's, bound again in this class's own dict so
-    # that perfbench/spans.py can trace S's calls apart from the base ring's
+    # arithmetic: mul and matmul are TensorAlgebra's, bound again in this
+    # class's own dict so that perfbench/spans.py can trace S's calls apart
+    # from the base ring's; inverse is S's own
 
     mul = TensorAlgebra.mul
     matmul = TensorAlgebra.matmul
-    inverse = TensorAlgebra.inverse
+
+    def inverse(self, a):
+        """Inverse of a unit by its norm (Itoh-Tsujii): a^-1 = N(a)^-1 Q for
+        Q = sigma(a) sigma^2(a) ... sigma^(m-1)(a), where N(a) = a Q lies in
+        R.  Q is built along the bits of m - 1 from Q_1 = sigma(a), by
+        Q_2h = Q_h sigma^h(Q_h) and Q_(h+1) = sigma(a Q_h): about log2 m
+        products and as many sigma-maps, each one vector-matrix product."""
+        a = np.asarray(a) % self.char
+        prod = self.one
+        if self.m > 1:
+            sigma, chain = self._frobenius
+            prod = self._dot(a, sigma)
+            for sigma_h, bit in chain:
+                prod = self.mul(prod, self._dot(prod, sigma_h))
+                if bit:
+                    prod = self._dot(self.mul(a, prod), sigma)
+        norm = self.mul(a, prod)[:self.base.D]
+        if not self.base.is_unit(norm):  # N(a) mod m is the norm of a mod m
+            raise NotAUnit(f"{a} is not a unit of {self!r}")
+        if self.base.D == 1:
+            return prod * pow(int(norm[0]), -1, self.char) % self.char
+        return self.scalar_mul(self.base.inverse(norm), prod)
+
+    @cached_property
+    def _frobenius(self):
+        """The Frobenius sigma of S/R as a Z_char matrix on row vectors,
+        x -> x @ sigma, with the matrices of the addition chain on m - 1
+        that :meth:`inverse` walks: one (sigma^h, bit) per bit of m - 1
+        after the leading one, h the value of the bits before it.
+
+        sigma fixes R and sends theta to the root of f that is congruent to
+        theta^q mod mS (q = |F_q|), found by Newton steps from theta^q; so
+        row (i, a) of sigma holds e_a y^i for y = sigma(theta) and e_a the
+        a-th basis element of R."""
+        y = self.pow(self.theta().flat, self.base.q)
+        derivative = [(i * c) % self.char for i, c in enumerate(self.f)][1:]
+        for _ in range(self.upsilon.bit_length() + 2):
+            fy = self._eval_poly(self.f, y)
+            if not fy.any():
+                break
+            # TensorAlgebra's inverse: sigma is not there yet to invert by
+            y = self.sub(y, self.mul(fy, TensorAlgebra.inverse(self, self._eval_poly(derivative, y))))
+        else:  # pragma: no cover - Hensel's lemma: f has a simple root there
+            raise MalformedModulus("no root of the modulus lifts theta^q")
+        powers = [self.one]
+        for _ in range(1, self.m):
+            powers.append(self.mul(powers[-1], y))
+        basis = self.embed_ring(np.eye(self.base.D, dtype=np.int64))
+        sigma = self.mul(np.array(powers)[:, None], basis[None]).reshape(self.D, self.D)
+        chain, power = [], sigma  # power = sigma^h along the chain
+        for bit in bin(self.m - 1)[3:]:
+            chain.append((power.astype(self.dtype), bit == "1"))
+            power = self._dot(power, power)
+            if bit == "1":
+                power = self._dot(power, sigma)
+        if not np.array_equal(self._dot(power, sigma), np.eye(self.D, dtype=np.int64)):
+            raise MalformedModulus("the Frobenius of S/R does not have order m")  # pragma: no cover
+        return sigma.astype(self.dtype), chain
+
+    def _eval_poly(self, coeffs, y):
+        """sum_i coeffs[i] y^i in S, for base-ring coefficient rows, by Horner."""
+        acc = self.zero
+        for c in reversed(coeffs):
+            acc = self.add(self.mul(acc, y), self.embed_ring(c))
+        return acc
 
     def vec_rep(self, a):
         """R-linear bijection S -> R^m: (..., D_S) -> (..., m, D_R)."""
@@ -169,7 +237,10 @@ class ExtensionDesc(TensorAlgebra):
         return RingElem(self, self.unrep(vec))
 
     def theta(self) -> RingElem:
-        return self.from_poly([0, 1]) if self.m > 1 else self.elem(0)
+        """The root theta of f: the class of t, which for m = 1 is -f_0."""
+        if self.m == 1:
+            return RingElem(self, self.embed_ring(self.base.neg(self.f[0])))
+        return self.from_poly([0, 1])
 
     def support(self, u):
         """Support of a vector over S: the R-submodule of R^m spanned by the

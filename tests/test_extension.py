@@ -2,8 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lrpc_rings import ExtensionDesc, Zmod, errors, free_module_test
+from lrpc_rings import (ExtensionDesc, Zmod, errors, free_module_test,
+                        galois_ring, quotient_ring)
+from lrpc_rings.chain import TensorAlgebra
 
 from conftest import schoolbook_ext_mul
 
@@ -138,6 +142,105 @@ def test_inverse(s5, z4):
     assert th.inverse() * th == 1
     with pytest.raises(errors.NotAUnit):
         s5.elem(2).inverse()
+
+
+@pytest.mark.parametrize("m, f", [(1, None), (1, [3, 1]), (2, None), (3, None),
+                                  (4, None), (5, None), (5, [1, 0, 1, 0, 0, 1])])
+def test_theta_is_a_root_of_the_modulus(z4, m, f):
+    ext = ExtensionDesc(z4, m, f=f)
+    th = ext.theta()
+    value = sum((ext.elem(ext.embed_ring(c)) * th ** i for i, c in enumerate(ext.f)),
+                ext.elem(0))
+    assert value == 0
+
+
+def test_negative_powers_invert_first(z4):
+    th = ExtensionDesc(z4, 3).theta()
+    assert th ** 0 == 1 and (2 * th) ** 0 == 1
+    assert th ** -1 == th.inverse()
+    assert th ** -3 * th ** 3 == 1
+    assert z4.elem(3) ** -3 == 3
+    with pytest.raises(errors.NotAUnit):
+        (2 * th) ** -1
+    with pytest.raises(errors.NotAUnit):
+        z4.elem(2) ** -2
+
+
+INVERSE_CASES = {
+    "Z2 ext m=7": lambda: ExtensionDesc(Zmod(2), 7),
+    "Z2 ext m=6": lambda: ExtensionDesc(Zmod(2), 6),
+    "Z3 ext m=10": lambda: ExtensionDesc(Zmod(3), 10),
+    "Z4 ext m=20": lambda: ExtensionDesc(Zmod(4), 20),
+    "Z4 ext m=1": lambda: ExtensionDesc(Zmod(4), 1),
+    "Z9 ext m=5": lambda: ExtensionDesc(Zmod(9), 5),
+    "GR(4,2) ext m=3": lambda: ExtensionDesc(galois_ring(2, 2, 2), 3),
+    "Z4[x]/(x^2) ext m=10": lambda: ExtensionDesc(quotient_ring(2, 2, [0, 0, 1]), 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_CASES))
+def test_norm_inverse_matches_fermat_newton(name, rng):
+    """The norm inverse equals TensorAlgebra's inverse, a^(q-2) lifted by
+    Newton steps, on random units."""
+    ext = INVERSE_CASES[name]()
+    for a in ext.rand_unit(rng, (100,)):
+        inv = ext.inverse(a)
+        assert np.array_equal(inv, TensorAlgebra.inverse(ext, a))
+        assert np.array_equal(ext.mul(a, inv), ext.one)
+
+
+def test_norm_inverse_refuses_non_units(z4):
+    ext = ExtensionDesc(z4, 3)
+    for a in (ext.elem(0), 2 * ext.theta(), ext.from_poly([2, 0, 2])):
+        with pytest.raises(errors.NotAUnit):
+            a.inverse()
+
+
+@pytest.mark.parametrize("name", ["Z2 ext m=6", "Z9 ext m=5", "GR(4,2) ext m=3",
+                                  "Z4[x]/(x^2) ext m=10"])
+def test_frobenius(name, rng):
+    """sigma fixes R, is multiplicative, has order m, lifts x -> x^q on the
+    residue field, and the product of the conjugates of a lies in R."""
+    ext = INVERSE_CASES[name]()
+    assert "_frobenius" not in vars(ext)  # built on the first inverse only
+    sigma = ext._frobenius[0]
+
+    def apply(x):
+        return ext._dot(x, sigma)
+
+    r = ext.embed_ring(ext.base.rand(rng, (10,)))
+    assert np.array_equal(apply(r), r)
+    a, b = ext.rand(rng, (10,)), ext.rand(rng, (10,))
+    assert np.array_equal(apply(ext.mul(a, b)), ext.mul(apply(a), apply(b)))
+    th = ext.theta().flat
+    assert not ext.is_unit(ext.sub(apply(th), ext.pow(th, ext.base.q)))
+    conj, norm, th_conj = a, a, th
+    for _ in range(1, ext.m):
+        conj, th_conj = apply(conj), apply(th_conj)
+        assert not np.array_equal(th_conj, th)
+        norm = ext.mul(norm, conj)
+    assert np.array_equal(apply(conj), a)
+    assert not norm[:, ext.base.D:].any()
+
+
+SMALL_EXTENSIONS = [ExtensionDesc(Zmod(2), 3), ExtensionDesc(Zmod(4), 4),
+                    ExtensionDesc(Zmod(9), 2), ExtensionDesc(galois_ring(2, 2, 2), 2),
+                    ExtensionDesc(quotient_ring(2, 2, [0, 0, 1]), 2)]
+
+
+@st.composite
+def small_extension_elements(draw):
+    ext = draw(st.sampled_from(SMALL_EXTENSIONS))
+    coords = draw(st.lists(st.integers(0, ext.char - 1), min_size=ext.D, max_size=ext.D))
+    return ext, np.array(coords, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=3000, derandomize=True)
+@given(small_extension_elements())
+def test_inverse_property(case):
+    ext, a = case
+    assume(ext.is_unit(a))
+    assert np.array_equal(ext.mul(a, ext.inverse(a)), ext.one)
 
 
 def test_vec_rep(s5, rng):
