@@ -7,11 +7,12 @@ one Gauss-Jordan kernel with unit pivots, :func:`unit_pivot_factor`:
 its pivot count is the free rank (the rank of the residue-projected
 generators), and :func:`column_jordan`, :func:`gauss_inverse` and the
 free case of ``LocalRingDesc.left_kernel`` run it on a matrix with an
-identity block appended.  Over Z_{2^s} it is residue-first: a unit is
-an odd entry, and a row operation with a unit pivot commutes with
-reduction mod 2, so every choice it makes (pivot columns, row and column
-swaps, r) is made on the rows mod 2, packed into Python ints, and W is
-then computed exactly from the Schur form those choices fix.  On top of
+identity block appended.  Over a ring with residue field F_2 it is
+residue-first: a unit is an entry with nonzero residue, and a row
+operation with a unit pivot commutes with the residue map, so every
+choice it makes (pivot columns, row and column swaps, r) is made on the
+residue rows, packed into Python ints, and W is then computed exactly
+from the Schur form those choices fix.  On top of
 that sit the intersection, product, counting, sampling and
 product-recovery operations used by the decoder; the decoder's
 E' = S cap f_2^-1 S cap ... is :func:`intersect_preimages`, one left
@@ -96,18 +97,18 @@ def unit_pivot_factor(arith, a, ncols=None):
     W[r:] = 0.  For A = (A1 | A2) with A1 invertible of size r, W[:, r:]
     is A1^-1 A2.  Over Z_char itself (D == 1) the steps run on the
     (rows, cols) view, with a unit test mod p and a Python-int pivot
-    inverse.  Over Z_{2^s} every choice (pivots, swaps, r) is made on the
-    packed rows mod 2 instead (:func:`_factor_mod_2`): a row operation
-    with a unit pivot commutes with reduction mod 2, so the choices are
-    those of the loop, and they fix W.  The result is the same on every
-    path.
+    inverse.  When the residue field is F_2 (q == 2) every choice
+    (pivots, swaps, r) is made on the packed residue rows instead
+    (:func:`_factor_residue_f2`): a row operation with a unit pivot
+    commutes with the residue map, so the choices are those of the loop,
+    and they fix W.  The result is the same on every path.
     """
     char = arith.char
     w = np.asarray(a, dtype=np.int64) % char
     s, n = w.shape[0], w.shape[1] if ncols is None else ncols
+    if arith.q == 2:
+        return _factor_residue_f2(arith, w, n)
     scalar = arith.D == 1
-    if scalar and arith.p == 2:
-        return _factor_mod_2(arith, w, n)
     perm = np.arange(w.shape[1])
     v = w.reshape(w.shape[:2]) if scalar else w  # a view: steps on v update w
     h = 0
@@ -141,27 +142,30 @@ def unit_pivot_factor(arith, a, ncols=None):
     return w, perm, h
 
 
-def _factor_mod_2(arith, w, n):
-    """:func:`unit_pivot_factor` over Z_{2^e} (D == 1) for the canonical
-    A = w of shape (s, N, 1) and pivots in its first n columns.
+def _factor_residue_f2(arith, w, n):
+    """:func:`unit_pivot_factor` over a local arithmetic with residue
+    field F_2 for the canonical A = w of shape (s, N, D) and pivots in its
+    first n columns.
 
-    The units are the odd entries, and a unit-pivot row operation maps to
-    the same operation on the rows mod 2.  So the loop runs on A mod 2,
-    each row packed into an int with identity bits above column N: pivots
-    by OR, AND and a scan of perm, elimination by XOR.  It fixes perm, r
-    and the row order; the rows of A in that order are (A_R; A_2), and
-    A_R[:, perm] = (A11 | A12).  The pivot rows are combinations of A_R
-    alone, so their identity bits hold X = A11^-1 mod 2 (zero outside R),
-    and they end as B = A11^-1 A_R[:, perm] = (I | A11^-1 A12).  B comes
-    from X A_R by Newton steps B <- (2I - B11) B, each of which squares
-    I - B11, so ceil(log2 e) steps make B11 = I; the rows below are
-    A_2[:, perm] - A21 B.  The products go through the ring's ``_dot``,
-    which splits any sum that could pass 2^63.
+    The units are the entries with nonzero residue, and a unit-pivot row
+    operation maps to the same operation on the residue rows.  So the loop
+    runs on the residue of A, each row packed into an int with identity
+    bits above column N: pivots by OR, AND and a scan of perm, elimination
+    by XOR.  It fixes perm, r and the row order; the rows of A in that
+    order are (A_R; A_2), and A_R[:, perm] = (A11 | A12).  The pivot rows
+    are combinations of A_R alone, so their identity bits hold
+    X = A11^-1 over F_2 (zero outside R), and they end as
+    B = A11^-1 A_R[:, perm] = (I | A11^-1 A12).  B comes from X A_R by
+    Newton steps B <- (2I - B11) B, each of which squares I - B11, whose
+    entries lie in the maximal ideal; that ideal's upsilon-th power is 0,
+    so ceil(log2 upsilon) steps make B11 = I.  The rows below are
+    A_2[:, perm] - A21 B.  X A_R sums rows of A, one ``_dot`` over
+    Z_char; the other products go through the ring's ``matmul`` (``_dot``
+    when D == 1).  Both split any sum that could lose exactness.
     """
     char = arith.char
     s, N = w.shape[0], w.shape[1]
-    v = w[..., 0]
-    rows = [x | 1 << (N + i) for i, x in enumerate(fq.pack_rows(v & 1))]
+    rows = [x | 1 << (N + i) for i, x in enumerate(fq.pack_rows(arith.is_unit(w)))]
     order, perm = list(range(s)), list(range(N))
     h = 0
     while h < s and h < n:
@@ -183,13 +187,15 @@ def _factor_mod_2(arith, w, n):
         rows = [x ^ piv if x & bit else x for x in rows]
         rows[h] = piv
         h += 1
-    a = v.take(perm, axis=1)
-    b = arith._dot(fq.unpack_rows([x >> N for x in rows[:h]], s), a)
-    for _ in range((char.bit_length() - 2).bit_length()):  # ceil(log2 e)
-        b = (2 * b - arith._dot(b[:, :h], b)) % char
+    a = w.take(perm, axis=1)
+    x = fq.unpack_rows([row >> N for row in rows[:h]], s)
+    b = arith._dot(x, a.reshape(s, N * arith.D)).reshape(h, N, arith.D)
+    for _ in range((arith.upsilon - 1).bit_length()):  # ceil(log2 upsilon)
+        b = (2 * b - arith.matmul(b[:, :h], b)) % char
     a2 = a.take(order[h:], axis=0)
-    a2 = (a2 - arith._dot(a2[:, :h], b)) % char
-    return np.concatenate([b, a2])[..., None], np.array(perm, dtype=np.intp), h
+    if h < s:
+        a2 = (a2 - arith.matmul(a2[:, :h], b)) % char
+    return np.concatenate([b, a2]), np.array(perm, dtype=np.intp), h
 
 
 def column_jordan(arith, b, exc=NotFree):

@@ -158,38 +158,31 @@ def unit_pivot_factor_oracle(arith, a):
     return t, perm, h
 
 
-def unit_pivot_scalar_oracle(arith, a, ncols=None):
-    """Oracle: modlin.unit_pivot_factor's per-pivot loop over Z_char
-    (D == 1) on the (rows, cols) view, with a unit test mod p and a
-    Python-int pivot inverse (the loop that ran over Z_{2^s} before the
-    residue-first elimination; odd p still runs it).  Returns (W, perm, r)
-    exactly as the library does."""
+def unit_pivot_loop_oracle(arith, a, ncols=None):
+    """Oracle: modlin.unit_pivot_factor's per-pivot loop over any local
+    arithmetic, with ``is_unit``, a pivot ``inverse`` and ``mul`` per pivot
+    (the loop that ran over every ring with residue field F_2 before the
+    residue-first elimination; larger residue fields still run it).
+    Returns (W, perm, r) exactly as the library does."""
     char = arith.char
     w = np.asarray(a, dtype=np.int64) % char
     s, n = w.shape[0], w.shape[1] if ncols is None else ncols
     perm = np.arange(w.shape[1])
-    v = w.reshape(w.shape[:2])
     h = 0
     while h < s and h < n:
-        units = v[h:, h:n] % arith.p != 0
+        units = arith.is_unit(w[h:, h:n])
         unit_cols = units.any(axis=0)
         c = int(unit_cols.argmax())
         if not unit_cols[c]:
             break
         col, row = h + c, h + int(units[:, c].argmax())
-        if row != h:
-            v[[h, row]] = v[[row, h]]
-        if col != h:
-            v[:, [h, col]] = v[:, [col, h]]
-            perm[[h, col]] = perm[[col, h]]
-        piv = v[h, h:]
-        coefs = v[:, h].copy()
+        w[[h, row]] = w[[row, h]]
+        w[:, [h, col]] = w[:, [col, h]]
+        perm[[h, col]] = perm[[col, h]]
+        w[h, h:] = arith.mul(w[h, h:], arith.inverse(w[h, h].copy()))
+        coefs = w[:, h].copy()
         coefs[h] = 0
-        piv *= pow(int(piv[0]), -1, char)
-        piv %= char
-        if coefs.any():
-            v[:, h:] -= coefs[:, None] * piv
-            v[:, h:] %= char
+        w[:, h:] = (w[:, h:] - arith.mul(coefs[:, None, :], w[h, h:][None, :, :])) % char
         h += 1
     return w, perm, h
 

@@ -1,3 +1,7 @@
+import zlib
+from functools import reduce
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,7 @@ from lrpc_rings.specparse import parse_local_atom
 from conftest import (brute_solution_set, gauss_inverse_oracle,
                       module_rank_oracle, recover_factor_oracle,
                       square_property_oracle, unit_pivot_factor_oracle,
-                      unit_pivot_scalar_oracle)
+                      unit_pivot_loop_oracle)
 
 # Galois rings, chain quotients and the quotient by (x^2+x+1)^2 over Z4,
 # whose Galois subring GR(4,2) is found by Hensel lifting
@@ -161,33 +165,36 @@ def _same_factor(got, want):
 
 
 def _residue_first_cases(ring, rng):
-    """Inputs (A, ncols) over Z_{2^s}: empty and single-column shapes, no
-    unit at all (r = 0), unreduced entries, hand-built residue patterns,
-    random matrices with sparse residues, zero columns, residue-dependent
-    rows and ncols < N, and the (A | I) blocks that gauss_inverse,
-    column_jordan and left_kernel build."""
-    char = ring.char
-    rand = lambda *shape: rng.integers(0, char, size=shape + (1,))
+    """Inputs (A, ncols) over a ring with residue field F_2: empty and
+    single-column shapes, no unit at all (r = 0), unreduced entries,
+    hand-built residue patterns, random matrices with sparse residues,
+    zero columns, residue-dependent rows and ncols < N, and the (A | I)
+    blocks that gauss_inverse, column_jordan and left_kernel build.
+    Non-units are drawn by ``rand_ideal``."""
+    char, d = ring.char, ring.D
+    rand = lambda *shape: ring.rand(rng, shape)
+    ideal = lambda *shape: ring.rand_ideal(rng, shape)
     eye = lambda k: Submodule.full(ring, k).gens
-    cases = [(np.zeros((0, 5, 1), dtype=np.int64), None),
-             (np.zeros((0, 5, 1), dtype=np.int64), 2),
-             (np.zeros((3, 0, 1), dtype=np.int64), None),
-             (rand(1, 1), None), (rand(4, 1), None), (2 * rand(4, 1), None),
-             (2 * rand(5, 7), None),
+    cases = [(np.zeros((0, 5, d), dtype=np.int64), None),
+             (np.zeros((0, 5, d), dtype=np.int64), 2),
+             (np.zeros((3, 0, d), dtype=np.int64), None),
+             (rand(1, 1), None), (rand(4, 1), None), (ideal(4, 1), None),
+             (ideal(5, 7), None),
              (rand(3, 4) - char, None)]
     # residues needing row and column swaps; a residue-dependent third row
-    for rows in ([[2, 4, 1], [6, 3, 2], [1, 5, 7]],
-                 [[1, 3, 2], [2, 5, 7], [3, 4, 1]]):
-        cases.append((np.array(rows)[..., None] % char, None))
+    for bits in ([[0, 0, 1], [0, 1, 0], [1, 1, 1]],
+                 [[1, 1, 0], [0, 1, 1], [1, 0, 1]]):
+        cases.append((np.array(bits)[..., None] * ring.one + ideal(3, 3), None))
     for _ in range(60):
         rows, cols = int(rng.integers(1, 14)), int(rng.integers(1, 30))
         a = rand(rows, cols)
-        a[rng.random(a.shape) < rng.random()] &= -2  # sparse residues
+        sparse = rng.random((rows, cols)) < rng.random()  # sparse residues
+        a[sparse] = ideal(int(sparse.sum()))
         a[:, rng.random(cols) < 0.2] = 0
         for i in range(1, rows):
             if rng.random() < 0.3:
                 j, k = rng.integers(0, i, 2)
-                a[i] = (a[j] + a[k] + 2 * rand(cols)) % char
+                a[i] = (a[j] + a[k] + ideal(cols)) % char
         ncols = None if rng.random() < 0.5 else int(rng.integers(0, cols + 1))
         cases.append((a, ncols))
     for size in (1, 3, 6):
@@ -198,36 +205,64 @@ def _residue_first_cases(ring, rng):
     return cases
 
 
-@pytest.mark.parametrize("char", [2, 4, 8, 16, 1024, 2 ** 31])
-def test_residue_first_elimination_matches_the_per_pivot_loop(char):
-    """Over Z_{2^s} the pivots, swaps and r are chosen on packed residue
-    rows and W is the Schur form from a Newton-lifted A11^-1 (five steps
-    over Z_{2^31}, the largest D = 1 ring, where sums of products are
-    split): (W, perm, r) equals the per-pivot loop byte for byte."""
-    ring = Zmod(char)
-    rng = np.random.default_rng(char % 997)
+# D > 1 rings with residue field F_2; Z2[x]/(x^8) has char 2 and
+# upsilon = 8, so its lift takes three Newton steps
+F2_RINGS = ("Z4[x]/(x^2)", "Z4[x]/(x^2+2)", "Z2[x]/(x^3)", "Z8[x]/(x^2)",
+            "Z16[x]/(x^3)", "Z2[x]/(x^8)")
+
+
+@pytest.mark.parametrize("spec", (2, 4, 8, 16, 1024, 2 ** 31) + F2_RINGS)
+def test_residue_first_elimination_matches_the_per_pivot_loop(spec):
+    """Over Z_spec for an int spec, or the D > 1 ring a spec string names,
+    all with residue field F_2: the pivots, swaps and r are chosen on
+    packed residue rows and W is the Schur form from a Newton-lifted
+    A11^-1 (five steps over Z_{2^31}, the largest D = 1 ring, where sums
+    of products are split; products through the structure tensor when
+    D > 1).  (W, perm, r) equals the per-pivot loop (is_unit, inverse and
+    mul per pivot) byte for byte."""
+    ring = Zmod(spec) if isinstance(spec, int) else parse_local_atom(spec)
+    assert ring.q == 2
+    rng = np.random.default_rng(zlib.crc32(str(spec).encode()))
     for a, ncols in _residue_first_cases(ring, rng):
         _same_factor(unit_pivot_factor(ring, a, ncols),
-                     unit_pivot_scalar_oracle(ring, a, ncols))
+                     unit_pivot_loop_oracle(ring, a, ncols))
+
+
+@pytest.mark.parametrize("spec", ("Z2", "Z4", "Z1024", "Z2147483648", "Z9") + F2_RINGS)
+def test_upsilon_bounds_the_nilpotency_of_the_maximal_ideal(spec):
+    """The residue-first lift takes ceil(log2 upsilon) Newton steps, which
+    is exact only if m^upsilon = 0: every product of upsilon generators of
+    the maximal ideal (with repetition) is 0, and so is every product of
+    upsilon elements drawn by ``rand_ideal``."""
+    ring = parse_local_atom(spec)
+    gens = ring.maximal_ideal_gens
+    for combo in combinations_with_replacement(gens, ring.upsilon):
+        assert not reduce(ring.mul, combo, ring.one).any()
+    rng = np.random.default_rng(0)
+    draws = ring.rand_ideal(rng, (ring.upsilon, 200))
+    assert not reduce(ring.mul, draws, ring.one).any()
 
 
 def test_odd_p_and_wide_rings_keep_the_per_pivot_loop(z4, z9, rxi, gr42, s5, rng,
                                                       monkeypatch):
-    """Only Z_{2^s} takes the residue-first path: odd p still runs the
-    per-pivot loop (equal to the oracle), and so does every ring with
-    D > 1, including those of characteristic 2^s."""
-    def refuse(*args):
-        raise AssertionError("residue-first path taken")
+    """Every ring with residue field F_2 takes the residue-first path,
+    whatever its D; odd p and larger residue fields (GR(4,2) and the
+    extension s5) keep the per-pivot loop.  Both equal the oracle."""
+    taken = []
+    residue_first = modlin._factor_residue_f2
 
-    monkeypatch.setattr(modlin, "_factor_mod_2", refuse)
-    for ring in (z9, Zmod(3)):
+    def spy(arith, *args):
+        taken.append(arith)
+        return residue_first(arith, *args)
+
+    monkeypatch.setattr(modlin, "_factor_residue_f2", spy)
+    f2 = (z4, rxi, parse_local_atom("Z2[x]/(x^3)"))
+    for ring in f2 + (z9, Zmod(3), gr42, s5):
         for _ in range(10):
             a = ring.rand(rng, tuple(rng.integers(1, 9, 2)))
-            _same_factor(unit_pivot_factor(ring, a), unit_pivot_scalar_oracle(ring, a))
-    for arith in (rxi, gr42, s5):
-        unit_pivot_factor(arith, arith.rand(rng, (4, 6)))
-    with pytest.raises(AssertionError, match="residue-first"):
-        unit_pivot_factor(z4, z4.rand(rng, (2, 3)))
+            taken.clear()
+            _same_factor(unit_pivot_factor(ring, a), unit_pivot_loop_oracle(ring, a))
+            assert len(taken) == (ring in f2) and all(t is ring for t in taken)
 
 
 def _column_jordan_oracle(arith, b):
