@@ -80,6 +80,12 @@ def poly_string(coeffs, var="x", spec=False):
     return " + ".join(terms) or "0"
 
 
+def inverse_mod(a, char):
+    """Inverses mod char of the units in an int64 array, one Python pow each."""
+    return np.array([pow(int(x), -1, char) for x in a.ravel()],
+                    dtype=np.int64).reshape(a.shape)
+
+
 class TensorAlgebra:
     """A finite local ring free of rank D over Z_char, char = p^s.
 
@@ -150,13 +156,23 @@ class TensorAlgebra:
         bt = b.transpose(1, 0, 2).reshape(c, k * d)  # [c, (k, j)]
         return self._dot(bt, at.reshape(r, k * d, d))
 
+    def mul_matrices(self, a):
+        """The Z_char matrices of x -> x a for canonical a of shape (..., D):
+        shape (..., D, D), int64, row j holding the coordinates of e_j a,
+        where e_j is the j-th basis element."""
+        a = np.asarray(a)
+        maps = (a.astype(self.dtype) @ self._t_rows).astype(np.int64)  # [..., (j, k)]
+        maps %= self.char
+        return maps.reshape(a.shape[:-1] + (self.D, self.D))
+
     def right_map(self, b):
         """The Z_char matrix of x -> x b for b of shape (k, c, D): shape
         (k*D, c*D), in ``dtype``, for :meth:`apply_right`.  Row (i, j) holds
-        the coordinates of e_j b[i, :], where e_j is the j-th basis element."""
+        the coordinates of e_j b[i, :], the j-th row of b[i, :]'s
+        multiplication matrices."""
         k, c, d = b.shape
-        bt = (b.reshape(k * c, d).astype(self.dtype) @ self._t_rows) % self.char  # [(i, l), (j, m)]
-        return bt.reshape(k, c, d, d).transpose(0, 2, 1, 3).reshape(k * d, c * d)
+        maps = self.mul_matrices(b).transpose(0, 2, 1, 3)  # [i, l, j, m] -> [i, j, l, m]
+        return maps.astype(self.dtype, order="C").reshape(k * d, c * d)
 
     def apply_right(self, a, b_map):
         """a b for a of shape (..., k, D), given ``b_map = right_map(b)``:
@@ -192,18 +208,20 @@ class TensorAlgebra:
         return result
 
     def inverse(self, a):
-        """Inverse of a unit: the residue-field inverse a^(q-2), lifted by
-        Newton steps b <- b (2 - a b)."""
+        """Inverse of each unit in a (..., D) array: the residue-field
+        inverse a^(q-2), lifted by Newton steps b <- b (2 - a b), which fix
+        an entry once it is exact.  Raises NotAUnit if any entry is not a
+        unit."""
         a = np.asarray(a) % self.char
-        if not self.is_unit(a):
+        if not self.is_unit(a).all():
             raise NotAUnit(f"{a} is not a unit of {self!r}")
         if self.D == 1:
-            return np.array([pow(int(a[0]), -1, self.char)], dtype=np.int64)
+            return inverse_mod(a, self.char)
         b = a.copy() if self.q == 2 else self.pow(a, self.q - 2)
         two = (2 * self.one) % self.char
         for _ in range(self.upsilon.bit_length() + 2):
             ab = self.mul(a, b)
-            if np.array_equal(ab, self.one):
+            if (ab == self.one).all():
                 return b
             b = self.mul(b, (two - ab) % self.char)
         raise NotAUnit("inversion failed to converge")  # pragma: no cover
@@ -236,13 +254,12 @@ class TensorAlgebra:
         passes."""
         out = self.rand(rng, shape)
         flat = out.reshape(-1, self.D)
-        while True:
-            bad = ~accept(flat)
-            n_bad = int(bad.sum())
-            if n_bad == 0:
-                break
-            flat[bad] = rng.integers(0, self.char, size=(n_bad, self.D), dtype=np.int64)
-        return flat.reshape(out.shape)
+        bad = np.flatnonzero(~accept(flat))
+        while bad.size:  # only the redrawn entries are tested again
+            draw = rng.integers(0, self.char, size=(bad.size, self.D), dtype=np.int64)
+            flat[bad] = draw
+            bad = bad[~accept(draw)]
+        return out
 
     def coerce(self, v):
         """Coordinate array from an int, coordinate array, or element."""

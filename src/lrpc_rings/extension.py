@@ -22,8 +22,8 @@ from math import gcd
 import numpy as np
 
 from . import fq
-from .chain import (RingElem, TensorAlgebra, check_rank, poly_string,
-                    power_basis_tensor)
+from .chain import (RingElem, TensorAlgebra, check_rank, inverse_mod,
+                    poly_string, power_basis_tensor)
 from .errors import ExtensionMismatch, MalformedModulus, NotAUnit
 from .rings import LocalRingDesc
 
@@ -118,11 +118,13 @@ class ExtensionDesc(TensorAlgebra):
     matmul = TensorAlgebra.matmul
 
     def inverse(self, a):
-        """Inverse of a unit by its norm (Itoh-Tsujii): a^-1 = N(a)^-1 Q for
-        Q = sigma(a) sigma^2(a) ... sigma^(m-1)(a), where N(a) = a Q lies in
-        R.  Q is built along the bits of m - 1 from Q_1 = sigma(a), by
-        Q_2h = Q_h sigma^h(Q_h) and Q_(h+1) = sigma(a Q_h): about log2 m
-        products and as many sigma-maps, each one vector-matrix product."""
+        """Inverse of each unit in a (..., D_S) array by its norm
+        (Itoh-Tsujii): a^-1 = N(a)^-1 Q for Q = sigma(a) sigma^2(a) ...
+        sigma^(m-1)(a), where N(a) = a Q lies in R.  Q is built along the
+        bits of m - 1 from Q_1 = sigma(a), by Q_2h = Q_h sigma^h(Q_h) and
+        Q_(h+1) = sigma(a Q_h): about log2 m products and as many
+        sigma-maps, each one vector-matrix product.  Raises NotAUnit if any
+        entry is not a unit."""
         a = np.asarray(a) % self.char
         prod = self.one
         if self.m > 1:
@@ -132,11 +134,11 @@ class ExtensionDesc(TensorAlgebra):
                 prod = self.mul(prod, self._dot(prod, sigma_h))
                 if bit:
                     prod = self._dot(self.mul(a, prod), sigma)
-        norm = self.mul(a, prod)[:self.base.D]
-        if not self.base.is_unit(norm):  # N(a) mod m is the norm of a mod m
+        norm = self.mul(a, prod)[..., :self.base.D]
+        if not self.base.is_unit(norm).all():  # N(a) mod m is the norm of a mod m
             raise NotAUnit(f"{a} is not a unit of {self!r}")
         if self.base.D == 1:
-            return prod * pow(int(norm[0]), -1, self.char) % self.char
+            return prod * inverse_mod(norm, self.char) % self.char
         return self.scalar_mul(self.base.inverse(norm), prod)
 
     @cached_property
@@ -207,8 +209,7 @@ class ExtensionDesc(TensorAlgebra):
     def is_unit(self, a):
         """Units of S are the elements with nonzero residue in F_{q^m},
         i.e. with some coordinate of the vector representation a unit of R."""
-        vec = self.vec_rep(np.asarray(a))
-        return self.base.residue(vec).any(axis=(-1, -2))
+        return self.base.is_unit(self.vec_rep(a)).any(axis=-1)
 
     # ------------------------------------------------------------------
     # element plumbing

@@ -7,14 +7,18 @@ one Gauss-Jordan kernel with unit pivots, :func:`unit_pivot_factor`:
 its pivot count is the free rank (the rank of the residue-projected
 generators), and :func:`column_jordan`, :func:`gauss_inverse` and the
 free case of ``LocalRingDesc.left_kernel`` run it on a matrix with an
-identity block appended.  Over a ring with residue field F_2 it is
-residue-first: a unit is an entry with nonzero residue, and a row
-operation with a unit pivot commutes with the residue map, so every
-choice it makes (pivot columns, row and column swaps, r) is made on the
-residue rows, packed into Python ints, and W is then computed exactly
-from the Schur form those choices fix.  On top of
-that sit the intersection, product, counting, sampling and
-product-recovery operations used by the decoder; the decoder's
+identity block appended.  It has three paths with one result.  Over a
+ring with residue field F_2 it is residue-first: a unit is an entry with
+nonzero residue, and a row operation with a unit pivot commutes with the
+residue map, so every choice it makes (pivot columns, row and column
+swaps, r) is made on the residue rows, packed into Python ints, and W is
+then computed exactly from the Schur form those choices fix.  Over other
+rings with D > 1 (extensions, GR(4,2), ...) the per-pivot loop defers
+its inverses: rows are cleared by multiples of the unnormalised pivot
+row, and one array inverse of the pivot products normalises W at the
+end.  Over Z_char itself (D == 1) the loop runs on plain integer
+arrays.  On top of that sit the intersection, product, counting,
+sampling and product-recovery operations used by the decoder; the decoder's
 E' = S cap f_2^-1 S cap ... is :func:`intersect_preimages`, one left
 kernel read off S's Jordan form.
 
@@ -95,50 +99,96 @@ def unit_pivot_factor(arith, a, ncols=None):
     left in W[r:, r:ncols]; ``perm`` maps W's column j to A's column
     perm[j].  r is the free rank of the row module, which is free iff
     W[r:] = 0.  For A = (A1 | A2) with A1 invertible of size r, W[:, r:]
-    is A1^-1 A2.  Over Z_char itself (D == 1) the steps run on the
-    (rows, cols) view, with a unit test mod p and a Python-int pivot
-    inverse.  When the residue field is F_2 (q == 2) every choice
-    (pivots, swaps, r) is made on the packed residue rows instead
-    (:func:`_factor_residue_f2`): a row operation with a unit pivot
-    commutes with the residue map, so the choices are those of the loop,
-    and they fix W.  The result is the same on every path.
+    is A1^-1 A2.
+
+    Three paths make the same choices and return the same result.  When
+    the residue field is F_2 (q == 2) every choice (pivots, swaps, r) is
+    made on the packed residue rows (:func:`_factor_residue_f2`): a row
+    operation with a unit pivot commutes with the residue map, so the
+    choices are those of the loop, and they fix W.  Otherwise, for D > 1,
+    the loop defers every pivot inverse to one array ``inverse`` at the
+    end (:func:`_factor_deferred`).  Over Z_char itself (D == 1) the loop
+    runs on the (rows, cols) view, with a unit test mod p and a Python-int
+    pivot inverse.
     """
     char = arith.char
     w = np.asarray(a, dtype=np.int64) % char
     s, n = w.shape[0], w.shape[1] if ncols is None else ncols
     if arith.q == 2:
         return _factor_residue_f2(arith, w, n)
-    scalar = arith.D == 1
+    if arith.D > 1:
+        return _factor_deferred(arith, w, n)
     perm = np.arange(w.shape[1])
-    v = w.reshape(w.shape[:2]) if scalar else w  # a view: steps on v update w
+    v = w.reshape(w.shape[:2])  # a view: steps on v update w
     h = 0
-    while h < s and h < n:
-        units = v[h:, h:n] % arith.p != 0 if scalar else arith.is_unit(w[h:, h:n])
-        unit_cols = units.any(axis=0)
-        c = int(unit_cols.argmax())
-        if not unit_cols[c]:
-            break
-        col, row = h + c, h + int(units[:, c].argmax())
-        if row != h:
-            v[[h, row]] = v[[row, h]]
-        if col != h:
-            v[:, [h, col]] = v[:, [col, h]]
-            perm[[h, col]] = perm[[col, h]]
+    while h < s and h < n and _pivot_to(v, perm, h, v[h:, h:n] % arith.p != 0):
         # columns left of h are unit vectors, zero in row h: skip them
         piv = v[h, h:]
+        piv *= pow(int(piv[0]), -1, char)
+        piv %= char
         coefs = v[:, h].copy()
         coefs[h] = 0
-        if scalar:
-            piv *= pow(int(piv[0]), -1, char)
-            piv %= char
-            if coefs.any():
-                v[:, h:] -= coefs[:, None] * piv
-                v[:, h:] %= char
-        else:
-            piv[:] = arith.mul(piv, arith.inverse(piv[0]))
-            if coefs.any():
-                w[:, h:] = (w[:, h:] - arith.mul(coefs[:, None, :], piv[None, :, :])) % char
+        if coefs.any():
+            v[:, h:] -= coefs[:, None] * piv
+            v[:, h:] %= char
         h += 1
+    return w, perm, h
+
+
+def _pivot_to(w, perm, h, units):
+    """Swap the leftmost column of ``units``, the unit pattern of
+    w[h:, h:n], that holds a unit, and its topmost unit row, to (h, h) of
+    w, recording the column swap in perm; False if there is no unit."""
+    unit_cols = units.any(axis=0)
+    c = int(unit_cols.argmax())
+    if not unit_cols[c]:
+        return False
+    col, row = h + c, h + int(units[:, c].argmax())
+    if row != h:
+        w[[h, row]] = w[[row, h]]
+    if col != h:
+        w[:, [h, col]] = w[:, [col, h]]
+        perm[[h, col]] = perm[[col, h]]
+    return True
+
+
+def _factor_deferred(arith, w, n):
+    """:func:`unit_pivot_factor` over a local arithmetic with D > 1 for the
+    canonical A = w of shape (s, N, D) and pivots in its first n columns.
+
+    The pivots are chosen as in the per-pivot loop, but the pivot row is
+    not normalised: with d the pivot, every row i != h becomes
+    d w_i - c_i w_h, which clears column h.  That is the loop's row times
+    the unit d, and scaling a row by a unit keeps its unit pattern, so
+    every later choice is the loop's.  Each pivot row j ends as
+    P_j = d_j d_(j+1) ... d_(r-1) times the loop's row, and every row
+    below as P_0 times it; one array ``inverse`` of P_0 .. P_(r-1) undoes
+    the scales, and the pivot block is set to I.  Scaling by d is one
+    ``_dot`` with d's multiplication matrix, and c (x) w_h one ``_dot``
+    with the pivot row's matrices side by side.  Columns left of h are
+    zero in row h, so each step updates columns h onward only.
+    """
+    char, D = arith.char, arith.D
+    s, N = w.shape[0], w.shape[1]
+    perm = np.arange(N)
+    scale = np.zeros((min(s, n), D), dtype=np.int64)  # scale[j] = P_j once r is known
+    h = 0
+    while h < s and h < n and _pivot_to(w, perm, h, arith.is_unit(w[h:, h:n])):
+        piv = w[h, h:].copy()
+        maps = arith.mul_matrices(piv)  # maps[0] multiplies by d
+        scale[:h] = arith._dot(scale[:h], maps[0])
+        scale[h] = piv[0]
+        cross = arith._dot(w[:, h], maps.transpose(1, 0, 2).reshape(D, -1))  # c_i w_h
+        w[:, h:] = arith._dot(w[:, h:], maps[0]) - cross.reshape(s, N - h, D)
+        w[:, h:] %= char
+        w[h, h:] = piv  # the update zeroed row h itself
+        h += 1
+    if h:
+        maps = arith.mul_matrices(arith.inverse(scale[:h]))
+        rows = np.arange(s)
+        rows[h:] = 0  # the rows below carry P_0
+        w[:, h:] = arith._dot(w[:, h:], maps[rows])
+        w[np.arange(h), np.arange(h)] = arith.one
     return w, perm, h
 
 
@@ -609,14 +659,25 @@ def sample_free_submodule(ring: LocalRingDesc, ambient: int, rank: int,
 # square property and factor recovery
 
 
-@dataclass
 class SquarePropertyReport:
-    """Outcome of the square-property check for a module F containing 1."""
+    """Outcome of the square-property check for a module F containing 1.
 
-    has_square_property: bool
-    suitable_basis: Optional[np.ndarray]  # (lambda, D_S) extension elements, b1 = 1
-    beta2: int
-    i0: Optional[int]  # witness index, 1-based as in the defining condition
+    ``beta2``, the rank of F^2, may be given as a function of no arguments;
+    it is then computed on first read (code generation never reads it).
+    """
+
+    def __init__(self, has_square_property: bool,
+                 suitable_basis: Optional[np.ndarray], beta2, i0: Optional[int]):
+        self.has_square_property = has_square_property
+        self.suitable_basis = suitable_basis  # (lambda, D_S) extension elements, b1 = 1
+        self._beta2 = beta2
+        self.i0 = i0  # witness index, 1-based as in the defining condition
+
+    @property
+    def beta2(self) -> int:
+        if callable(self._beta2):
+            self._beta2 = self._beta2()
+        return self._beta2
 
 
 def square_property_check(ext, f_mod: Submodule) -> SquarePropertyReport:
@@ -639,7 +700,9 @@ def square_property_check(ext, f_mod: Submodule) -> SquarePropertyReport:
         has_one = f_mod.contains(one_vec)
     if not has_one:
         raise OneNotInModule("the module does not contain 1")
-    beta2 = module_rank(module_product(ext, f_mod, f_mod))
+    def beta2():
+        return module_rank(module_product(ext, f_mod, f_mod))
+
     if not is_free:
         return SquarePropertyReport(False, None, beta2, None)
     basis = ext.unrep(vecs)

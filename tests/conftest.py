@@ -162,7 +162,9 @@ def unit_pivot_loop_oracle(arith, a, ncols=None):
     """Oracle: modlin.unit_pivot_factor's per-pivot loop over any local
     arithmetic, with ``is_unit``, a pivot ``inverse`` and ``mul`` per pivot
     (the loop that ran over every ring with residue field F_2 before the
-    residue-first elimination; larger residue fields still run it).
+    residue-first elimination, and over larger residue fields at D > 1
+    before the deferred-inverse elimination; Z_char with odd p still runs
+    it on plain integer arrays).
     Returns (W, perm, r) exactly as the library does."""
     char = arith.char
     w = np.asarray(a, dtype=np.int64) % char

@@ -134,6 +134,10 @@ def test_right_map_matches_matmul(ring_name, request, rxi, rng):
         assert b_map.shape == (k * ring.D, c * ring.D) and b_map.dtype == ring.dtype
         assert np.array_equal(ring.apply_right(a, b_map), ring.matmul(a, b))
         assert np.array_equal(ring.apply_right(a[0], b_map), ring.matmul(a, b)[0])
+    x, y = ring.rand(rng, (6,)), ring.rand(rng, (6,))
+    maps = ring.mul_matrices(y)
+    assert (maps.shape, maps.dtype) == ((6, ring.D, ring.D), np.int64)
+    assert np.array_equal(ring._dot(x[:, None], maps)[:, 0], ring.mul(x, y))
 
 
 def test_inverse(s5, z4):
@@ -187,6 +191,28 @@ def test_norm_inverse_matches_fermat_newton(name, rng):
         inv = ext.inverse(a)
         assert np.array_equal(inv, TensorAlgebra.inverse(ext, a))
         assert np.array_equal(ext.mul(a, inv), ext.one)
+
+
+ARRAY_INVERSE_CASES = dict(INVERSE_CASES, **{
+    "GR(4,2)": lambda: galois_ring(2, 2, 2),
+    "Z4[x]/(x^2)": lambda: quotient_ring(2, 2, [0, 0, 1]),
+})
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_INVERSE_CASES))
+def test_array_inverse_is_elementwise(name, rng):
+    """inverse of a (..., D) array of units is the inverse of each entry;
+    a batch that holds one non-unit raises NotAUnit."""
+    ring = ARRAY_INVERSE_CASES[name]()
+    for shape in ((0,), (1,), (3, 7)):
+        units = ring.rand_unit(rng, shape)
+        inv = ring.inverse(units)
+        assert (inv.shape, inv.dtype) == (units.shape, np.int64)
+        for u, v in zip(units.reshape(-1, ring.D), inv.reshape(-1, ring.D)):
+            assert np.array_equal(v, ring.inverse(u))
+    units[1, 4] = ring.p * units[1, 4] % ring.char
+    with pytest.raises(errors.NotAUnit):
+        ring.inverse(units)
 
 
 def test_norm_inverse_refuses_non_units(z4):

@@ -58,8 +58,9 @@ class TestGeneration:
 
     def test_generation_reuses_the_forms_it_built(self, z4, monkeypatch):
         """generate_code solves for no coordinates.  LrpcCode's constructor
-        multiplies no matrices over S and inverts only the pivots of H's one
-        elimination; F_inv is computed on first read, and inverts F_basis."""
+        multiplies no matrices over S, and H's one elimination inverts its
+        pivot products in one array call; F_inv is computed on first read,
+        and inverts F_basis."""
         calls = dict.fromkeys(["coefficients_of", "matmul", "inverse"], 0)
 
         def spy(owner, name):
@@ -81,7 +82,7 @@ class TestGeneration:
         assert calls["matmul"] == 0
         in_init, calls["inverse"] = calls["inverse"], 0
         unit_pivot_factor(ext, code.H)
-        assert in_init == calls["inverse"] == code.params.n - code.params.k
+        assert in_init == calls["inverse"] == 1
         calls["inverse"] = 0
         prods = ext.mul(clone.F_basis, clone.F_inv)
         assert calls["inverse"] == code.params.lam - 1

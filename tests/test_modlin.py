@@ -11,7 +11,7 @@ from lrpc_rings import (MatR, Submodule, count_free_submodules,
                         module_product, module_rank, recover_factor,
                         sample_free_submodule, solve_linear,
                         square_property_check, unit_pivot_factor)
-from lrpc_rings import ExtensionDesc, Zmod, modlin
+from lrpc_rings import ExtensionDesc, Zmod, galois_ring, modlin
 from lrpc_rings.modlin import (column_jordan, gauss_inverse, intersect_preimages,
                                scale_module)
 from lrpc_rings.specparse import parse_local_atom
@@ -164,16 +164,26 @@ def _same_factor(got, want):
     assert type(got[2]) is int and got[2] == want[2]
 
 
-def _residue_first_cases(ring, rng):
-    """Inputs (A, ncols) over a ring with residue field F_2: empty and
-    single-column shapes, no unit at all (r = 0), unreduced entries,
-    hand-built residue patterns, random matrices with sparse residues,
-    zero columns, residue-dependent rows and ncols < N, and the (A | I)
-    blocks that gauss_inverse, column_jordan and left_kernel build.
-    Non-units are drawn by ``rand_ideal``."""
+def _rand_non_units(ring, rng, shape):
+    """Uniform over the maximal ideal: ``rand_ideal`` of a base ring; over
+    an extension S of R, the elements whose coordinates over R all lie in
+    R's maximal ideal."""
+    if isinstance(ring, ExtensionDesc):
+        return ring.unrep(ring.base.rand_ideal(rng, tuple(shape) + (ring.m,)))
+    return ring.rand_ideal(rng, shape)
+
+
+def _factor_cases(ring, rng):
+    """Inputs (A, ncols) for unit_pivot_factor: empty and single-column
+    shapes, no unit at all (r = 0), unreduced entries, hand-built residue
+    patterns, random matrices with sparse residues, zero columns,
+    residue-dependent rows and ncols < N, the (A | I) blocks that
+    gauss_inverse, column_jordan and left_kernel build, and rows that are
+    p times or copies of others.  Non-units are drawn by
+    :func:`_rand_non_units`."""
     char, d = ring.char, ring.D
     rand = lambda *shape: ring.rand(rng, shape)
-    ideal = lambda *shape: ring.rand_ideal(rng, shape)
+    ideal = lambda *shape: _rand_non_units(ring, rng, shape)
     eye = lambda k: Submodule.full(ring, k).gens
     cases = [(np.zeros((0, 5, d), dtype=np.int64), None),
              (np.zeros((0, 5, d), dtype=np.int64), 2),
@@ -202,6 +212,12 @@ def _residue_first_cases(ring, rng):
         bt = np.swapaxes(rand(max(size - 2, 1), 20), 0, 1)
         cases.append((np.concatenate([bt, eye(20)], axis=1), bt.shape[1]))
         cases.append((np.concatenate([rand(size + 4, size), eye(size + 4)], axis=1), size))
+    for rows, cols in ((4, 7), (6, 5)):
+        a = rand(rows, cols)
+        a[1] = ring.p * a[0] % char
+        a[3] = a[2]
+        cases.append((a, None))
+        cases.append((np.concatenate([a, eye(rows)], axis=1), cols))
     return cases
 
 
@@ -223,7 +239,7 @@ def test_residue_first_elimination_matches_the_per_pivot_loop(spec):
     ring = Zmod(spec) if isinstance(spec, int) else parse_local_atom(spec)
     assert ring.q == 2
     rng = np.random.default_rng(zlib.crc32(str(spec).encode()))
-    for a, ncols in _residue_first_cases(ring, rng):
+    for a, ncols in _factor_cases(ring, rng):
         _same_factor(unit_pivot_factor(ring, a, ncols),
                      unit_pivot_loop_oracle(ring, a, ncols))
 
@@ -243,11 +259,49 @@ def test_upsilon_bounds_the_nilpotency_of_the_maximal_ideal(spec):
     assert not reduce(ring.mul, draws, ring.one).any()
 
 
-def test_odd_p_and_wide_rings_keep_the_per_pivot_loop(z4, z9, rxi, gr42, s5, rng,
-                                                      monkeypatch):
+# D > 1 rings with a residue field larger than F_2, base rings and
+# extensions: the deferred-inverse path
+DEFERRED_RINGS = {
+    "GR(4,2)": lambda: galois_ring(2, 2, 2),
+    "Z9[x]/(x^2)": lambda: parse_local_atom("Z9[x]/(x^2)"),
+    "Z4 ext m=3": lambda: ExtensionDesc(Zmod(4), 3),
+    "Z3 ext m=4": lambda: ExtensionDesc(Zmod(3), 4),
+    "Z2 ext m=6": lambda: ExtensionDesc(Zmod(2), 6),
+    "Z4[x]/(x^2) ext m=3": lambda: ExtensionDesc(parse_local_atom("Z4[x]/(x^2)"), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFERRED_RINGS))
+def test_deferred_inverse_elimination_matches_the_per_pivot_loop(name, monkeypatch):
+    """Over D > 1 rings with q > 2 the pivot rows are never normalised
+    inside the loop: every row ends scaled by a product of pivots, and one
+    array ``inverse`` call undoes the scales.  (W, perm, r) equals the
+    per-pivot loop (is_unit, inverse and mul per pivot) byte for byte, also
+    on rank-deficient and non-free inputs, whose rows below the pivots
+    carry the product of all pivots."""
+    ring = DEFERRED_RINGS[name]()
+    assert ring.D > 1 and ring.q > 2
+    calls = []
+    inverse = type(ring).inverse
+
+    def counted(self, a):
+        calls.append(np.shape(a))
+        return inverse(self, a)
+
+    monkeypatch.setattr(type(ring), "inverse", counted)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    for a, ncols in _factor_cases(ring, rng):
+        calls.clear()
+        got = unit_pivot_factor(ring, a, ncols)
+        assert calls == ([(got[2], ring.D)] if got[2] else [])
+        _same_factor(got, unit_pivot_loop_oracle(ring, a, ncols))
+
+
+def test_residue_field_f2_selects_the_residue_first_path(z4, z9, rxi, gr42, s5, rng,
+                                                         monkeypatch):
     """Every ring with residue field F_2 takes the residue-first path,
-    whatever its D; odd p and larger residue fields (GR(4,2) and the
-    extension s5) keep the per-pivot loop.  Both equal the oracle."""
+    whatever its D; odd p and larger residue fields (Z9, Z3, GR(4,2) and
+    the extension s5) do not.  Every path equals the oracle."""
     taken = []
     residue_first = modlin._factor_residue_f2
 

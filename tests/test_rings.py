@@ -190,6 +190,30 @@ def test_rand_unit_or_zero_stream_and_past_int64(rxi):
     assert np.array_equal(draws, big.rand_unit_or_zero(np.random.default_rng(5), (40, 3)))
 
 
+# rand_unit_or_zero(default_rng(2024), (10, 2)) and the next three
+# rng.integers(0, 2^62) draws, pinned for the rejection loop's rng stream
+PINNED_UNIT_OR_ZERO = {
+    2: ([[0, 1], [0, 0], [0, 0], [1, 1], [1, 1], [0, 0], [1, 0], [0, 0], [1, 0], [0, 0]],
+        [4099521567982180354, 1320410158772499613, 3568370140435605139]),
+    3: ([[0, 1], [0, 0], [0, 0], [1, 1], [2, 2], [0, 0], [1, 0], [0, 0], [1, 1], [0, 0]],
+        [983014751046431945, 1264731851747636872, 3722469881320267741]),
+    4: ([[0, 1], [0, 0], [0, 0], [1, 1], [3, 1], [0, 0], [3, 0], [0, 0], [1, 1], [0, 0]],
+        [1236221787644560608, 326884533295401222, 2154620354404369731]),
+}
+
+
+@pytest.mark.parametrize("q", sorted(PINNED_UNIT_OR_ZERO))
+def test_rand_unit_or_zero_keeps_its_rng_stream(q):
+    """The draws and the state the rng is left in are pinned: redrawing
+    only the rejected entries draws what redrawing them did before."""
+    rng = np.random.default_rng(2024)
+    out = Zmod(q).rand_unit_or_zero(rng, (10, 2))
+    values, after = PINNED_UNIT_OR_ZERO[q]
+    assert out.shape == (10, 2, 1) and out.dtype == np.int64
+    assert out[..., 0].tolist() == values
+    assert rng.integers(0, 2 ** 62, size=3).tolist() == after
+
+
 def test_rand_accepted_is_uniform_over_units_and_zero(rxi):
     draws = rxi.rand_accepted(np.random.default_rng(1), (9000,),
                               lambda a: rxi.is_unit(a) | ~a.any(axis=-1))
