@@ -116,7 +116,7 @@ class TensorAlgebra:
         if top >= 2 ** 63:
             raise UnsupportedRing(f"products over Z_{char} with D = {D} "
                                   "would overflow int64")
-        self.dtype = np.float64 if D > 1 and top < 2 ** 53 else np.int64
+        self.dtype = np.float64 if top < 2 ** 53 else np.int64
         exact = 2 ** 53 if self.dtype is np.float64 else 2 ** 63
         self._dot_len = (exact - 1) // (char - 1) ** 2  # longest exact sum of products
         self._t_pairs = self.mult_tensor.reshape(D * D, D).astype(self.dtype)  # T[(i, j), k]

@@ -23,8 +23,8 @@ from .errors import (BadRank, ExtensionMismatch, GenerationFailed,
                      NoInvertibleMinor, NoSolution, NotFree, NotInF,
                      ParseError, RankDeficient)
 from .extension import ExtensionDesc
-from .modlin import (Submodule, column_jordan, free_module_test,
-                     intersect_preimages, sample_free_submodule,
+from .modlin import (Submodule, _preimage_meet, _with_identity, column_jordan,
+                     free_module_test, sample_free_submodule,
                      square_property_check, unit_pivot_factor)
 
 SERIAL_HEADER = "lrpc-ring/1"
@@ -92,8 +92,10 @@ class LrpcCode:
     inverses ``F_inv`` are computed on first read), expanded matrix H_ext,
     and encoder/decoder precomputations: the column solver P, the Jordan
     form of H over S (read by the flags and the generator), the generator
-    G, and the Z_char matrices of r -> r H^T and m -> m G (see
-    TensorAlgebra.right_map).  Immutable after construction.
+    G, the Z_char matrices of m -> m G over S and of x -> x H_ext^T over R
+    (see TensorAlgebra.right_map), and the multiplication maps of
+    f_1 .. f_lambda stacked into one (lambda D_S, D_S) matrix, which the
+    syndrome applies to H_ext r.  Immutable after construction.
 
     Each rank condition is tested once, where its precomputation is built,
     and both raise NoInvertibleMinor: H_ext has full column rank (unique
@@ -122,7 +124,9 @@ class LrpcCode:
         self.F_module = Submodule(ext.base, ext.m, ext.vec_rep(self.F_basis))
         self.flags = dict(flags) if flags else self._compute_flags()
         self._G = self._generator_matrix()
-        self._syndrome_map = ext.right_map(np.swapaxes(self.H, 0, 1))
+        self._h_map = ext.base.right_map(np.swapaxes(self.H_ext, 0, 1))
+        self._f_maps = ext.mul_matrices(self.F_basis).astype(ext.dtype).reshape(
+            lam * ext.D, ext.D)
         self._encode_map = ext.right_map(self._G)
 
     @cached_property
@@ -275,10 +279,17 @@ def encode(code: LrpcCode, msg) -> np.ndarray:
 
 
 def syndrome(code: LrpcCode, received) -> np.ndarray:
-    """s = r H^T over S."""
+    """s = r H^T over S, through the LRPC structure: H = sum_ell f_ell H_ell
+    for the R-matrices H_ell held in H_ext, so s = sum_ell f_ell (H_ell r).
+    H_ext r is one product over Z_char per theta-coordinate of r, through
+    the R-map of H_ext^T (``_h_map``, see TensorAlgebra.right_map); the sum
+    over ell is one product with the multiplication maps of f_1 .. f_lambda
+    stacked (``_f_maps``)."""
     ext = code.ext
     r = _as_svector(ext, received, code.params.n)
-    return ext.apply_right(r, code._syndrome_map)
+    h_r = ext.base.apply_right(ext.vec_rep(r).swapaxes(0, 1), code._h_map)
+    h_r = h_r.swapaxes(0, 1).reshape(code.params.n - code.params.k, -1)  # row i: H_ell r, ell = 1..
+    return ext._dot(h_r, code._f_maps)
 
 
 def _as_svector(ext, v, length):
@@ -297,12 +308,15 @@ def _as_svector(ext, v, length):
 def erasure_decode(code: LrpcCode, support_basis, synd) -> np.ndarray:
     """Recover the unique error with the given free support from a syndrome.
 
-    Expresses each syndrome entry over the product basis {eps_u f_ell}
-    (coordinates found by inverting the basis-product matrix U on the
-    right), then solves H_ext E = B with the precomputed column solver.
-    Raises RankDeficient when the support violates frk(E F) = lambda * t
-    (the products eps_u f_ell are dependent; the decoder's line 16) and
-    otherwise NoSolution when the syndrome is not expressible (wrong support).
+    Expresses each syndrome entry over the product basis {f_ell eps_u}, then
+    solves H_ext E = B with the precomputed column solver.  The nu = lambda t
+    products are the rows of U (nu x m over R); one unit-pivot elimination
+    of (U | I_nu) with pivots in U's columns finds nu pivot columns p and
+    X = U[:, p]^-1, so the coordinates of a syndrome V = y U are
+    y = V[:, p] X.  Raises RankDeficient when fewer than nu pivots exist,
+    i.e. when the support violates frk(E F) = lambda * t (the products are
+    dependent; the decoder's line 16), and otherwise NoSolution when
+    y U != V or the expanded system is inconsistent (wrong support).
     Costs O(lambda n max(n^2, m^2)) base-ring operations.
     """
     ext = code.ext
@@ -310,24 +324,26 @@ def erasure_decode(code: LrpcCode, support_basis, synd) -> np.ndarray:
     n, k, lam = code.params.n, code.params.k, code.params.lam
     basis = np.asarray(support_basis, dtype=np.int64).reshape(-1, ext.D)
     t_p = basis.shape[0]
+    nu = lam * t_p
     synd = _as_svector(ext, synd, n - k)
     if t_p == 0:
         if synd.any():
             raise NoSolution("nonzero syndrome with empty support")
         return np.zeros((n, ext.D), dtype=np.int64)
     prods = ext.mul(code.F_basis[:, None, :], basis[None, :, :])  # (lam, t', D_S)
-    u_mat = ext.vec_rep(prods.reshape(lam * t_p, ext.D))          # rows: ell*t' + u
-    t_full = column_jordan(ring, u_mat, exc=RankDeficient)
+    u_mat = ext.vec_rep(prods.reshape(nu, ext.D))                 # rows: ell*t' + u
+    w, perm, r = unit_pivot_factor(ring, _with_identity(ring, u_mat), ncols=ext.m)
+    if r < nu:
+        raise RankDeficient("the products f_ell eps_u are not linearly independent")
     v_mat = ext.vec_rep(synd)                                     # (n-k, m, D_R)
-    vt = ring.matmul(v_mat, t_full)
-    if vt[:, lam * t_p:, :].any():
+    y = ring.matmul(v_mat[:, perm[:nu]], w[:, ext.m:])
+    if not np.array_equal(ring.matmul(y, u_mat), v_mat):
         raise NoSolution("syndrome lies outside the support-product module")
-    w = vt[:, :lam * t_p, :].reshape(n - k, lam, t_p, ring.D)
-    b_mat = w.reshape((n - k) * lam, t_p, ring.D)
+    b_mat = y.reshape((n - k) * lam, t_p, ring.D)
     pb = ring.matmul(code._P, b_mat)
-    if pb[code.params.n:].any():
+    if pb[n:].any():
         raise NoSolution("expanded system is inconsistent for this support")
-    e_coeff = pb[:code.params.n]                                  # (n, t', D_R)
+    e_coeff = pb[:n]                                              # (n, t', D_R)
     vec = ring.mul(e_coeff[:, :, None, :], ext.vec_rep(basis)[None, :, :, :])
     return ext.unrep(vec.sum(axis=1) % ext.char)
 
@@ -344,13 +360,16 @@ def decode_local(code: LrpcCode, received, with_state: bool = False):
     the candidate support E' = S cap f_2^-1 S cap ... cap f_lambda^-1 S
     (lines 11-13), freeness and rank checks of E' (lines 14-17), erasure
     decoding (line 18).  E' comes from S's cached Jordan form by one left
-    kernel (:func:`intersect_preimages`); the scaled supports f_i^-1 S are
-    built only for the state, and never eliminated.  Line 16's product
-    condition frk(E'F) = nu is tested once, by the elimination of the
-    products f_ell eps_u that starts :func:`erasure_decode`: its
-    RankDeficient is line 16, its NoSolution line 18.  The recovered error
-    is re-verified against the syndrome before the codeword is returned;
-    the decoder never returns a non-codeword.
+    kernel K (:func:`modlin.intersect_preimages`); the scaled supports
+    f_i^-1 S are built only for the state, and never eliminated.  When K
+    comes from the unit-pivot kernel, K B is already a basis of E' (B S's
+    basis), so E' is free of rank rows(K) with no further elimination;
+    only a Howell-fallback K has E' tested by :func:`free_module_test`.
+    Line 16's product condition frk(E'F) = nu is tested once, by the
+    elimination of the products f_ell eps_u inside :func:`erasure_decode`:
+    its RankDeficient is line 16, its NoSolution line 18.  The recovered
+    error is re-verified against the syndrome before the codeword is
+    returned; the decoder never returns a non-codeword.
     """
     ext = code.ext
     lam = code.params.lam
@@ -379,15 +398,19 @@ def decode_local(code: LrpcCode, received, with_state: bool = False):
         scaled = ext.mul(code.F_inv[1:, None, :], ext.unrep(s_sup.basis())[None, :, :])
         state.scaled_supports = [s_sup] + [Submodule(ext.base, ext.m, ext.vec_rep(g))
                                            for g in scaled]
-    e_prime = intersect_preimages(ext, s_sup, code.F_basis[1:])
+    e_basis, e_free = _preimage_meet(ext, s_sup, code.F_basis[1:])
+    e_prime = Submodule(ext.base, ext.m, e_basis)
     state.error_support = e_prime
-    r_e, e_free = free_module_test(e_prime)
+    r_e = e_basis.shape[0]
     if not e_free:
-        return fail(14, "intersected support is not a free module")
+        r_e, e_free = free_module_test(e_prime)
+        if not e_free:
+            return fail(14, "intersected support is not a free module")
+        e_basis = e_prime.basis()
     if r_e != t_p:
         return fail(16, f"frk of the intersected support is {r_e}, expected {t_p}")
     try:
-        err = erasure_decode(code, ext.unrep(e_prime.basis()), s)
+        err = erasure_decode(code, ext.unrep(e_basis), s)
     except RankDeficient:
         return fail(16, "product of candidate support with F has wrong free rank")
     except NoSolution as exc:

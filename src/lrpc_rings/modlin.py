@@ -1,31 +1,34 @@
 """Module linear algebra over a finite commutative local ring R.
 
 Linear systems over R are expanded into systems over the maximal Galois
-subring R0 (one block per basis element z_l) and solved completely by the
-Howell-form machinery of the chain module.  Every other elimination is
-one Gauss-Jordan kernel with unit pivots, :func:`unit_pivot_factor`:
+subring R0 (one block per basis element z_l) and solved completely by
+the Howell-form machinery of the chain module.  Every other elimination
+is one Gauss-Jordan kernel with unit pivots, :func:`unit_pivot_factor`:
 its pivot count is the free rank (the rank of the residue-projected
-generators), and :func:`column_jordan`, :func:`gauss_inverse` and the
-free case of ``LocalRingDesc.left_kernel`` run it on a matrix with an
-identity block appended.  It has three paths with one result.  Over a
-ring with residue field F_2 it is residue-first: a unit is an entry with
-nonzero residue, and a row operation with a unit pivot commutes with the
-residue map, so every choice it makes (pivot columns, row and column
-swaps, r) is made on the residue rows, packed into Python ints, and W is
-then computed exactly from the Schur form those choices fix.  Over other
-rings with D > 1 (extensions, GR(4,2), ...) the per-pivot loop defers
-its inverses: rows are cleared by multiples of the unnormalised pivot
-row, and one array inverse of the pivot products normalises W at the
-end.  Over Z_char itself (D == 1) the loop runs on plain integer
-arrays.  On top of that sit the intersection, product, counting,
-sampling and product-recovery operations used by the decoder; the decoder's
-E' = S cap f_2^-1 S cap ... is :func:`intersect_preimages`, one left
-kernel read off S's Jordan form.
+generators), and :func:`column_jordan`, :func:`gauss_inverse`, the free
+case of ``LocalRingDesc.left_kernel`` and the decoder's erasure step run
+it on a matrix with an identity block appended.  It has three paths with
+one result.  Over a ring with residue field F_2 it is residue-first: a
+unit is an entry with nonzero residue, and a row operation with a unit
+pivot commutes with the residue map, so every choice it makes (pivot
+columns, row and column swaps, r) is made on the residue rows, packed
+into Python ints, and W is then computed exactly from the Schur form
+those choices fix.  Over other rings with D > 1 (extensions, GR(4,2),
+...) the per-pivot loop defers its inverses: rows are cleared by
+multiples of the unnormalised pivot row, and one array inverse of the
+pivot products normalises W at the end.  Over Z_char itself (D == 1) the
+loop runs on plain integer arrays.  On top of that sit the intersection,
+product, counting, sampling and product-recovery operations used by the
+decoder; the decoder's E' = S cap f_2^-1 S cap ... is
+:func:`intersect_preimages`, one left kernel K read off S's Jordan form,
+and K B for S's basis B is a basis of E' whenever the unit-pivot kernel
+gave K.
 
 Matrices over R are numpy arrays of shape (rows, cols, D); vectors are
 (cols, D).  A Submodule of R^n stores a generator matrix and lazily
-caches its Jordan form, reduced generators and membership form (the
-caches are write-once, so concurrent readers are safe).
+caches its Jordan form, reduced generators, the Howell form its membership
+test reduces against, and the tracked form that ``coefficients_of`` solves
+with (the caches are write-once, so concurrent readers are safe).
 """
 
 from __future__ import annotations
@@ -248,6 +251,16 @@ def _factor_residue_f2(arith, w, n):
     return np.concatenate([b, a2]), np.array(perm, dtype=np.intp), h
 
 
+def _with_identity(arith, a):
+    """(A | I_k) for A of shape (k, n, D): the matrix whose unit-pivot
+    elimination records the row operations in its last k columns."""
+    a = np.asarray(a, dtype=np.int64)
+    k = a.shape[0]
+    eye = np.zeros((k, k, a.shape[2]), dtype=np.int64)
+    eye[np.arange(k), np.arange(k)] = arith.one
+    return np.concatenate([a, eye], axis=1)
+
+
 def column_jordan(arith, b, exc=NotFree):
     """T (n x n, invertible) with B T = (I_r | 0) for B with independent rows.
 
@@ -258,10 +271,8 @@ def column_jordan(arith, b, exc=NotFree):
     of B^T moved, since a column without a unit pivot never gains one.
     """
     bt = np.swapaxes(np.asarray(b, dtype=np.int64), 0, 1)
-    n, r = bt.shape[0], bt.shape[1]
-    eye = np.zeros((n, n, bt.shape[2]), dtype=np.int64)
-    eye[np.arange(n), np.arange(n)] = arith.one
-    w, _, rank = unit_pivot_factor(arith, np.concatenate([bt, eye], axis=1), ncols=r)
+    r = bt.shape[1]
+    w, _, rank = unit_pivot_factor(arith, _with_identity(arith, bt), ncols=r)
     if rank < r:
         raise exc("rows are not linearly independent over the ring")
     return np.swapaxes(w[:, r:], 0, 1)
@@ -270,11 +281,8 @@ def column_jordan(arith, b, exc=NotFree):
 def gauss_inverse(arith, m, exc=NotFree):
     """Inverse of a square matrix over a local arithmetic: Gauss-Jordan
     with unit pivots on (M | I), whose right block becomes M^-1."""
-    m = np.asarray(m, dtype=np.int64) % arith.char
-    k = m.shape[0]
-    eye = np.zeros_like(m)
-    eye[np.arange(k), np.arange(k)] = arith.one
-    w, _, r = unit_pivot_factor(arith, np.concatenate([m, eye], axis=1), ncols=k)
+    k = np.shape(m)[0]
+    w, _, r = unit_pivot_factor(arith, _with_identity(arith, m), ncols=k)
     if r < k:
         raise exc("matrix is not invertible over the ring")
     return w[:, k:]
@@ -301,6 +309,7 @@ class Submodule:
         self.gens = gens % ring.char
         self._jordan = None
         self._reduced: Optional[np.ndarray] = None
+        self._howell = None
         self._member_form = None
 
     @classmethod
@@ -343,13 +352,17 @@ class Submodule:
     def is_zero(self) -> bool:
         return not self.gens.any()
 
+    def _ambient_vector(self, v):
+        v = _as_vector(self.ring, v)
+        if v.shape[0] != self.ambient:
+            raise AmbientMismatch("vector length does not match the ambient space")
+        return v
+
     def _member_solve(self, v):
         """x over R0 (expanded as by ``expand_vector``) with x . gens = v,
         or None when v is not a member."""
         ring = self.ring
-        v = _as_vector(ring, v)
-        if v.shape[0] != self.ambient:
-            raise AmbientMismatch("vector length does not match the ambient space")
+        v = self._ambient_vector(v)
         if not self.gens.any():
             return None if v.any() else np.zeros(
                 (self.gens.shape[0] * ring.gamma, ring.mu), dtype=np.int64)
@@ -358,7 +371,16 @@ class Submodule:
         return self._member_form.member_solve(ring.expand_vector(v))
 
     def contains(self, v) -> bool:
-        return self._member_solve(v) is not None
+        """Membership by greedy reduction against the cached Howell form of
+        the generators' R0-expansion, which carries no block of columns
+        tracking coefficients (only :meth:`coefficients_of` needs one)."""
+        ring = self.ring
+        v = self._ambient_vector(v)
+        if not self.gens.any():
+            return not v.any()
+        if self._howell is None:
+            self._howell = ring.chain.howell(ring.expand_rows(self.gens))
+        return self._howell.member_solve(ring.expand_vector(v)) is not None
 
     def coefficients_of(self, v):
         """Coefficients x with x . gens = v, or None when v is not a member."""
@@ -537,6 +559,16 @@ def intersect_preimages(ext, g_mod: Submodule, scalars) -> Submodule:
     K the left kernel of Z = [vec(a_i B) T2 for every a_i], of shape
     r x (#scalars)(m - r): one kernel, and no elimination of any a^-1 G.
     """
+    return Submodule(ext.base, ext.m, _preimage_meet(ext, g_mod, scalars)[0])
+
+
+def _preimage_meet(ext, g_mod: Submodule, scalars):
+    """(gens, free) for :func:`intersect_preimages`: generators K B of the
+    intersection, and True when they are a basis of it.  That is so when
+    the unit-pivot kernel gave K, whose rows are rows of an invertible
+    matrix: x K B = 0 forces x K = 0, since B's rows are independent, and
+    so x = 0.  A Howell-fallback K gives False, and the caller tests the
+    module."""
     ring = ext.base
     if g_mod.ring is not ring or g_mod.ambient != ext.m:
         raise AmbientMismatch("the module must live in R^m over the extension's base ring")
@@ -545,16 +577,14 @@ def intersect_preimages(ext, g_mod: Submodule, scalars) -> Submodule:
         raise NotFree("the module must be free")
     scalars = np.asarray(scalars, dtype=np.int64).reshape(-1, ext.D)
     m, ell = ext.m, scalars.shape[0]
-    if r == 0 or r == m or ell == 0:
-        return g_mod
     basis = g_mod.basis()
+    if r == 0 or r == m or ell == 0:
+        return basis, True
     scaled = ext.vec_rep(ext.mul(scalars[:, None, :], ext.unrep(basis)[None, :, :]))
     z = ring.matmul(scaled.reshape(ell * r, m, ring.D), _free_complement(g_mod))
     z = z.reshape(ell, r, m - r, ring.D).transpose(1, 0, 2, 3).reshape(r, -1, ring.D)
-    kernel = ring.left_kernel(z)
-    if kernel.shape[0] == 0:
-        return Submodule.zero(ring, m)
-    return Submodule(ring, m, ring.matmul(kernel, basis))
+    kernel, free = ring._left_kernel(z)
+    return ring.matmul(kernel, basis), free
 
 
 def general_intersection(n1: Submodule, n2: Submodule) -> Submodule:

@@ -218,23 +218,26 @@ class LocalRingDesc(TensorAlgebra):
         return particular, self.contract_vectors(ker)
 
     def left_kernel(self, m):
-        """Generators of {x in R^k : x M = 0} for M of shape (k, n, D).
+        """Generators of {x in R^k : x M = 0} for M of shape (k, n, D)."""
+        return self._left_kernel(m)[0]
+
+    def _left_kernel(self, m):
+        """(generators, free) of {x in R^k : x M = 0} for M (k, n, D).
 
         The unit-pivot kernel on (M | I_k), with pivots in M's n columns,
         gives W = (U M[:, perm] | U) for an invertible U.  When W[r:, :n] = 0
         (no non-unit left below the r pivots) the kernel is free, with basis
-        U[r:] = W[r:, n:].  Otherwise the Howell form of M's expansion over
-        R0 gives its generators.
+        U[r:] = W[r:, n:], and free is True.  Otherwise the Howell form of
+        M's expansion over R0 gives generators, which need not be a basis,
+        and free is False.
         """
-        from .modlin import unit_pivot_factor  # modlin imports this module
+        from .modlin import _with_identity, unit_pivot_factor  # modlin imports this module
         m = np.asarray(m, dtype=np.int64)
-        k, n = m.shape[0], m.shape[1]
-        eye = np.zeros((k, k, self.D), dtype=np.int64)
-        eye[np.arange(k), np.arange(k)] = self.one
-        w, _, r = unit_pivot_factor(self, np.concatenate([m, eye], axis=1), ncols=n)
+        n = m.shape[1]
+        w, _, r = unit_pivot_factor(self, _with_identity(self, m), ncols=n)
         if not w[r:, :n].any():
-            return w[r:, n:]
-        return self.contract_vectors(self.chain.left_kernel(self.expand_rows(m)))
+            return w[r:, n:], True
+        return self.contract_vectors(self.chain.left_kernel(self.expand_rows(m))), False
 
     def solve_form(self, gens):
         """Cacheable Howell form for repeated solves of x . gens = v (same

@@ -319,3 +319,68 @@ def recover_factor_oracle(ext, ab_mod, suitable_basis):
         else:
             result = general_intersection(result, scaled)
     return result
+
+
+
+def erasure_decode_oracle(code, basis, synd):
+    """Oracle: lrpc.erasure_decode as it ran before it eliminated the
+    lambda t' product rows.  It reduces the m x (lambda t' + m) matrix
+    (U^T | I_m) by column_jordan to T with U T = (I | 0) and reads the
+    coordinates of the syndrome off V T.  Raises RankDeficient and
+    NoSolution where erasure_decode does."""
+    from lrpc_rings import errors
+    from lrpc_rings.modlin import column_jordan
+    ext, ring = code.ext, code.ext.base
+    n, k, lam = code.params.n, code.params.k, code.params.lam
+    t_p = basis.shape[0]
+    prods = ext.mul(code.F_basis[:, None, :], basis[None, :, :])
+    t_full = column_jordan(ring, ext.vec_rep(prods.reshape(lam * t_p, ext.D)),
+                           exc=errors.RankDeficient)
+    vt = ring.matmul(ext.vec_rep(synd), t_full)
+    if vt[:, lam * t_p:].any():
+        raise errors.NoSolution("syndrome lies outside the support-product module")
+    pb = ring.matmul(code._P, vt[:, :lam * t_p].reshape((n - k) * lam, t_p, ring.D))
+    if pb[n:].any():
+        raise errors.NoSolution("expanded system is inconsistent for this support")
+    vec = ring.mul(pb[:n, :, None, :], ext.vec_rep(basis)[None, :, :, :])
+    return ext.unrep(vec.sum(axis=1) % ext.char)
+
+
+def decode_local_oracle(code, received):
+    """Oracle: lrpc.decode_local as it ran before the decoder worked through
+    the LRPC structure.  The syndrome is the dense ext.matmul r H^T; E' is
+    the Submodule that intersect_preimages returns, tested by
+    free_module_test and eliminated for its Jordan basis; and the erasure
+    step is :func:`erasure_decode_oracle`.  Returns the decoded word or a
+    DecodingFailure, as decode_local does."""
+    from lrpc_rings import DecodingFailure, errors, free_module_test
+    from lrpc_rings.modlin import intersect_preimages
+    ext, lam = code.ext, code.params.lam
+
+    def synd(v):
+        return ext.matmul(v[None], np.swapaxes(code.H, 0, 1))[0]
+
+    r = np.asarray(received, dtype=np.int64) % ext.char
+    s = synd(r)
+    if not s.any():
+        return r
+    s_sup = ext.support(s)
+    nu, s_free = free_module_test(s_sup)
+    if not s_free:
+        return DecodingFailure(5)
+    if nu % lam:
+        return DecodingFailure(8)
+    e_prime = intersect_preimages(ext, s_sup, code.F_basis[1:])
+    r_e, e_free = free_module_test(e_prime)
+    if not e_free:
+        return DecodingFailure(14)
+    if r_e != nu // lam:
+        return DecodingFailure(16)
+    try:
+        err = erasure_decode_oracle(code, ext.unrep(e_prime.basis()), s)
+    except errors.RankDeficient:
+        return DecodingFailure(16)
+    except errors.NoSolution:
+        return DecodingFailure(18)
+    assert np.array_equal(synd(err), s)
+    return (r - err) % ext.char

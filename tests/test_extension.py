@@ -98,6 +98,15 @@ def test_products_near_the_float_bound_are_exact(s, dtype, rng):
     _check_matmul(ext, rng, shapes=((2, 3, 2), (2, 0, 3)))
 
 
+@pytest.mark.parametrize("s, dtype", [(26, np.float64), (27, np.int64)])
+def test_scalar_rings_contract_in_float64_below_the_bound(s, dtype, rng):
+    """Z_{2^s} itself (D == 1): (char-1)^2 < 2^53 for s = 26, which
+    contracts in float64, two products at a time; s = 27 stays int64."""
+    ring = Zmod(2 ** s)
+    assert ring.dtype is dtype
+    _check_matmul(ring, rng)
+
+
 def test_rings_past_the_int64_bound_refuse(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # valid by construction: no warning

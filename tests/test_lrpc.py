@@ -10,7 +10,8 @@ from lrpc_rings import (CodeParams, DecodingFailure, ExtensionDesc, LrpcCode,
                         intersect_with_free, module_product, sample_error,
                         sample_free_submodule, syndrome, unit_pivot_factor)
 
-from conftest import (gauss_inverse_oracle, schoolbook_ext_mul,
+from conftest import (decode_local_oracle, erasure_decode_oracle,
+                      gauss_inverse_oracle, schoolbook_ext_mul,
                       unit_pivot_factor_oracle)
 
 
@@ -258,15 +259,17 @@ def _sum_of_products(ext, xs, ys):
 
 @pytest.mark.parametrize("ring_name", ["z4_ext20", "s5", "rxi_ext3"])
 def test_syndrome_and_encode_maps(ring_name, request, z4, rxi, rng):
-    """syndrome and encode run through the per-code Z_char maps; they equal
-    ext.matmul and entrywise schoolbook sums, and H G^T = 0."""
+    """syndrome runs through the R-map of H_ext^T and the stacked
+    multiplication maps of the F basis, encode through the Z_char map of G;
+    they equal ext.matmul and entrywise schoolbook sums, and H G^T = 0."""
     ext, params = {"z4_ext20": (lambda: ExtensionDesc(z4, 20), CodeParams(20, 8, 2, 6)),
                    "s5": (lambda: request.getfixturevalue("s5"), CodeParams(4, 2, 2, 1)),
                    "rxi_ext3": (lambda: ExtensionDesc(rxi, 3), CodeParams(4, 2, 2, 0))}[ring_name]
     ext = ext()
     code = generate_code(params, ext, np.random.default_rng(5))
     n, k = params.n, params.k
-    assert code._syndrome_map.shape == (n * ext.D, (n - k) * ext.D)
+    assert code._f_maps.shape == (params.lam * ext.D, ext.D)
+    assert code._h_map.shape == (n * ext.base.D, (n - k) * params.lam * ext.base.D)
     assert code._encode_map.shape == (k * ext.D, n * ext.D)
     assert not ext.matmul(code.H, np.swapaxes(code._G, 0, 1)).any()
     r, msg = ext.rand(rng, (n,)), ext.rand(rng, (k,))
@@ -503,6 +506,98 @@ def test_decode_matches_sequential_intersections(base, small_code):
             assert state.error_support.equals(e_prime)
             assert len(state.scaled_supports) == code.params.lam
     assert {0, 16} <= lines if code.params.lam == 3 else 0 in lines
+
+
+DENSE_DECODER_CASES = [("Z4", 8, (8, 4, 2, 1)), ("Z8", 8, (8, 4, 2, 1)),
+                       ("Z9", 8, (8, 4, 2, 1)), ("Z2", 13, (12, 6, 3, 2)),
+                       ("Z3", 8, (8, 4, 2, 1)), ("GR(4,2)", 7, (8, 4, 2, 1)),
+                       ("Z4[x]/(x^2)", 7, (8, 4, 2, 1)), ("Z2[x]/(x^3)", 7, (8, 4, 2, 1))]
+
+
+@pytest.mark.parametrize("spec, m, params", DENSE_DECODER_CASES)
+def test_decode_matches_the_dense_decoder(spec, m, params, monkeypatch):
+    """decode_local against decode_local_oracle (dense syndrome, Jordan
+    test of E', erasure by column_jordan), word by word over 400 words:
+    the same word or failure line.  The words are random words, c + e,
+    c + g e and c + e + g e' for g a generator of the maximal ideal (0 over
+    a field), so that over the non-fields Howell-fallback kernels and
+    lines 5 and 14 occur."""
+    from lrpc_rings import rings
+    from lrpc_rings.specparse import parse_local_atom
+    kernels = {True: 0, False: 0}
+    left_kernel = rings.LocalRingDesc._left_kernel
+
+    def counted(ring, mat):
+        out = left_kernel(ring, mat)
+        kernels[out[1]] += 1
+        return out
+
+    monkeypatch.setattr(rings.LocalRingDesc, "_left_kernel", counted)
+    ext = ExtensionDesc(parse_local_atom(spec), m)
+    g = ext.base.maximal_ideal_gens[-1]
+    rng = np.random.default_rng(1)
+    code = generate_code(CodeParams(*params), ext, rng)
+    n, k = code.params.n, code.params.k
+    lines = set()
+    for w in range(400):
+        cw = encode(code, ext.rand(rng, (k,)))
+        kind = w % 4
+        if kind == 0:
+            word = ext.rand(rng, (n,))
+        else:
+            word = cw if kind == 2 else cw + sample_error(ext, n, 1 + w % 3, rng)
+            if kind >= 2:
+                word = word + ext.scalar_mul(g, sample_error(ext, n, 1 + w % 3, rng))
+        word %= ext.char
+        out, want = decode_local(code, word), decode_local_oracle(code, word)
+        if isinstance(want, DecodingFailure):
+            assert isinstance(out, DecodingFailure) and out.line == want.line
+            lines.add(want.line)
+        else:
+            assert isinstance(out, np.ndarray) and np.array_equal(out, want)
+            lines.add(0)
+    if ext.base.upsilon == 1:  # a field: every module is free
+        assert {0, 8, 16} <= lines and not kernels[False]
+    else:
+        assert {0, 5, 14, 16} <= lines and kernels[False] and kernels[True]
+
+
+@pytest.mark.parametrize("spec, m", [("Z4", 8), ("Z9", 6), ("GR(4,2)", 5),
+                                     ("Z4[x]/(x^2)", 6), ("Z2[x]/(x^3)", 6)])
+def test_erasure_failures_match_the_dense_elimination(spec, m):
+    """erasure_decode raises what erasure_decode_oracle raises, and
+    otherwise returns the same error: RankDeficient for a support holding
+    eps and f_2 eps (the products f_2 eps and f_1 (f_2 eps) coincide), and
+    for random rank-2 supports other than the error's mostly NoSolution
+    (the decoder's line 18)."""
+    from lrpc_rings.specparse import parse_local_atom
+    ext = ExtensionDesc(parse_local_atom(spec), m)
+    rng = np.random.default_rng(2)
+    code = generate_code(CodeParams(8, 4, 2, 1), ext, rng)
+    n = code.params.n
+
+    def outcome(fn, basis, synd):
+        try:
+            return fn(code, basis, synd)
+        except (errors.RankDeficient, errors.NoSolution) as exc:
+            return type(exc)
+
+    seen = set()
+    for _ in range(20):
+        e = sample_error(ext, n, 2, rng)
+        s = syndrome(code, e)
+        eps = ext.rand_unit(rng, (1,))
+        dependent = np.concatenate([eps, ext.mul(code.F_basis[1:2], eps)])
+        other = sample_free_submodule(ext.base, m, 2, rng)
+        for basis in (dependent, ext.unrep(other.basis())):
+            got, want = outcome(erasure_decode, basis, s), outcome(erasure_decode_oracle, basis, s)
+            if isinstance(want, np.ndarray):
+                assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+                seen.add("ok")
+            else:
+                assert got is want
+                seen.add(want)
+    assert {errors.RankDeficient, errors.NoSolution} <= seen
 
 
 class TestSampleError:

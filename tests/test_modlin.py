@@ -385,6 +385,27 @@ class TestMembership:
             assert coeffs.shape == (2, rxi.D)
             assert np.array_equal(rxi.matmul(coeffs[None], sub.gens)[0], v)
 
+    @pytest.mark.parametrize("ring_name", ["z4", "z9", "rxi", "gr42"])
+    def test_contains_agrees_with_coefficients_of(self, ring_name, request, rng):
+        """contains (the plain Howell form) answers as coefficients_of (the
+        Howell form with a tracking block) does, on members x . gens and on
+        random vectors, for free and non-free generator sets."""
+        ring = request.getfixturevalue(ring_name)
+        answers = set()
+        for _ in range(30):
+            k, n = (int(x) for x in rng.integers(1, 4, 2))
+            gens = ring.rand(rng, (k, n))
+            if rng.integers(2):
+                gens = ring.mul(gens, ring.rand_ideal(rng, (k, n)))  # non-units
+            sub = Submodule(ring, n, gens)
+            member = ring.matmul(ring.rand(rng, (1, k)), sub.gens)[0]
+            for v in (member, ring.rand(rng, (n,)), ring.mul(ring.rand(rng, (n,)), gens[0])):
+                answer = sub.contains(v)
+                assert answer == (sub.coefficients_of(v) is not None)
+                answers.add(answer)
+            assert sub.contains(member)
+        assert answers == {True, False}
+
     @pytest.mark.parametrize("length", [2, 4])
     def test_wrong_length_raises_ambient_mismatch(self, rxi, rng, length):
         for gens in (rxi.rand(rng, (2, 3)), np.zeros((2, 3, rxi.D), dtype=np.int64)):
