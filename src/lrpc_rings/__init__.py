@@ -11,9 +11,9 @@ from . import errors
 from .chain import ChainRing
 from .extension import ExtensionDesc
 from .lrpc import (CodeParams, DecoderState, DecodingFailure, LrpcCode,
-                   build_h_ext, code_from_text, code_to_text, decode_local,
-                   encode, erasure_decode, generate_code, sample_error,
-                   syndrome)
+                   build_h_ext, code_from_text, code_to_text, decode_batch,
+                   decode_local, encode, erasure_decode, generate_code,
+                   sample_error, syndrome)
 from .modlin import (MatR, SolutionSet, SquarePropertyReport, Submodule,
                      count_free_submodules, count_independent_tuples,
                      free_module_test, free_rank, general_intersection,
@@ -22,7 +22,8 @@ from .modlin import (MatR, SolutionSet, SquarePropertyReport, Submodule,
                      square_property_check, recover_factor, unit_pivot_factor)
 from .product_ring import (ProductDecodingFailure, ProductExtensionDesc,
                            ProductLrpcCode, ProductRingDesc, ProductSubmodule,
-                           decode_product, decompose_ring, encode_product,
+                           decode_product, decode_product_batch,
+                           decompose_ring, encode_product,
                            generate_product_code, localized_rank, project,
                            sample_error_product, syndrome_product)
 from .rings import (GaloisRingParams, LocalRingDesc, QuotientSpec, RingElem,

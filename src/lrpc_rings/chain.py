@@ -146,15 +146,16 @@ class TensorAlgebra:
         return (outer @ self._t_pairs).astype(np.int64) % self.char
 
     def matmul(self, a, b):
-        """Matrix product: (r, k, D) x (k, c, D) -> (r, c, D).  a is reduced
+        """Matrix product: (..., r, k, D) x (..., k, c, D) -> (..., r, c, D),
+        the leading axes broadcast as in numpy's matmul.  a is reduced
         after meeting T, so the product with b sums k*D terms below char^2."""
         if self.D == 1:
             return self._dot(a[..., 0], b[..., 0])[..., None]
-        (r, k, d), c = a.shape, b.shape[1]
-        at = a.reshape(r * k, d).astype(self.dtype) @ self._t_rows  # [(r, k), (j, l)]
+        (r, k, d), c = a.shape[-3:], b.shape[-2]
+        at = a.reshape(-1, d).astype(self.dtype) @ self._t_rows  # [(.., r, k), (j, l)]
         at = at.astype(np.int64) % self.char
-        bt = b.transpose(1, 0, 2).reshape(c, k * d)  # [c, (k, j)]
-        return self._dot(bt, at.reshape(r, k * d, d))
+        bt = b.swapaxes(-3, -2).reshape(b.shape[:-3] + (1, c, k * d))  # [.., c, (k, j)]
+        return self._dot(bt, at.reshape(a.shape[:-3] + (r, k * d, d)))
 
     def mul_matrices(self, a):
         """The Z_char matrices of x -> x a for canonical a of shape (..., D):
@@ -177,8 +178,8 @@ class TensorAlgebra:
     def apply_right(self, a, b_map):
         """a b for a of shape (..., k, D), given ``b_map = right_map(b)``:
         one vector-matrix product over Z_char, shape (..., c, D)."""
-        out = self._dot(a.reshape(a.shape[:-2] + (-1,)), b_map)
-        return out.reshape(out.shape[:-1] + (-1, self.D))
+        out = self._dot(a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],)), b_map)
+        return out.reshape(out.shape[:-1] + (out.shape[-1] // self.D, self.D))
 
     def _dot(self, x, y):
         """x @ y % char for canonical x (..., L) and y (..., L, c), summing
@@ -186,9 +187,12 @@ class TensorAlgebra:
         x = x.astype(self.dtype, copy=False)
         y = y.astype(self.dtype, copy=False)
         step = self._dot_len
-        out = (x[..., :step] @ y[..., :step, :]).astype(np.int64) % self.char
+        out = (x[..., :step] @ y[..., :step, :]).astype(np.int64)
+        out %= self.char
         for lo in range(step, x.shape[-1], step):
-            out += (x[..., lo:lo + step] @ y[..., lo:lo + step, :]).astype(np.int64) % self.char
+            part = (x[..., lo:lo + step] @ y[..., lo:lo + step, :]).astype(np.int64)
+            part %= self.char
+            out += part
             out %= self.char
         return out
 

@@ -6,8 +6,12 @@ f_lambda).  Decoding recovers the error support from the syndrome support:
 scale the syndrome support by the basis inverses, intersect, then solve
 the erasure problem on the recovered support.  The decoder costs
 O(lambda * gamma^4 * m * n * max(n^2, m^2)) base-ring operations.
+:func:`decode_local` decodes one word; :func:`decode_batch` decodes a
+stack of words of one code with each stage run once for the stack, and
+returns what decode_local returns for each word.
 
-Vectors over S are numpy arrays of shape (n, D_S); matrices (r, c, D_S).
+Vectors over S are numpy arrays of shape (n, D_S); matrices (r, c, D_S);
+a stack of words (B, n, D_S).
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from .errors import (BadRank, ExtensionMismatch, GenerationFailed,
                      NoInvertibleMinor, NoSolution, NotFree, NotInF,
                      ParseError, RankDeficient)
 from .extension import ExtensionDesc
-from .modlin import (Submodule, _preimage_meet, _with_identity, column_jordan,
+from .modlin import (Submodule, _free_complement, _meet_matrix, _preimage_meet,
+                     _unpermuted_rows, _with_identity, column_jordan,
                      free_module_test, sample_free_submodule,
                      square_property_check, unit_pivot_factor)
 
@@ -272,28 +277,37 @@ def generate_code(params: CodeParams, ext: ExtensionDesc, rng) -> LrpcCode:
 
 
 def encode(code: LrpcCode, msg) -> np.ndarray:
-    """Codeword msg . G of the message (length-k vector over S)."""
+    """Codeword msg . G of the message (length-k vector over S), or the
+    codewords of a stack of messages (..., k, D_S)."""
     ext = code.ext
     msg = _as_svector(ext, msg, code.params.k)
-    return ext.apply_right(msg, code._encode_map)
+    # one (1, k D_S) row per message: a stack makes vector-matrix products,
+    # not one matrix product large enough for OpenBLAS to spread over threads
+    return ext.apply_right(msg[..., None, :, :], code._encode_map)[..., 0, :, :]
 
 
-def syndrome(code: LrpcCode, received) -> np.ndarray:
+def syndrome(code: LrpcCode, received, *, canonical: bool = False) -> np.ndarray:
     """s = r H^T over S, through the LRPC structure: H = sum_ell f_ell H_ell
     for the R-matrices H_ell held in H_ext, so s = sum_ell f_ell (H_ell r).
     H_ext r is one product over Z_char per theta-coordinate of r, through
     the R-map of H_ext^T (``_h_map``, see TensorAlgebra.right_map); the sum
     over ell is one product with the multiplication maps of f_1 .. f_lambda
-    stacked (``_f_maps``)."""
+    stacked (``_f_maps``).  ``received`` may be one word or a stack of words
+    (..., n, D_S); ``canonical`` says that it is already an array of
+    canonical residues, which skips its reduction."""
     ext = code.ext
-    r = _as_svector(ext, received, code.params.n)
-    h_r = ext.base.apply_right(ext.vec_rep(r).swapaxes(0, 1), code._h_map)
-    h_r = h_r.swapaxes(0, 1).reshape(code.params.n - code.params.k, -1)  # row i: H_ell r, ell = 1..
+    n, k = code.params.n, code.params.k
+    r = received if canonical else _as_svector(ext, received, n)
+    h_r = ext.base.apply_right(ext.vec_rep(r).swapaxes(-3, -2), code._h_map)
+    h_r = h_r.swapaxes(-3, -2)  # row (i, ell): H_ell r
+    h_r = h_r.reshape(r.shape[:-2] + (n - k, code._f_maps.shape[0]))
     return ext._dot(h_r, code._f_maps)
 
 
 def _as_svector(ext, v, length):
-    if isinstance(v, np.ndarray) and v.shape == (length, ext.D):
+    """v as canonical residues: a vector of ``length`` elements of S, or an
+    array of stacked vectors (..., length, D_S)."""
+    if isinstance(v, np.ndarray) and v.shape[-2:] == (length, ext.D):
         return v % ext.char
     rows = [ext.coerce(x) for x in v]
     if len(rows) != length:
@@ -305,7 +319,8 @@ def _as_svector(ext, v, length):
 # erasure decoding
 
 
-def erasure_decode(code: LrpcCode, support_basis, synd) -> np.ndarray:
+def erasure_decode(code: LrpcCode, support_basis, synd, *,
+                   canonical: bool = False) -> np.ndarray:
     """Recover the unique error with the given free support from a syndrome.
 
     Expresses each syndrome entry over the product basis {f_ell eps_u}, then
@@ -317,7 +332,8 @@ def erasure_decode(code: LrpcCode, support_basis, synd) -> np.ndarray:
     i.e. when the support violates frk(E F) = lambda * t (the products are
     dependent; the decoder's line 16), and otherwise NoSolution when
     y U != V or the expanded system is inconsistent (wrong support).
-    Costs O(lambda n max(n^2, m^2)) base-ring operations.
+    ``canonical`` says that ``synd`` is already an array of canonical
+    residues.  Costs O(lambda n max(n^2, m^2)) base-ring operations.
     """
     ext = code.ext
     ring = ext.base
@@ -325,7 +341,8 @@ def erasure_decode(code: LrpcCode, support_basis, synd) -> np.ndarray:
     basis = np.asarray(support_basis, dtype=np.int64).reshape(-1, ext.D)
     t_p = basis.shape[0]
     nu = lam * t_p
-    synd = _as_svector(ext, synd, n - k)
+    if not canonical:
+        synd = _as_svector(ext, synd, n - k)
     if t_p == 0:
         if synd.any():
             raise NoSolution("nonzero syndrome with empty support")
@@ -374,7 +391,7 @@ def decode_local(code: LrpcCode, received, with_state: bool = False):
     ext = code.ext
     lam = code.params.lam
     r = _as_svector(ext, received, code.params.n)
-    s = syndrome(code, r)
+    s = syndrome(code, r, canonical=True)
     state = DecoderState(syndrome=s)
 
     def fail(line, detail):
@@ -410,16 +427,132 @@ def decode_local(code: LrpcCode, received, with_state: bool = False):
     if r_e != t_p:
         return fail(16, f"frk of the intersected support is {r_e}, expected {t_p}")
     try:
-        err = erasure_decode(code, ext.unrep(e_basis), s)
+        err = erasure_decode(code, ext.unrep(e_basis), s, canonical=True)
     except RankDeficient:
         return fail(16, "product of candidate support with F has wrong free rank")
     except NoSolution as exc:
         return fail(18, str(exc))
-    if not np.array_equal(syndrome(code, err), s):  # pragma: no cover
+    if not np.array_equal(syndrome(code, err, canonical=True), s):  # pragma: no cover
         return fail(18, "recovered error does not reproduce the syndrome")
     state.error = err
     out = (r - err) % ext.char
     return (out, state) if with_state else out
+
+
+def decode_batch(code: LrpcCode, words) -> list:
+    """:func:`decode_local` of every word of a stack (B, n, D_S): the list of
+    the B results, each a word or a DecodingFailure equal to decode_local's,
+    ``detail`` included.
+
+    Decoding draws no random numbers, so every stage runs once for the
+    whole stack: the syndromes; the Jordan forms of their supports (lines 5
+    and 8), one stacked :func:`modlin.unit_pivot_factor`; then, for each
+    group of words with the same frk(S) = nu, the preimage meet of lines
+    11-13 and the line-14/16 checks (:func:`_decode_group`); the erasure
+    step (:func:`_erase_stack`); and the check that each recovered error
+    reproduces its syndrome.  A word whose left kernel is not free, which
+    decode_local finishes through the Howell form, is decoded by
+    decode_local itself.  Only the words are reduced mod char.
+    """
+    ext = code.ext
+    n, k, lam = code.params.n, code.params.k, code.params.lam
+    words = _as_svector(ext, words, n)
+    out = [None] * len(words)
+    synd = syndrome(code, words, canonical=True)
+    live = synd.reshape(len(words), -1).any(axis=1)
+    for i in np.flatnonzero(~live):
+        out[i] = words[i]
+    live = np.flatnonzero(live)
+    w, perm, nu = unit_pivot_factor(ext.base, ext.vec_rep(synd[live]))
+    free = ~(w.any(axis=(2, 3)) & (np.arange(n - k) >= nu[:, None])).any(axis=1)
+    for i, rank, is_free in zip(live.tolist(), nu.tolist(), free.tolist()):
+        if not is_free:
+            out[i] = DecodingFailure(5, "syndrome support is not a free module")
+        elif rank % lam:
+            out[i] = DecodingFailure(8, f"lambda does not divide frk(S) = {rank}")
+    keep = free & (nu % lam == 0)
+    for rank in sorted(set(nu[keep].tolist())):
+        group = keep & (nu == rank)
+        _decode_group(code, words, synd, live[group], w[group], perm[group], rank, out)
+    return out
+
+
+def _decode_group(code, words, synd, idx, w, perm, nu, out):
+    """Lines 11-18 of decode_local for the words ``idx`` whose syndrome
+    supports are free of rank nu, given by their stacked Jordan forms
+    (w, perm); fills their entries of ``out``."""
+    ext, ring = code.ext, code.ext.base
+    t_p = nu // code.params.lam
+    basis = _unpermuted_rows(w, perm, nu)  # (G, nu, m, D_R)
+    scalars = code.F_basis[1:]
+    free, r_e, kernel = np.ones(len(idx), dtype=bool), np.full(len(idx), nu), None
+    if nu < ext.m and len(scalars):  # else E' = S, as in _preimage_meet
+        z = _meet_matrix(ext, basis, _free_complement(ring, w, perm, nu), scalars)
+        cols = z.shape[-2]
+        kernel, _, rk = unit_pivot_factor(ring, _with_identity(ring, z), ncols=cols)
+        free = ~(kernel[..., :cols, :].any(axis=(2, 3))
+                 & (np.arange(nu) >= rk[:, None])).any(axis=1)
+        r_e = nu - rk
+    for i, rank, is_free in zip(idx.tolist(), r_e.tolist(), free.tolist()):
+        if not is_free:
+            out[i] = decode_local(code, words[i])
+        elif rank != t_p:
+            out[i] = DecodingFailure(16, f"frk of the intersected support is {rank}, "
+                                         f"expected {t_p}")
+    keep = free & (r_e == t_p)
+    if not keep.any():
+        return
+    idx, basis, s = idx[keep], basis[keep], synd[idx[keep]]
+    if kernel is not None:
+        basis = ring.matmul(kernel[keep, nu - t_p:, cols:], basis)
+    done, err, failures = _erase_stack(code, ext.unrep(basis), s)
+    for j, failure in failures.items():
+        out[idx[j]] = failure
+    idx = idx[done]
+    bad = (syndrome(code, err, canonical=True) != s[done]).any(axis=(1, 2))
+    decoded = np.subtract(words[idx], err, out=err)
+    decoded %= ext.char
+    for j, i in enumerate(idx.tolist()):
+        if bad[j]:  # pragma: no cover
+            out[i] = DecodingFailure(18, "recovered error does not reproduce the syndrome")
+        else:
+            out[i] = decoded[j]
+
+
+def _erase_stack(code, basis, synd):
+    """:func:`erasure_decode` of a stack of supports with bases basis
+    (G, t', D_S), t' >= 1, and canonical syndromes synd (G, n-k, D_S).
+
+    Returns the positions where erasure_decode returns an error, those
+    errors, and a dict from the other positions to decode_local's failure
+    for them: line 16 for RankDeficient, line 18 with the NoSolution text.
+    """
+    ext, ring = code.ext, code.ext.base
+    n, lam = code.params.n, code.params.lam
+    m, (g, t_p) = ext.m, basis.shape[:2]
+    nu = lam * t_p
+    prods = ext._dot(basis[:, None], code._f_maps.reshape(lam, ext.D, ext.D))  # (G, lam, t', D_S)
+    u_mat = ext.vec_rep(prods.reshape(g, nu, ext.D))                  # rows: ell*t' + u
+    w, perm, r = unit_pivot_factor(ring, _with_identity(ring, u_mat), ncols=m)
+    failures = {j: DecodingFailure(16, "product of candidate support with F has wrong free rank")
+                for j in np.flatnonzero(r < nu).tolist()}
+    full = np.flatnonzero(r == nu)
+    if not len(full):
+        return full, np.zeros((0, n, ext.D), dtype=np.int64), failures
+    v_mat = ext.vec_rep(synd[full])                                   # (G', n-k, m, D_R)
+    y = ring.matmul(np.take_along_axis(v_mat, perm[full, None, :nu, None], axis=2),
+                    w[full, :, m:])
+    outside = (ring.matmul(y, u_mat[full]) != v_mat).any(axis=(1, 2, 3))
+    pb = ring.matmul(code._P, y.reshape(len(full), -1, t_p, ring.D))
+    inconsistent = pb[:, n:].any(axis=(1, 2, 3))
+    for j, out_j, inc_j in zip(full.tolist(), outside.tolist(), inconsistent.tolist()):
+        if out_j:
+            failures[j] = DecodingFailure(18, "syndrome lies outside the support-product module")
+        elif inc_j:
+            failures[j] = DecodingFailure(18, "expanded system is inconsistent for this support")
+    done = ~(outside | inconsistent)
+    err = ring.matmul(pb[done, :n], ext.vec_rep(basis[full[done]]))
+    return full[done], ext.unrep(err), failures
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ those choices fix.  Over other rings with D > 1 (extensions, GR(4,2),
 ...) the per-pivot loop defers its inverses: rows are cleared by
 multiples of the unnormalised pivot row, and one array inverse of the
 pivot products normalises W at the end.  Over Z_char itself (D == 1) the
-loop runs on plain integer arrays.  On top of that sit the intersection,
+loop runs on plain integer arrays.  A stack of matrices of one shape is
+factored in one call: over residue field F_2 a large enough stack runs
+the residue-first steps for all its matrices at once, with per-matrix
+pivot masks.  On top of that sit the intersection,
 product, counting, sampling and product-recovery operations used by the
 decoder; the decoder's E' = S cap f_2^-1 S cap ... is
 :func:`intersect_preimages`, one left kernel K read off S's Jordan form,
@@ -43,6 +46,12 @@ from . import fq
 from .errors import (AmbientMismatch, BadRank, NoSuitableBasis, NotFree,
                      OneNotInModule, RingMismatch)
 from .rings import LocalRingDesc
+
+# Stacks of at least this many matrices over a residue field F_2 are
+# eliminated together.  Smaller ones loop over the one-matrix kernels: the
+# stacked kernel pays a fixed cost per pivot step, and broke even at about
+# 8 matrices of 12 x 20 over Z4 and of 6 x 10 over Z4[x]/(x^2).
+STACK_MIN = 8
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +122,31 @@ def unit_pivot_factor(arith, a, ncols=None):
     end (:func:`_factor_deferred`).  Over Z_char itself (D == 1) the loop
     runs on the (rows, cols) view, with a unit test mod p and a Python-int
     pivot inverse.
+
+    A stack of matrices, shape (B, s, N, D), gives the stacked results:
+    W (B, s, N, D), perm (B, N) and r (B,), each matrix's equal to its own
+    call.  When q == 2 and B >= STACK_MIN the stack is eliminated at once
+    (:func:`_factor_residue_f2_stack`); any other stack loops over its
+    matrices.
     """
+    w = np.asarray(a, dtype=np.int64) % arith.char
+    n = w.shape[-2] if ncols is None else ncols
+    if w.ndim == 3:
+        return _factor(arith, w, n)
+    if arith.q == 2 and len(w) >= STACK_MIN:
+        return _factor_residue_f2_stack(arith, w, n)
+    if not len(w):
+        return w, np.zeros((0, w.shape[2]), dtype=np.intp), np.zeros(0, dtype=np.intp)
+    parts = [_factor(arith, x, n) for x in w]
+    return (np.stack([x[0] for x in parts]), np.stack([x[1] for x in parts]),
+            np.array([x[2] for x in parts], dtype=np.intp))
+
+
+def _factor(arith, w, n):
+    """:func:`unit_pivot_factor` of one canonical matrix w, pivots in its
+    first n columns."""
     char = arith.char
-    w = np.asarray(a, dtype=np.int64) % char
-    s, n = w.shape[0], w.shape[1] if ncols is None else ncols
+    s = w.shape[0]
     if arith.q == 2:
         return _factor_residue_f2(arith, w, n)
     if arith.D > 1:
@@ -251,14 +281,72 @@ def _factor_residue_f2(arith, w, n):
     return np.concatenate([b, a2]), np.array(perm, dtype=np.intp), h
 
 
+def _factor_residue_f2_stack(arith, w, n):
+    """:func:`_factor_residue_f2` of every matrix of a canonical stack w
+    (B, s, N, D) at once, pivots in the first n columns.
+
+    The residue rows are a boolean (B, s, N + s) array with the identity
+    bits after column N.  Step h runs the packed loop's step h on every
+    word that still has a unit in its rows h.. and columns h..n: each word
+    picks its own pivot column and row, the swaps are fancy-indexed, and
+    elimination is one XOR under a per-word mask.  r is the number of
+    steps a word stayed live.  The lift pads the pivot block to
+    k = min(s, n) rows: rows r.. of X are 0, and the products see only
+    columns < r of each word (``block``), so X A, the Newton steps and
+    A2 - A21 B are batched products whose rows below r stay 0, and whose
+    values equal the one-matrix kernel's.
+    """
+    char, D = arith.char, arith.D
+    B, s, N = w.shape[:3]
+    k = min(s, n)
+    bits = np.zeros((B, s, N + s), dtype=bool)
+    bits[:, :, :N] = arith.is_unit(w)
+    bits[:, np.arange(s), N + np.arange(s)] = True
+    perm = np.tile(np.arange(N), (B, 1))
+    order = np.tile(np.arange(s), (B, 1))
+    rank = np.zeros(B, dtype=np.intp)
+    live = np.ones(B, dtype=bool)
+    words = np.arange(B)
+    for h in range(k):
+        cols = bits[:, h:, h:n].any(axis=1)
+        live &= cols.any(axis=1)
+        if not live.any():
+            break
+        rank += live
+        j = np.where(live, h + cols.argmax(axis=1), h)
+        i = np.where(live, h + bits[words, h:, j].argmax(axis=1), h)
+        bits[words, h], bits[words, i] = bits[words, i], bits[words, h]
+        order[words, h], order[words, i] = order[words, i], order[words, h]
+        bits[words, :, h], bits[words, :, j] = bits[words, :, j], bits[words, :, h]
+        perm[words, h], perm[words, j] = perm[words, j], perm[words, h]
+        hit = bits[:, :, h] & live[:, None]
+        hit[:, h] = False
+        bits ^= hit[:, :, None] & bits[:, h, None, :]
+    a = np.take_along_axis(w, perm[:, None, :, None], axis=2)
+    pivot = np.arange(s) < rank[:, None]
+    block = (np.arange(k) < rank[:, None])[:, None, :, None]
+    x = bits[:, :k, N:] & pivot[:, :k, None]
+    b = arith._dot(x, a.reshape(B, s, N * D)).reshape(B, k, N, D)
+    for _ in range((arith.upsilon - 1).bit_length()):  # ceil(log2 upsilon)
+        square = arith.matmul(b[:, :, :k] * block, b)
+        b *= 2
+        b -= square
+        b %= char
+    out = np.take_along_axis(a, order[:, :, None, None], axis=1)
+    out -= arith.matmul(out[:, :, :k] * block, b)
+    out %= char
+    out[:, :k] = np.where(pivot[:, :k, None, None], b, out[:, :k])
+    return out, perm, rank
+
+
 def _with_identity(arith, a):
-    """(A | I_k) for A of shape (k, n, D): the matrix whose unit-pivot
+    """(A | I_k) for A of shape (..., k, n, D): the matrix whose unit-pivot
     elimination records the row operations in its last k columns."""
     a = np.asarray(a, dtype=np.int64)
-    k = a.shape[0]
-    eye = np.zeros((k, k, a.shape[2]), dtype=np.int64)
-    eye[np.arange(k), np.arange(k)] = arith.one
-    return np.concatenate([a, eye], axis=1)
+    k = a.shape[-3]
+    eye = np.zeros(a.shape[:-3] + (k, k, a.shape[-1]), dtype=np.int64)
+    eye[..., np.arange(k), np.arange(k), :] = arith.one
+    return np.concatenate([a, eye], axis=-2)
 
 
 def column_jordan(arith, b, exc=NotFree):
@@ -332,9 +420,7 @@ class Submodule:
     def _jordan_rows(self, stop=None) -> np.ndarray:
         """Rows of W up to ``stop``, with the column permutation undone."""
         w, perm, _ = self.jordan()
-        out = np.empty_like(w[:stop])
-        out[:, perm] = w[:stop]
-        return out
+        return _unpermuted_rows(w, perm, stop)
 
     def reduced_gens(self) -> np.ndarray:
         """Nonzero Jordan rows: a smaller generating set for the module."""
@@ -510,18 +596,29 @@ def _log_size(ring: LocalRingDesc, gens) -> int:
 # intersections
 
 
-def _free_complement(g_mod: Submodule) -> np.ndarray:
-    """T2 (n x (n-r)) with y in G iff y T2 = 0, for G free of rank r.
+def _unpermuted_rows(w, perm, stop=None):
+    """Rows of a Jordan form W (s, n, D) up to ``stop``, with the column
+    permutation perm (n,) undone; or of stacked forms (B, s, n, D) with
+    their perms (B, n)."""
+    out = np.empty_like(w[..., :stop, :, :])
+    if perm.ndim == 1:
+        out[:, perm] = w[:stop]
+    else:
+        out[np.arange(len(perm))[:, None], :, perm] = w[:, :stop].swapaxes(1, 2)
+    return out
 
-    G's cached Jordan form is (I_r | X) on the permuted columns, so
-    T2 = [-X; I] with rows placed by perm.
-    """
-    ring = g_mod.ring
-    w, perm, r = g_mod.jordan()
-    n = g_mod.ambient
-    t2 = np.zeros((n, n - r, ring.D), dtype=np.int64)
-    t2[perm[:r]] = ring.neg(w[:r, r:])
-    t2[perm[r:], np.arange(n - r)] = ring.one
+
+def _free_complement(ring, w, perm, r) -> np.ndarray:
+    """T2 (n x (n-r)) with y in G iff y T2 = 0, for G free of rank r, from
+    its Jordan form (w, perm, r), or stacked T2 from stacked Jordan forms
+    with one r: W is (I_r | X) on the permuted columns, so T2 = [-X; I]
+    with rows placed by perm."""
+    n = w.shape[-2]
+    rows = np.zeros(w.shape[:-3] + (n, n - r, ring.D), dtype=np.int64)  # in perm order
+    rows[..., :r, :, :] = ring.neg(w[..., :r, r:, :])
+    rows[..., np.arange(r, n), np.arange(n - r), :] = ring.one
+    t2 = np.empty_like(rows)
+    t2[(perm,) if perm.ndim == 1 else (np.arange(len(perm))[:, None], perm)] = rows
     return t2
 
 
@@ -544,7 +641,7 @@ def intersect_with_free(n_mod: Submodule, g_mod: Submodule) -> Submodule:
     if r == n_mod.ambient:
         return Submodule(ring, n_mod.ambient, n_mod.gens)
     ngens = n_mod.reduced_gens()
-    kernel = ring.left_kernel(ring.matmul(ngens, _free_complement(g_mod)))
+    kernel = ring.left_kernel(ring.matmul(ngens, _free_complement(ring, *g_mod.jordan())))
     if kernel.shape[0] == 0:
         return Submodule.zero(ring, n_mod.ambient)
     return Submodule(ring, n_mod.ambient, ring.matmul(kernel, ngens))
@@ -576,15 +673,25 @@ def _preimage_meet(ext, g_mod: Submodule, scalars):
     if not is_free:
         raise NotFree("the module must be free")
     scalars = np.asarray(scalars, dtype=np.int64).reshape(-1, ext.D)
-    m, ell = ext.m, scalars.shape[0]
     basis = g_mod.basis()
-    if r == 0 or r == m or ell == 0:
+    if r == 0 or r == ext.m or scalars.shape[0] == 0:
         return basis, True
-    scaled = ext.vec_rep(ext.mul(scalars[:, None, :], ext.unrep(basis)[None, :, :]))
-    z = ring.matmul(scaled.reshape(ell * r, m, ring.D), _free_complement(g_mod))
-    z = z.reshape(ell, r, m - r, ring.D).transpose(1, 0, 2, 3).reshape(r, -1, ring.D)
-    kernel, free = ring._left_kernel(z)
+    t2 = _free_complement(ring, *g_mod.jordan())
+    kernel, free = ring._left_kernel(_meet_matrix(ext, basis, t2, scalars))
     return ring.matmul(kernel, basis), free
+
+
+def _meet_matrix(ext, basis, t2, scalars):
+    """Z = [vec(a_i B) T2 for every a_i], of shape (..., r, ell (m - r), D),
+    for a basis B (..., r, m, D) of a free G with complement T2, or stacks
+    of them: x Z = 0 iff x B lies in every {y : a_i y in G}."""
+    ring = ext.base
+    lead, (r, m, d) = basis.shape[:-3], basis.shape[-3:]
+    ell = scalars.shape[0]
+    scaled = ext._dot(ext.unrep(basis)[..., None, :, :], ext.mul_matrices(scalars))
+    z = ring.matmul(ext.vec_rep(scaled).reshape(lead + (ell * r, m, d)), t2)
+    z = np.swapaxes(z.reshape(lead + (ell, r, m - r, d)), -4, -3)
+    return z.reshape(lead + (r, ell * (m - r), d))
 
 
 def general_intersection(n1: Submodule, n2: Submodule) -> Submodule:

@@ -22,9 +22,9 @@ from . import fq, specparse
 from .errors import (ExtensionMismatch, IndexOutOfRange, RingMismatch,
                      UnsupportedRing)
 from .extension import ExtensionDesc
-from .lrpc import (CodeParams, DecodingFailure, LrpcCode, decode_local,
-                   encode, generate_code, sample_error, syndrome)
-from .modlin import Submodule, free_module_test, module_rank
+from .lrpc import (CodeParams, DecodingFailure, LrpcCode, decode_batch,
+                   decode_local, encode, generate_code, sample_error, syndrome)
+from .modlin import STACK_MIN, Submodule, free_module_test, module_rank
 from .rings import LocalRingDesc, Zmod
 
 
@@ -253,3 +253,21 @@ def decode_product(code: ProductLrpcCode, received):
     if failures:
         return ProductDecodingFailure(failures)
     return tuple(outs)
+
+
+def decode_product_batch(code: ProductLrpcCode, received) -> list:
+    """:func:`decode_product` of every word of a stack: ``received`` holds
+    one stack (B, n, D_S) per factor, and the list of the B results, in
+    order, equals decode_product's word for word.  Every factor's stack
+    goes through :func:`lrpc.decode_batch`; below STACK_MIN words, where
+    stacking gains little or loses, each word goes through decode_product
+    (so does the one word of a code made for a single trial)."""
+    if len(received[0]) < STACK_MIN:
+        return [decode_product(code, word) for word in zip(*received)]
+    per_factor = [decode_batch(c, r) for c, r in zip(code.codes, received)]
+    out = []
+    for results in zip(*per_factor):
+        failures = {j: res for j, res in enumerate(results, start=1)
+                    if isinstance(res, DecodingFailure)}
+        out.append(ProductDecodingFailure(failures) if failures else results)
+    return out

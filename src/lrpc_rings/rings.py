@@ -98,6 +98,9 @@ class LocalRingDesc(TensorAlgebra):
         self._psi_kernel = np.concatenate(
             [-self.psi_mat[mu:] % self.p, np.eye(self.D - mu, dtype=np.int64)], axis=1)
         self._psi_lift = np.eye(mu, self.D, dtype=np.int64)
+        # psi[mu:] = 0 (Galois rings, and quotients whose residue map reads
+        # the first mu coordinates only): the residue is x[:mu] mod p
+        self._residue_head = not self.psi_mat[mu:].any()
         self._zvecs = np.zeros((gamma, self.D), dtype=np.int64)
         for ell in range(gamma):
             self._zvecs[ell, ell * mu] = 1
@@ -119,10 +122,16 @@ class LocalRingDesc(TensorAlgebra):
         return self.residue(a) @ self._psi_powers
 
     def is_unit(self, a):
-        """True where the residue image is nonzero."""
-        if self.D == 1:
-            return (np.asarray(a)[..., 0] % self.p) != 0
-        return self.residue(np.asarray(a)).any(axis=-1)
+        """True where the residue image is nonzero.  Without a residue
+        product when psi[mu:] = 0: then a is a unit iff one of its first
+        mu coordinates is nonzero mod p (& 1 when p == 2)."""
+        a = np.asarray(a)
+        if not self._residue_head:
+            return self.residue(a).any(axis=-1)
+        unit = (a[..., 0] & 1 if self.p == 2 else a[..., 0] % self.p) != 0
+        for u in range(1, self.mu):
+            unit = unit | ((a[..., u] & 1 if self.p == 2 else a[..., u] % self.p) != 0)
+        return unit
 
     # ------------------------------------------------------------------
     # element construction and sampling

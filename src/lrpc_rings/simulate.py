@@ -28,8 +28,9 @@ from .errors import HypothesisViolated, IndexOutOfRange, LrpcError
 # decode_local is unused here: a module attribute that perfbench/test_spans.py patches
 from .lrpc import CodeParams, decode_local  # noqa: F401
 from .product_ring import (ProductDecodingFailure, ProductExtensionDesc,
-                           ProductRingDesc, decode_product, encode_product,
-                           generate_product_code, sample_error_product)
+                           ProductRingDesc, decode_product_batch,
+                           encode_product, generate_product_code,
+                           sample_error_product)
 
 
 class IoError(LrpcError):
@@ -37,6 +38,8 @@ class IoError(LrpcError):
 
 
 REASON_LINES = (5, 8, 14, 16, 18)
+# Trials of one code are sampled, encoded and decoded this many at a time.
+TRIAL_CHUNK = 16
 CSV_HEADER = ("t,trials,failures,empirical_failure,bound_failure,"
               "reason_line5,reason_line8,reason_line14,reason_line16,"
               "reason_line18,wall_ms")
@@ -141,43 +144,59 @@ def run_trials(config: ExperimentConfig,
     Every ring runs through the product-ring code; a local ring is its
     one-factor case.  For each t: generate one code (or one per trial
     when fresh_code_per_trial is set), then per trial sample a random
-    message, a uniform error of free support rank t in every factor,
+    message and a uniform error of free support rank t in every factor,
     decode, and record the outcome.  A failure is tallied under the
     smallest decoder line among the failing factors; a decode to a wrong
     codeword (possible only when the success conditions fail) is tallied
-    under line 18.  ``per_trial_hook(t, trial, code, codeword, error,
-    result)`` is invoked after each decode when provided; it receives the
-    ``ProductLrpcCode`` and per-factor tuples (one-element tuples for a
-    local ring), and ``result`` is a tuple or a ``ProductDecodingFailure``.
+    under line 18.
+
+    The trials of one code go in chunks of TRIAL_CHUNK (one trial when
+    every trial has its own code): each trial of a chunk draws from its
+    own stream, in trial order, then the chunk is encoded and decoded as
+    one stack (:func:`product_ring.decode_product_batch`).  Decoding draws
+    no random numbers, so the records do not depend on the chunking.
+    ``per_trial_hook(t, trial, code, codeword, error, result)`` is invoked
+    once per trial, in trial order, after the trial's chunk is decoded;
+    it receives the ``ProductLrpcCode`` and per-factor tuples (one-element
+    tuples for a local ring), and ``result`` is a tuple or a
+    ``ProductDecodingFailure``.
     """
     _, ext = parse_ring_spec(config.full_spec())
     params = CodeParams(config.n, config.k, config.lam, max(config.t_values))
+    fresh = config.fresh_code_per_trial
+    chunk = 1 if fresh else TRIAL_CHUNK
     records = []
     for t in config.t_values:
         start = time.perf_counter()
         failures = 0
         hist = {line: 0 for line in REASON_LINES}
         code = None  # frees the previous t's code before the next is built
-        if not config.fresh_code_per_trial:
+        if not fresh:
             code = generate_product_code(params, ext, _trial_rng(config.seed, t, 0))
-        for trial in range(1, config.trials + 1):
-            rng = _trial_rng(config.seed, t, trial)
-            if config.fresh_code_per_trial:
-                code = generate_product_code(params, ext, rng)
-            msg = ext.rand_vector(rng, config.k)
-            cw = encode_product(code, msg)
-            err = sample_error_product(ext, config.n, t, rng)
-            res = decode_product(code, ext.add(cw, err))
-            if isinstance(res, ProductDecodingFailure):
-                line = min(f.line for f in res.failures.values())
-            else:
-                # both words are canonical residues: compare them as they are
-                line = None if all(map(np.array_equal, res, cw)) else 18
-            if line is not None:
-                failures += 1
-                hist[line] += 1
-            if per_trial_hook is not None:
-                per_trial_hook(t, trial, code, cw, err, res)
+        for first in range(1, config.trials + 1, chunk):
+            trials = range(first, min(first + chunk, config.trials + 1))
+            msgs, errs = [], []
+            for trial in trials:
+                rng = _trial_rng(config.seed, t, trial)
+                if fresh:
+                    code = generate_product_code(params, ext, rng)
+                msgs.append(ext.rand_vector(rng, config.k))
+                errs.append(sample_error_product(ext, config.n, t, rng))
+            errs = _stack(errs)
+            cws = encode_product(code, _stack(msgs))
+            results = decode_product_batch(code, ext.add(cws, errs))
+            for i, trial in enumerate(trials):
+                cw, res = tuple(c[i] for c in cws), results[i]
+                if isinstance(res, ProductDecodingFailure):
+                    line = min(f.line for f in res.failures.values())
+                else:
+                    # both words are canonical residues: compare them as they are
+                    line = None if all(map(np.array_equal, res, cw)) else 18
+                if line is not None:
+                    failures += 1
+                    hist[line] += 1
+                if per_trial_hook is not None:
+                    per_trial_hook(t, trial, code, cw, tuple(e[i] for e in errs), res)
         bound = product_theoretical_bound([f.base.q for f in ext.factors],
                                           config.lam, t, config.m,
                                           config.n, config.k)
@@ -189,6 +208,11 @@ def run_trials(config: ExperimentConfig,
             failure_reason_histogram=hist,
             wall_ms=wall))
     return records
+
+
+def _stack(vectors):
+    """Per-factor stacks (B, length, D_S) of B per-factor tuples of vectors."""
+    return tuple(np.array(parts) for parts in zip(*vectors))
 
 
 def emit_csv(records, path, precision: int = 6):

@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -562,6 +563,64 @@ def test_decode_matches_the_dense_decoder(spec, m, params, monkeypatch):
         assert {0, 5, 14, 16} <= lines and kernels[False] and kernels[True]
 
 
+# n = 7 > lambda (n - k) - 1 and m = 6: a random word's syndrome support
+# has free rank 4 and its E' rank 2 = t', so its erasure step runs and,
+# with 8 equations for 7 unknowns, mostly fails at line 18
+BATCH_DECODER_SPECS = ("Z4", "Z8", "Z9", "Z2", "Z3", "GR(4,2)", "Z4[x]/(x^2)", "Z2[x]/(x^3)")
+
+
+@pytest.mark.parametrize("spec", BATCH_DECODER_SPECS)
+def test_decode_batch_matches_decode_local(spec, monkeypatch):
+    """decode_batch against decode_local, word for word over 420 words
+    decoded in stacks of the trial chunk: the same word, or a failure with
+    the same line and detail.  The words are random words, c + e, c + g e
+    and c + e + g e' for errors of rank 1 to 3 and g a generator of the
+    maximal ideal (0 over a field), mixed in every stack, so that lines 5, 8, 14, 16 and 18 occur
+    (5 and 14 only off fields), and over the non-fields words whose left
+    kernel takes the Howell fallback, which decode_batch hands to
+    decode_local."""
+    from lrpc_rings import lrpc
+    from lrpc_rings.simulate import TRIAL_CHUNK
+    from lrpc_rings.specparse import parse_local_atom
+    ext = ExtensionDesc(parse_local_atom(spec), 6)
+    g = ext.base.maximal_ideal_gens[-1]
+    rng = np.random.default_rng(zlib.crc32(spec.encode()))
+    code = generate_code(CodeParams(7, 3, 2, 1), ext, rng)
+    n, k = code.params.n, code.params.k
+    words = []
+    for w in range(420):
+        cw = encode(code, ext.rand(rng, (k,)))
+        kind = w % 4
+        if kind == 0:
+            word = ext.rand(rng, (n,))
+        else:
+            word = cw if kind == 2 else cw + sample_error(ext, n, 1 + w % 3, rng)
+            if kind >= 2:
+                word = word + ext.scalar_mul(g, sample_error(ext, n, 1 + w % 3, rng))
+        words.append(word % ext.char)
+    words = np.array(words)
+    handed = []
+    monkeypatch.setattr(lrpc, "decode_local",
+                        lambda code, word: handed.append(word) or decode_local(code, word))
+    got = []
+    for lo in range(0, len(words), TRIAL_CHUNK):
+        got += lrpc.decode_batch(code, words[lo:lo + TRIAL_CHUNK])
+    lines = set()
+    for out, word in zip(got, words):
+        want = decode_local(code, word)
+        if isinstance(want, DecodingFailure):
+            assert isinstance(out, DecodingFailure)
+            assert (out.line, out.detail) == (want.line, want.detail)
+            lines.add(want.line)
+        else:
+            assert out.dtype == want.dtype and np.array_equal(out, want)
+            lines.add(0)
+    if ext.base.upsilon == 1:  # a field: every module and kernel is free
+        assert lines == {0, 8, 16, 18} and not handed
+    else:
+        assert lines == {0, 5, 8, 14, 16, 18} and handed
+
+
 @pytest.mark.parametrize("spec, m", [("Z4", 8), ("Z9", 6), ("GR(4,2)", 5),
                                      ("Z4[x]/(x^2)", 6), ("Z2[x]/(x^3)", 6)])
 def test_erasure_failures_match_the_dense_elimination(spec, m):
@@ -690,3 +749,65 @@ class TestSerialization:
     def test_malformed_file_raises_parse_error(self, text):
         with pytest.raises(errors.ParseError):
             code_from_text(text)
+
+
+# Peak traced memory of decode_batch on one trial chunk of Z4 ext m=20
+# words (n = 20, k = 8, lambda = 2), the largest over t = 1..6 at seed 0:
+# measured 638 KiB with TRIAL_CHUNK = 16 (426 to 527 KiB at the other t),
+# plus a margin of a quarter.
+CHUNK_DECODE_PEAK_KIB = 800
+
+
+def test_one_chunk_decodes_within_its_memory_bound(z4):
+    """decode_batch of one full trial chunk stays below
+    CHUNK_DECODE_PEAK_KIB of traced allocations, for errors of every rank
+    up to t_max; a change that grows the per-chunk footprint (a larger
+    chunk, a per-word broadcast of a code matrix) fails here."""
+    import tracemalloc
+    from lrpc_rings import decode_batch
+    from lrpc_rings.simulate import TRIAL_CHUNK
+    ext = ExtensionDesc(z4, 20)
+    rng = np.random.default_rng(0)
+    code = generate_code(CodeParams(20, 8, 2, 6), ext, rng)
+    peaks = []
+    for t in range(1, 7):
+        words = np.array([(encode(code, ext.rand(rng, (8,))) + sample_error(ext, 20, t, rng)) % 4
+                          for _ in range(TRIAL_CHUNK)])
+        decode_batch(code, words)  # lazy one-time work stays out of the count
+        tracemalloc.start()
+        try:
+            decode_batch(code, words)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= CHUNK_DECODE_PEAK_KIB * 1024, [p // 1024 for p in peaks]
+
+
+def test_only_the_callers_word_is_reduced(small_code, monkeypatch):
+    """decode_local and decode_batch reduce the caller's word (or stack)
+    mod char once; the syndromes, errors and supports they hand on are
+    canonical, so syndrome and erasure_decode reduce nothing again.  A
+    direct call of syndrome or erasure_decode still reduces its input."""
+    from lrpc_rings import decode_batch, lrpc
+    code, ext = small_code, small_code.ext
+    rng = np.random.default_rng(4)
+    words = [(encode(code, ext.rand(rng, (4,))) + sample_error(ext, 10, 1, rng)) % 4 + 4
+             for _ in range(12)]
+    reduced = []
+    as_svector = lrpc._as_svector
+
+    def counted(ext, v, length):
+        reduced.append(np.shape(v))
+        return as_svector(ext, v, length)
+
+    monkeypatch.setattr(lrpc, "_as_svector", counted)
+    outs = [decode_local(code, w) for w in words]
+    assert sum(isinstance(out, np.ndarray) for out in outs) > len(words) // 2
+    assert reduced == [(10, ext.D)] * len(words)
+    reduced.clear()
+    batch = decode_batch(code, np.array(words))
+    assert reduced == [(len(words), 10, ext.D)]
+    assert [getattr(out, "line", 0) for out in batch] == [getattr(out, "line", 0) for out in outs]
+    reduced.clear()
+    assert np.array_equal(syndrome(code, words[0]), syndrome(code, words[0] % 4))
+    assert reduced == [(10, ext.D)] * 2

@@ -319,6 +319,84 @@ def test_residue_field_f2_selects_the_residue_first_path(z4, z9, rxi, gr42, s5, 
             assert len(taken) == (ring in f2) and all(t is ring for t in taken)
 
 
+# the F_2 rings whose stacks take the stacked residue-first kernel, the
+# larger residue fields, and an extension over each (every extension with
+# m > 1 has q > 2, so its stacks loop over the one-matrix kernels)
+STACK_RINGS = {
+    "Z4": lambda: Zmod(4),
+    "Z8": lambda: Zmod(8),
+    "Z4[x]/(x^2)": lambda: parse_local_atom("Z4[x]/(x^2)"),
+    "Z2[x]/(x^3)": lambda: parse_local_atom("Z2[x]/(x^3)"),
+    "GR(4,2)": lambda: galois_ring(2, 2, 2),
+    "Z4 ext m=3": lambda: ExtensionDesc(Zmod(4), 3),
+    "Z8 ext m=2": lambda: ExtensionDesc(Zmod(8), 2),
+    "Z4[x]/(x^2) ext m=2": lambda: ExtensionDesc(parse_local_atom("Z4[x]/(x^2)"), 2),
+    "Z2[x]/(x^3) ext m=2": lambda: ExtensionDesc(parse_local_atom("Z2[x]/(x^3)"), 2),
+    "GR(4,2) ext m=2": lambda: ExtensionDesc(galois_ring(2, 2, 2), 2),
+}
+
+
+def _stacks(ring, rng):
+    """Stacks (B, s, N, D) with their ncols, for B = 0, 1, 2, around
+    STACK_MIN and around the trial chunk.  Each stack mixes random matrices
+    with unreduced entries, matrices without a unit (r = 0), rows that are
+    p times another, repeated rows and sparse residues; the shapes include
+    ncols < N, more rows than columns, and (A | I) blocks of full rank."""
+    from lrpc_rings.simulate import TRIAL_CHUNK
+    char, d = ring.char, ring.D
+    eye = lambda k: Submodule.full(ring, k).gens
+    for s, cols, ncols, with_eye in ((3, 5, None, False), (6, 9, 4, False),
+                                     (5, 3, None, False), (4, 4, 4, True)):
+        for size in (0, 1, 2, modlin.STACK_MIN - 1, modlin.STACK_MIN,
+                     TRIAL_CHUNK - 1, TRIAL_CHUNK + 1):
+            mats = []
+            for b in range(size):
+                a = ring.rand(rng, (s, cols))
+                kind = b % 5
+                if kind == 0:
+                    a = a - char
+                elif kind == 1:
+                    a = _rand_non_units(ring, rng, (s, cols))
+                elif kind == 2:
+                    a[1] = ring.p * a[0] % char
+                elif kind == 3:
+                    a[-1] = a[0]
+                else:
+                    sparse = rng.random((s, cols)) < 0.6
+                    a[sparse] = _rand_non_units(ring, rng, (int(sparse.sum()),))
+                mats.append(np.concatenate([a, eye(s)], axis=1) if with_eye else a)
+            width = cols + s if with_eye else cols
+            yield np.array(mats, dtype=np.int64).reshape(size, s, width, d), ncols
+
+
+@pytest.mark.parametrize("name", sorted(STACK_RINGS))
+def test_stacked_factor_matches_one_call_per_matrix(name, monkeypatch):
+    """unit_pivot_factor of a stack returns, for every matrix, the (W, perm,
+    r) of its own call byte for byte.  Over residue field F_2 a stack of at
+    least STACK_MIN matrices runs the stacked kernel; every other stack
+    loops."""
+    ring = STACK_RINGS[name]()
+    stacked = []
+    kernel = modlin._factor_residue_f2_stack
+
+    def spy(arith, w, n):
+        stacked.append(len(w))
+        return kernel(arith, w, n)
+
+    monkeypatch.setattr(modlin, "_factor_residue_f2_stack", spy)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    for a, ncols in _stacks(ring, rng):
+        stacked.clear()
+        w, perm, r = unit_pivot_factor(ring, a, ncols)
+        assert stacked == ([len(a)] if ring.q == 2 and len(a) >= modlin.STACK_MIN else [])
+        assert (w.dtype, w.shape) == (np.int64, a.shape)
+        assert (perm.dtype, perm.shape) == (np.intp, a.shape[:1] + a.shape[2:3])
+        assert (r.dtype, r.shape) == (np.intp, a.shape[:1])
+        for i in range(len(a)):
+            one = unit_pivot_factor(ring, a[i], ncols)
+            _same_factor((w[i], perm[i], int(r[i])), one)
+
+
 def _column_jordan_oracle(arith, b):
     """Column operations on B and on T = I as two separate arrays, the loop
     that preceded column_jordan's single pass over B stacked over I."""

@@ -3,10 +3,12 @@ import pytest
 
 from lrpc_rings import (CodeParams, ProductDecodingFailure,
                         ProductExtensionDesc, ProductSubmodule,
-                        Submodule, decode_product, decompose_ring,
+                        Submodule, decode_product, decode_product_batch,
+                        decompose_ring,
                         encode_product, errors, generate_product_code,
                         localized_rank, project, sample_error,
                         sample_error_product, syndrome_product)
+from lrpc_rings.modlin import STACK_MIN
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +182,31 @@ class TestProductCode:
         if not isinstance(out, ProductDecodingFailure):
             for j in (1, 2):
                 assert np.array_equal(project(out, j), project(cw, j))
+
+    @pytest.mark.parametrize("size", [0, 1, STACK_MIN - 1, STACK_MIN, 40])
+    def test_batch_matches_decode_product(self, size):
+        """decode_product_batch of per-factor stacks gives, word for word,
+        decode_product's result: the same failing factors with the same
+        lines and details, or the same words.  Below STACK_MIN words it
+        calls decode_product itself."""
+        ext = ProductExtensionDesc(decompose_ring(12), 4)
+        rng = np.random.default_rng(12)
+        code = generate_product_code(CodeParams(6, 2, 2, 1), ext, rng)
+        words = []
+        for w in range(size):
+            cw = encode_product(code, ext.rand_vector(rng, 2))
+            err = sample_error_product(ext, 6, [w % 3, (w // 3) % 3], rng)
+            words.append(ext.rand_vector(rng, 6) if w % 5 == 4 else ext.add(cw, err))
+        stacks = tuple(np.array([word[j] for word in words], dtype=np.int64).reshape(size, 6, f.D)
+                       for j, f in enumerate(ext.factors))
+        got = decode_product_batch(code, stacks)
+        assert len(got) == size
+        for out, word in zip(got, words):
+            want = decode_product(code, word)
+            if isinstance(want, ProductDecodingFailure):
+                assert isinstance(out, ProductDecodingFailure)
+                assert ({j: (f.line, f.detail) for j, f in out.failures.items()}
+                        == {j: (f.line, f.detail) for j, f in want.failures.items()})
+            else:
+                assert isinstance(out, tuple) and len(out) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(out, want))

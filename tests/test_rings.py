@@ -6,6 +6,7 @@ import pytest
 from lrpc_rings import (ChainRing, ExtensionDesc, GaloisRingParams,
                         QuotientSpec, Zmod, construct_local_ring, errors, fq,
                         galois_ring, quotient_ring)
+from lrpc_rings.specparse import parse_local_atom
 
 from conftest import local_ring_oracle
 
@@ -259,6 +260,30 @@ CONSTRUCTOR_BRANCHES = {
 @pytest.mark.parametrize("branch", sorted(CONSTRUCTOR_BRANCHES))
 def test_constructor_branches_build_local_rings(branch):
     local_ring_oracle(CONSTRUCTOR_BRANCHES[branch]())
+
+
+IS_UNIT_RINGS = dict(CONSTRUCTOR_BRANCHES, **{
+    spec: (lambda spec=spec: parse_local_atom(spec))
+    for spec in ("Z2", "Z3", "Z8", "Z2147483648", "Z4[x]/(x^2+2)", "Z2[x]/(x^3)",
+                 "Z8[x]/(x^2)", "Z16[x]/(x^3)", "Z2[x]/(x^8)", "Z9[x]/(x^2)")})
+
+
+@pytest.mark.parametrize("name", sorted(IS_UNIT_RINGS))
+def test_is_unit_is_a_nonzero_residue(name):
+    """is_unit reads the first mu coordinates mod p when psi vanishes past
+    its first mu rows, and the residue otherwise: either way it is
+    residue(a).any(-1), on canonical, unreduced and negative coordinates
+    and on every leading shape."""
+    ring = IS_UNIT_RINGS[name]()
+    rng = np.random.default_rng(len(name))
+    for shape in ((), (7,), (3, 5), (2, 3, 4)):
+        for a in (ring.rand(rng, shape), ring.rand_ideal(rng, shape),
+                  ring.rand(rng, shape) - 3 * ring.char,
+                  rng.integers(-5 * ring.char, 5 * ring.char, size=shape + (ring.D,))):
+            got = ring.is_unit(a)
+            want = ring.residue(a).any(axis=-1)
+            assert np.shape(got) == shape and np.asarray(got).dtype == bool
+            assert np.array_equal(got, want)
 
 
 def test_large_rings_build_without_self_checks():

@@ -156,7 +156,25 @@ PINNED_RUNS = {
                 trials=30, seed=3),
            "644687fae06f2089231052ba7c408d4e26272df45bb681c8271248535eb54177",
            "42fd8a0fcb77e02b209900abcb01d20f28983307ad51d2303498ab9ba59c3f20"),
+    # 35 = 2 * TRIAL_CHUNK + 3 trials per t: two full chunks and a short
+    # one, whose 3 words take decode_product one by one; the digests were
+    # made by the trial loop that decoded every trial alone
+    "z4-chunks": (dict(ring_spec="Z4", m=10, n=10, k=4, lam=2, t_values=(1, 2, 3),
+                       trials=35, seed=17),
+                  "8426698bde03b3e78ca95bd7fd128bd67c5992d5fae1d74e889cfdb183ccfa7e",
+                  "f7332c910db5206e4d1665c844b7cb215a7fdd1d69759708536718764c7ab27b"),
+    "z4x2-chunks": (dict(ring_spec="Z4[x]/(x^2)", m=8, n=8, k=3, lam=2, t_values=(1, 2),
+                         trials=35, seed=17),
+                    "baa7e678545b9185474eec0d98e6b596740ea4c210b8f17e08cde26de523681a",
+                    "d89f2969c55f01eca3acabec53618066e5fadcdc77e3bcc3723dba4c3c8ca248"),
 }
+
+
+def test_chunk_pins_straddle_two_chunks():
+    """The chunk-boundary pins hold two full chunks and a short one."""
+    from lrpc_rings.simulate import TRIAL_CHUNK
+    for name in ("z4-chunks", "z4x2-chunks"):
+        assert PINNED_RUNS[name][0]["trials"] == 2 * TRIAL_CHUNK + 3
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
