@@ -129,24 +129,11 @@ def unit_pivot_factor(arith, a, ncols=None):
     (:func:`_factor_residue_f2_stack`); any other stack loops over its
     matrices.
     """
-    w = np.asarray(a, dtype=np.int64) % arith.char
-    n = w.shape[-2] if ncols is None else ncols
-    if w.ndim == 3:
-        return _factor(arith, w, n)
-    if arith.q == 2 and len(w) >= STACK_MIN:
-        return _factor_residue_f2_stack(arith, w, n)
-    if not len(w):
-        return w, np.zeros((0, w.shape[2]), dtype=np.intp), np.zeros(0, dtype=np.intp)
-    parts = [_factor(arith, x, n) for x in w]
-    return (np.stack([x[0] for x in parts]), np.stack([x[1] for x in parts]),
-            np.array([x[2] for x in parts], dtype=np.intp))
-
-
-def _factor(arith, w, n):
-    """:func:`unit_pivot_factor` of one canonical matrix w, pivots in its
-    first n columns."""
     char = arith.char
-    s = w.shape[0]
+    w = np.asarray(a, dtype=np.int64) % char
+    if w.ndim == 4:
+        return _factor_stack(arith, w, w.shape[2] if ncols is None else ncols)
+    s, n = w.shape[0], w.shape[1] if ncols is None else ncols
     if arith.q == 2:
         return _factor_residue_f2(arith, w, n)
     if arith.D > 1:
@@ -166,6 +153,17 @@ def _factor(arith, w, n):
             v[:, h:] %= char
         h += 1
     return w, perm, h
+
+
+def _factor_stack(arith, w, n):
+    """:func:`unit_pivot_factor` of a canonical stack w (B, s, N, D)."""
+    if arith.q == 2 and len(w) >= STACK_MIN:
+        return _factor_residue_f2_stack(arith, w, n)
+    if not len(w):
+        return w, np.zeros((0, w.shape[2]), dtype=np.intp), np.zeros(0, dtype=np.intp)
+    parts = [unit_pivot_factor(arith, x, n) for x in w]
+    return (np.stack([x[0] for x in parts]), np.stack([x[1] for x in parts]),
+            np.array([x[2] for x in parts], dtype=np.intp))
 
 
 def _pivot_to(w, perm, h, units):
@@ -420,7 +418,9 @@ class Submodule:
     def _jordan_rows(self, stop=None) -> np.ndarray:
         """Rows of W up to ``stop``, with the column permutation undone."""
         w, perm, _ = self.jordan()
-        return _unpermuted_rows(w, perm, stop)
+        out = np.empty_like(w[:stop])
+        out[:, perm] = w[:stop]
+        return out
 
     def reduced_gens(self) -> np.ndarray:
         """Nonzero Jordan rows: a smaller generating set for the module."""
@@ -596,15 +596,11 @@ def _log_size(ring: LocalRingDesc, gens) -> int:
 # intersections
 
 
-def _unpermuted_rows(w, perm, stop=None):
-    """Rows of a Jordan form W (s, n, D) up to ``stop``, with the column
-    permutation perm (n,) undone; or of stacked forms (B, s, n, D) with
-    their perms (B, n)."""
-    out = np.empty_like(w[..., :stop, :, :])
-    if perm.ndim == 1:
-        out[:, perm] = w[:stop]
-    else:
-        out[np.arange(len(perm))[:, None], :, perm] = w[:, :stop].swapaxes(1, 2)
+def _unpermuted_rows(w, perm, stop):
+    """:meth:`Submodule._jordan_rows` of stacked Jordan forms w (B, s, n, D)
+    with their perms (B, n)."""
+    out = np.empty_like(w[:, :stop])
+    out[np.arange(len(perm))[:, None], :, perm] = w[:, :stop].swapaxes(1, 2)
     return out
 
 
