@@ -753,7 +753,7 @@ class TestSerialization:
 
 # Peak traced memory of decode_batch on one trial chunk of Z4 ext m=20
 # words (n = 20, k = 8, lambda = 2), the largest over t = 1..6 at seed 0:
-# measured 638 KiB with TRIAL_CHUNK = 16 (426 to 527 KiB at the other t),
+# measured 637 KiB with TRIAL_CHUNK = 16 (403 to 502 KiB at the other t),
 # plus a margin of a quarter.
 CHUNK_DECODE_PEAK_KIB = 800
 
