@@ -6,9 +6,14 @@ f_lambda).  Decoding recovers the error support from the syndrome support:
 scale the syndrome support by the basis inverses, intersect, then solve
 the erasure problem on the recovered support.  The decoder costs
 O(lambda * gamma^4 * m * n * max(n^2, m^2)) base-ring operations.
-:func:`decode_local` decodes one word; :func:`decode_batch` decodes a
-stack of words of one code with each stage run once for the stack, and
-returns what decode_local returns for each word.
+
+There is one decoder with two entry points: :func:`decode_local` decodes
+one word and :func:`decode_batch` a stack of words of one code.  Each runs
+the syndrome and the line-5/8 tests, then hands the words that pass them,
+grouped by frk(S), to :func:`_decode_group`, the one implementation of
+lines 11-18, which decodes the group as a stack (decode_local's group is a
+stack of one) and calls :func:`erasure_decode` once on its stack of
+supports.  So decode_batch returns what decode_local returns for each word.
 
 Vectors over S are numpy arrays of shape (n, D_S); matrices (r, c, D_S);
 a stack of words (B, n, D_S).
@@ -27,9 +32,9 @@ from .errors import (BadRank, ExtensionMismatch, GenerationFailed,
                      NoInvertibleMinor, NoSolution, NotFree, NotInF,
                      ParseError, RankDeficient)
 from .extension import ExtensionDesc
-from .modlin import (Submodule, _free_complement, _meet_matrix, _preimage_meet,
-                     _unpermuted_rows, _with_identity, column_jordan,
-                     free_module_test, sample_free_submodule,
+from .modlin import (Submodule, _free_complement, _meet_matrix, _unpermuted_rows,
+                     _with_identity, column_jordan, free_module_test,
+                     intersect_preimages, sample_free_submodule,
                      square_property_check, unit_pivot_factor)
 
 SERIAL_HEADER = "lrpc-ring/1"
@@ -305,12 +310,18 @@ def syndrome(code: LrpcCode, received, *, canonical: bool = False) -> np.ndarray
 
 
 def _as_svector(ext, v, length):
-    """v as canonical residues: a vector of ``length`` elements of S, or an
-    array of stacked vectors (..., length, D_S)."""
-    if isinstance(v, np.ndarray) and v.shape[-2:] == (length, ext.D):
+    """v as canonical residues: a vector of ``length`` elements of S, or a
+    stack of vectors, given as an array (..., length, D_S) or as a list of
+    B arrays (length, D_S) for any B."""
+    shape = (length, ext.D)
+    if not isinstance(v, np.ndarray):
+        v = list(v)
+        if all(np.shape(x) == shape for x in v):
+            return np.array(v, dtype=np.int64).reshape((-1,) + shape) % ext.char
+    elif v.shape[-2:] == shape:
         return v % ext.char
     rows = [ext.coerce(x) for x in v]
-    if len(rows) != length:
+    if len(rows) != length or any(x.shape != (ext.D,) for x in rows):
         raise ExtensionMismatch(f"expected a vector of length {length}")
     return np.array(rows, dtype=np.int64) % ext.char
 
@@ -320,7 +331,7 @@ def _as_svector(ext, v, length):
 
 
 def erasure_decode(code: LrpcCode, support_basis, synd, *,
-                   canonical: bool = False) -> np.ndarray:
+                   canonical: bool = False):
     """Recover the unique error with the given free support from a syndrome.
 
     Expresses each syndrome entry over the product basis {f_ell eps_u}, then
@@ -334,35 +345,52 @@ def erasure_decode(code: LrpcCode, support_basis, synd, *,
     y U != V or the expanded system is inconsistent (wrong support).
     ``canonical`` says that ``synd`` is already an array of canonical
     residues.  Costs O(lambda n max(n^2, m^2)) base-ring operations.
+
+    A stack of G supports, bases (G, t', D_S) with syndromes (G, n-k, D_S),
+    is solved with each step run once for the stack and gives the list of
+    the G outcomes: the error, or the RankDeficient or NoSolution instance
+    that the call on that support alone raises.
     """
-    ext = code.ext
-    ring = ext.base
+    ext, ring = code.ext, code.ext.base
     n, k, lam = code.params.n, code.params.k, code.params.lam
-    basis = np.asarray(support_basis, dtype=np.int64).reshape(-1, ext.D)
-    t_p = basis.shape[0]
-    nu = lam * t_p
+    basis = np.asarray(support_basis, dtype=np.int64)
     if not canonical:
         synd = _as_svector(ext, synd, n - k)
+    one = basis.ndim < 3
+    if one:
+        basis, synd = basis.reshape(1, -1, ext.D), synd[None]
+    (g, t_p), nu = basis.shape[:2], lam * basis.shape[1]
+    if synd.shape != (g, n - k, ext.D):
+        raise ExtensionMismatch("expected one syndrome of length n - k per support")
+    dependent = "the products f_ell eps_u are not linearly independent"
     if t_p == 0:
-        if synd.any():
-            raise NoSolution("nonzero syndrome with empty support")
-        return np.zeros((n, ext.D), dtype=np.int64)
-    prods = ext.mul(code.F_basis[:, None, :], basis[None, :, :])  # (lam, t', D_S)
-    u_mat = ext.vec_rep(prods.reshape(nu, ext.D))                 # rows: ell*t' + u
-    w, perm, r = unit_pivot_factor(ring, _with_identity(ring, u_mat), ncols=ext.m)
-    if r < nu:
-        raise RankDeficient("the products f_ell eps_u are not linearly independent")
-    v_mat = ext.vec_rep(synd)                                     # (n-k, m, D_R)
-    y = ring.matmul(v_mat[:, perm[:nu]], w[:, ext.m:])
-    if not np.array_equal(ring.matmul(y, u_mat), v_mat):
-        raise NoSolution("syndrome lies outside the support-product module")
-    b_mat = y.reshape((n - k) * lam, t_p, ring.D)
-    pb = ring.matmul(code._P, b_mat)
-    if pb[n:].any():
-        raise NoSolution("expanded system is inconsistent for this support")
-    e_coeff = pb[:n]                                              # (n, t', D_R)
-    vec = ring.mul(e_coeff[:, :, None, :], ext.vec_rep(basis)[None, :, :, :])
-    return ext.unrep(vec.sum(axis=1) % ext.char)
+        outs = [NoSolution("nonzero syndrome with empty support") if s.any()
+                else np.zeros((n, ext.D), dtype=np.int64) for s in synd]
+    elif nu > ext.m:  # more products than R^m has independent rows
+        outs = [RankDeficient(dependent) for _ in synd]
+    else:
+        m = ext.m
+        prods = ext._dot(basis[:, None], code._f_maps.reshape(lam, ext.D, ext.D))
+        u_mat = ext.vec_rep(prods.reshape(g, nu, ext.D))               # rows: ell*t' + u
+        w, perm, r = unit_pivot_factor(ring, _with_identity(ring, u_mat), ncols=m)
+        v_mat = ext.vec_rep(synd)                                      # (G, n-k, m, D_R)
+        v_piv = v_mat[np.arange(g)[:, None], :, perm[:, :nu]].swapaxes(1, 2)  # V[:, p]
+        y = ring.matmul(v_piv, w[:, :, m:])
+        outside = (ring.matmul(y, u_mat) != v_mat).any(axis=(1, 2, 3))
+        pb = ring.matmul(code._P, y.reshape(g, (n - k) * lam, t_p, ring.D))
+        inconsistent = pb[:, n:].any(axis=(1, 2, 3))
+        err = ext.unrep(ring.matmul(pb[:, :n], ext.vec_rep(basis)))
+        outs = [RankDeficient(dependent) if r_j < nu
+                else NoSolution("syndrome lies outside the support-product module") if out_j
+                else NoSolution("expanded system is inconsistent for this support") if inc_j
+                else e_j
+                for r_j, out_j, inc_j, e_j in zip(r.tolist(), outside.tolist(),
+                                                  inconsistent.tolist(), err)]
+    if not one:
+        return outs
+    if isinstance(outs[0], Exception):
+        raise outs[0]
+    return outs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -373,20 +401,15 @@ def decode_local(code: LrpcCode, received, with_state: bool = False):
     """Rank-syndrome decoding over a local ring.
 
     Follows the decoder line by line: syndrome, syndrome support and its
-    freeness (line 5), divisibility of its free rank by lambda (line 8),
+    freeness (line 5), divisibility of its free rank by lambda (line 8);
     the candidate support E' = S cap f_2^-1 S cap ... cap f_lambda^-1 S
-    (lines 11-13), freeness and rank checks of E' (lines 14-17), erasure
-    decoding (line 18).  E' comes from S's cached Jordan form by one left
-    kernel K (:func:`modlin.intersect_preimages`); the scaled supports
-    f_i^-1 S are built only for the state, and never eliminated.  When K
-    comes from the unit-pivot kernel, K B is already a basis of E' (B S's
-    basis), so E' is free of rank rows(K) with no further elimination;
-    only a Howell-fallback K has E' tested by :func:`free_module_test`.
-    Line 16's product condition frk(E'F) = nu is tested once, by the
-    elimination of the products f_ell eps_u inside :func:`erasure_decode`:
-    its RankDeficient is line 16, its NoSolution line 18.  The recovered
-    error is re-verified against the syndrome before the codeword is
-    returned; the decoder never returns a non-codeword.
+    (lines 11-13), freeness and rank checks of E' (lines 14-17) and erasure
+    decoding (line 18) run in :func:`_decode_group`, on a stack of this one
+    word, from S's cached Jordan form.  The recovered error is re-verified
+    against the syndrome before the codeword is returned; the decoder
+    never returns a non-codeword.  With ``with_state`` the state also
+    holds the scaled supports f_i^-1 S and E' as a Submodule
+    (:func:`modlin.intersect_preimages`), both built only for it.
     """
     ext = code.ext
     lam = code.params.lam
@@ -394,72 +417,52 @@ def decode_local(code: LrpcCode, received, with_state: bool = False):
     s = syndrome(code, r, canonical=True)
     state = DecoderState(syndrome=s)
 
-    def fail(line, detail):
-        failure = DecodingFailure(line, detail)
-        return (failure, state) if with_state else failure
+    def finish(result):
+        return (result, state) if with_state else result
 
     if not s.any():
         state.error = np.zeros_like(r)
-        return (r, state) if with_state else r
+        return finish(r)
     s_sup = ext.support(s)
     state.syndrome_support = s_sup
     nu, s_free = free_module_test(s_sup)
     if not s_free:
-        return fail(5, "syndrome support is not a free module")
+        return finish(DecodingFailure(5, "syndrome support is not a free module"))
     state.nu = nu
     if nu % lam:
-        return fail(8, f"lambda does not divide frk(S) = {nu}")
-    t_p = nu // lam
-    state.t_prime = t_p
+        return finish(DecodingFailure(8, f"lambda does not divide frk(S) = {nu}"))
+    state.t_prime = nu // lam
     if with_state:
         scaled = ext.mul(code.F_inv[1:, None, :], ext.unrep(s_sup.basis())[None, :, :])
         state.scaled_supports = [s_sup] + [Submodule(ext.base, ext.m, ext.vec_rep(g))
                                            for g in scaled]
-    e_basis, e_free = _preimage_meet(ext, s_sup, code.F_basis[1:])
-    e_prime = Submodule(ext.base, ext.m, e_basis)
-    state.error_support = e_prime
-    r_e = e_basis.shape[0]
-    if not e_free:
-        r_e, e_free = free_module_test(e_prime)
-        if not e_free:
-            return fail(14, "intersected support is not a free module")
-        e_basis = e_prime.basis()
-    if r_e != t_p:
-        return fail(16, f"frk of the intersected support is {r_e}, expected {t_p}")
-    try:
-        err = erasure_decode(code, ext.unrep(e_basis), s, canonical=True)
-    except RankDeficient:
-        return fail(16, "product of candidate support with F has wrong free rank")
-    except NoSolution as exc:
-        return fail(18, str(exc))
-    if not np.array_equal(syndrome(code, err, canonical=True), s):  # pragma: no cover
-        return fail(18, "recovered error does not reproduce the syndrome")
-    state.error = err
-    out = (r - err) % ext.char
-    return (out, state) if with_state else out
+        state.error_support = intersect_preimages(ext, s_sup, code.F_basis[1:])
+    w, perm, _ = s_sup.jordan()
+    [out] = _decode_group(code, r[None], s[None], w[None], perm[None], nu)
+    if with_state and not isinstance(out, DecodingFailure):
+        state.error = (r - out) % ext.char
+    return finish(out)
 
 
 def decode_batch(code: LrpcCode, words) -> list:
     """:func:`decode_local` of every word of a stack (B, n, D_S): the list of
     the B results, each a word or a DecodingFailure equal to decode_local's,
-    ``detail`` included.
+    ``detail`` included.  Any other shape raises ExtensionMismatch.
 
     Decoding draws no random numbers, so every stage runs once for the
     whole stack: the syndromes; the Jordan forms of their supports (lines 5
-    and 8), one stacked :func:`modlin.unit_pivot_factor`; then, for each
-    group of words with the same frk(S) = nu, the preimage meet of lines
-    11-13 and the line-14/16 checks (:func:`_decode_group`); the erasure
-    step (:func:`_erase_stack`); and the check that each recovered error
-    reproduces its syndrome.  A word whose left kernel is not free, which
-    decode_local finishes through the Howell form, is decoded by
-    decode_local itself.  Only the words are reduced mod char.
+    and 8), one stacked :func:`modlin.unit_pivot_factor`; then lines 11-18
+    once for each group of words with the same frk(S) = nu
+    (:func:`_decode_group`).  Only the words are reduced mod char.
     """
     ext = code.ext
     n, k, lam = code.params.n, code.params.k, code.params.lam
     words = _as_svector(ext, words, n)
+    if words.ndim != 3:
+        raise ExtensionMismatch(f"expected a stack of words of shape (B, {n}, {ext.D})")
     out = [None] * len(words)
     synd = syndrome(code, words, canonical=True)
-    live = synd.reshape(len(words), -1).any(axis=1)
+    live = synd.any(axis=(1, 2))
     for i in np.flatnonzero(~live):
         out[i] = words[i]
     live = np.flatnonzero(live)
@@ -473,86 +476,86 @@ def decode_batch(code: LrpcCode, words) -> list:
     keep = free & (nu % lam == 0)
     for rank in sorted(set(nu[keep].tolist())):
         group = keep & (nu == rank)
-        _decode_group(code, words, synd, live[group], w[group], perm[group], rank, out)
+        idx = live[group]
+        results = _decode_group(code, words[idx], synd[idx], w[group], perm[group], rank)
+        for i, res in zip(idx.tolist(), results):
+            out[i] = res
     return out
 
 
-def _decode_group(code, words, synd, idx, w, perm, nu, out):
-    """Lines 11-18 of decode_local for the words ``idx`` whose syndrome
-    supports are free of rank nu, given by their stacked Jordan forms
-    (w, perm); fills their entries of ``out``."""
+def _decode_group(code, words, synd, w, perm, nu):
+    """Lines 11-18 of the decoder for a stack of words (G, n, D_S) with
+    canonical syndromes synd whose supports S are free of rank nu, a
+    multiple of lambda, given by their stacked Jordan forms (w, perm): the
+    list of the G results, each a decoded word or a DecodingFailure.
+
+    E' = S cap f_2^-1 S cap ... is K B for B S's Jordan basis and K the
+    left kernel of :func:`modlin._meet_matrix`, found for the group by one
+    stacked unit-pivot elimination.  K from it is free, its rows are rows
+    of an invertible matrix, and K B is a basis of E' of rank rows(K) with
+    no further elimination.  A word whose kernel is not free takes the
+    Howell form (:meth:`LocalRingDesc.left_kernel`), and its E' is tested by
+    :func:`free_module_test` (line 14).  Then the rank check of line 16,
+    one stacked :func:`erasure_decode` of the rest, whose RankDeficient is
+    line 16 (the product condition frk(E'F) = nu) and whose NoSolution is
+    line 18, and the check that each recovered error reproduces its
+    syndrome.
+    """
     ext, ring = code.ext, code.ext.base
     t_p = nu // code.params.lam
     basis = _unpermuted_rows(w, perm, nu)  # (G, nu, m, D_R)
     scalars = code.F_basis[1:]
-    free, r_e, kernel = np.ones(len(idx), dtype=bool), np.full(len(idx), nu), None
-    if nu < ext.m and len(scalars):  # else E' = S, as in _preimage_meet
+    out = [None] * len(words)
+    free, r_e, e_basis = [True] * len(words), [nu] * len(words), basis
+    if nu < ext.m and len(scalars):  # else E' = S, as in intersect_preimages
         z = _meet_matrix(ext, basis, _free_complement(ring, w, perm, nu), scalars)
         cols = z.shape[-2]
         kernel, _, rk = unit_pivot_factor(ring, _with_identity(ring, z), ncols=cols)
         free = ~(kernel[..., :cols, :].any(axis=(2, 3))
                  & (np.arange(nu) >= rk[:, None])).any(axis=1)
-        r_e = nu - rk
-    for i, rank, is_free in zip(idx.tolist(), r_e.tolist(), free.tolist()):
+        r_e, free = (nu - rk).tolist(), free.tolist()
+        e_basis = ring.matmul(kernel[:, nu - t_p:, cols:], basis)  # E' where K is free of rank t'
+    for j, (rank, is_free) in enumerate(zip(r_e, free)):
         if not is_free:
-            out[i] = decode_local(code, words[i])
-        elif rank != t_p:
-            out[i] = DecodingFailure(16, f"frk of the intersected support is {rank}, "
+            e_prime = Submodule(ring, ext.m, ring.matmul(ring.left_kernel(z[j]), basis[j]))
+            rank, is_free = free_module_test(e_prime)
+            if not is_free:
+                out[j] = DecodingFailure(14, "intersected support is not a free module")
+                continue
+            if rank == t_p:
+                e_basis[j] = e_prime.basis()
+        if rank != t_p:
+            out[j] = DecodingFailure(16, f"frk of the intersected support is {rank}, "
                                          f"expected {t_p}")
-    keep = free & (r_e == t_p)
-    if not keep.any():
-        return
-    idx, basis, s = idx[keep], basis[keep], synd[idx[keep]]
-    if kernel is not None:
-        basis = ring.matmul(kernel[keep, nu - t_p:, cols:], basis)
-    done, err, failures = _erase_stack(code, ext.unrep(basis), s)
-    for j, failure in failures.items():
-        out[idx[j]] = failure
-    idx = idx[done]
-    bad = (syndrome(code, err, canonical=True) != s[done]).any(axis=(1, 2))
-    decoded = np.subtract(words[idx], err, out=err)
-    decoded %= ext.char
-    for j, i in enumerate(idx.tolist()):
-        if bad[j]:  # pragma: no cover
-            out[i] = DecodingFailure(18, "recovered error does not reproduce the syndrome")
+
+    def rows(a, idx):  # a[idx], without the copy when idx is every row
+        return a if len(idx) == len(a) else a[idx]
+
+    todo = [j for j, res in enumerate(out) if res is None]
+    if not todo:
+        return out
+    done, errs = [], []
+    for j, res in zip(todo, erasure_decode(code, ext.unrep(rows(e_basis, todo)),
+                                           rows(synd, todo), canonical=True)):
+        if isinstance(res, RankDeficient):
+            out[j] = DecodingFailure(16, "product of candidate support with F has wrong free rank")
+        elif isinstance(res, NoSolution):
+            out[j] = DecodingFailure(18, str(res))
         else:
-            out[i] = decoded[j]
-
-
-def _erase_stack(code, basis, synd):
-    """:func:`erasure_decode` of a stack of supports with bases basis
-    (G, t', D_S), t' >= 1, and canonical syndromes synd (G, n-k, D_S).
-
-    Returns the positions where erasure_decode returns an error, those
-    errors, and a dict from the other positions to decode_local's failure
-    for them: line 16 for RankDeficient, line 18 with the NoSolution text.
-    """
-    ext, ring = code.ext, code.ext.base
-    n, lam = code.params.n, code.params.lam
-    m, (g, t_p) = ext.m, basis.shape[:2]
-    nu = lam * t_p
-    prods = ext._dot(basis[:, None], code._f_maps.reshape(lam, ext.D, ext.D))  # (G, lam, t', D_S)
-    u_mat = ext.vec_rep(prods.reshape(g, nu, ext.D))                  # rows: ell*t' + u
-    w, perm, r = unit_pivot_factor(ring, _with_identity(ring, u_mat), ncols=m)
-    failures = {j: DecodingFailure(16, "product of candidate support with F has wrong free rank")
-                for j in np.flatnonzero(r < nu).tolist()}
-    full = np.flatnonzero(r == nu)
-    if not len(full):
-        return full, np.zeros((0, n, ext.D), dtype=np.int64), failures
-    v_mat = ext.vec_rep(synd[full])                                   # (G', n-k, m, D_R)
-    y = ring.matmul(np.take_along_axis(v_mat, perm[full, None, :nu, None], axis=2),
-                    w[full, :, m:])
-    outside = (ring.matmul(y, u_mat[full]) != v_mat).any(axis=(1, 2, 3))
-    pb = ring.matmul(code._P, y.reshape(len(full), -1, t_p, ring.D))
-    inconsistent = pb[:, n:].any(axis=(1, 2, 3))
-    for j, out_j, inc_j in zip(full.tolist(), outside.tolist(), inconsistent.tolist()):
-        if out_j:
-            failures[j] = DecodingFailure(18, "syndrome lies outside the support-product module")
-        elif inc_j:
-            failures[j] = DecodingFailure(18, "expanded system is inconsistent for this support")
-    done = ~(outside | inconsistent)
-    err = ring.matmul(pb[done, :n], ext.vec_rep(basis[full[done]]))
-    return full[done], ext.unrep(err), failures
+            done.append(j)
+            errs.append(res)
+    if not done:
+        return out
+    err = np.array(errs)
+    bad = (syndrome(code, err, canonical=True) != rows(synd, done)).any(axis=(1, 2))
+    decoded = np.subtract(rows(words, done), err, out=err)
+    decoded %= ext.char
+    for j, word, is_bad in zip(done, decoded, bad.tolist()):
+        if is_bad:  # pragma: no cover
+            out[j] = DecodingFailure(18, "recovered error does not reproduce the syndrome")
+        else:
+            out[j] = word
+    return out
 
 
 # ---------------------------------------------------------------------------

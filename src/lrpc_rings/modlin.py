@@ -161,6 +161,9 @@ def _factor_stack(arith, w, n):
         return _factor_residue_f2_stack(arith, w, n)
     if not len(w):
         return w, np.zeros((0, w.shape[2]), dtype=np.intp), np.zeros(0, dtype=np.intp)
+    if len(w) == 1:  # views, not np.stack: a stack of one is the decoder's one-word path
+        w1, perm, r = unit_pivot_factor(arith, w[0], n)
+        return w1[None], perm[None], np.array([r])
     parts = [unit_pivot_factor(arith, x, n) for x in w]
     return (np.stack([x[0] for x in parts]), np.stack([x[1] for x in parts]),
             np.array([x[2] for x in parts], dtype=np.intp))
@@ -652,16 +655,6 @@ def intersect_preimages(ext, g_mod: Submodule, scalars) -> Submodule:
     K the left kernel of Z = [vec(a_i B) T2 for every a_i], of shape
     r x (#scalars)(m - r): one kernel, and no elimination of any a^-1 G.
     """
-    return Submodule(ext.base, ext.m, _preimage_meet(ext, g_mod, scalars)[0])
-
-
-def _preimage_meet(ext, g_mod: Submodule, scalars):
-    """(gens, free) for :func:`intersect_preimages`: generators K B of the
-    intersection, and True when they are a basis of it.  That is so when
-    the unit-pivot kernel gave K, whose rows are rows of an invertible
-    matrix: x K B = 0 forces x K = 0, since B's rows are independent, and
-    so x = 0.  A Howell-fallback K gives False, and the caller tests the
-    module."""
     ring = ext.base
     if g_mod.ring is not ring or g_mod.ambient != ext.m:
         raise AmbientMismatch("the module must live in R^m over the extension's base ring")
@@ -671,10 +664,10 @@ def _preimage_meet(ext, g_mod: Submodule, scalars):
     scalars = np.asarray(scalars, dtype=np.int64).reshape(-1, ext.D)
     basis = g_mod.basis()
     if r == 0 or r == ext.m or scalars.shape[0] == 0:
-        return basis, True
+        return Submodule(ring, ext.m, basis)
     t2 = _free_complement(ring, *g_mod.jordan())
-    kernel, free = ring._left_kernel(_meet_matrix(ext, basis, t2, scalars))
-    return ring.matmul(kernel, basis), free
+    kernel = ring.left_kernel(_meet_matrix(ext, basis, t2, scalars))
+    return Submodule(ring, ext.m, ring.matmul(kernel, basis))
 
 
 def _meet_matrix(ext, basis, t2, scalars):

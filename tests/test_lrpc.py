@@ -250,6 +250,38 @@ class TestEncodeSyndrome:
                 acc = ext.add(acc, ext.mul(r[j], code.H[i, j]))
             assert np.array_equal(acc, s[i])
 
+    @pytest.mark.parametrize("b", [0, 1, 3, 4, 5, 10])
+    def test_lists_of_vectors_are_stacks(self, small_code, rng, b):
+        """A list of B arrays (length, D_S) is a stack for every B, also for
+        B equal to the vector length (k = 4, n = 10 here); a list of
+        ``length`` elements is one vector."""
+        from lrpc_rings import decode_batch
+        code, ext = small_code, small_code.ext
+        n, k = code.params.n, code.params.k
+        msgs = [ext.rand(rng, (k,)) for _ in range(b)]
+        words = [(encode(code, x) + sample_error(ext, n, 1, rng)) % ext.char for x in msgs]
+        stacked = np.array(msgs).reshape(b, k, ext.D)
+        assert np.array_equal(encode(code, msgs), encode(code, stacked))
+        assert encode(code, msgs).shape == (b, n, ext.D)
+        word_stack = np.array(words).reshape(b, n, ext.D)
+        assert np.array_equal(syndrome(code, words), syndrome(code, word_stack))
+        assert syndrome(code, words).shape == (b, n - k, ext.D)
+        got = decode_batch(code, words)
+        assert len(got) == b
+        for x, y in zip(got, decode_batch(code, word_stack)):
+            assert getattr(x, "line", 0) == getattr(y, "line", 0)
+            assert isinstance(x, DecodingFailure) or np.array_equal(x, y)
+        msg = ext.rand(rng, (k,))
+        assert np.array_equal(encode(code, list(msg)), encode(code, msg))
+        assert encode(code, list(msg)).shape == (n, ext.D)
+
+    def test_a_list_of_the_wrong_length_is_refused(self, small_code, rng):
+        ext = small_code.ext
+        with pytest.raises(errors.ExtensionMismatch):
+            encode(small_code, list(ext.rand(rng, (3,))))
+        with pytest.raises(errors.ExtensionMismatch):
+            encode(small_code, [ext.rand(rng, (3,)), ext.rand(rng, (3,))])
+
 
 def _sum_of_products(ext, xs, ys):
     acc = ext.zero
@@ -577,9 +609,9 @@ def test_decode_batch_matches_decode_local(spec, monkeypatch):
     and c + e + g e' for errors of rank 1 to 3 and g a generator of the
     maximal ideal (0 over a field), mixed in every stack, so that lines 5, 8, 14, 16 and 18 occur
     (5 and 14 only off fields), and over the non-fields words whose left
-    kernel takes the Howell fallback, which decode_batch hands to
-    decode_local."""
-    from lrpc_rings import lrpc
+    kernel takes the Howell fallback, counted by the calls of
+    LocalRingDesc._left_kernel that return free=False."""
+    from lrpc_rings import lrpc, rings
     from lrpc_rings.simulate import TRIAL_CHUNK
     from lrpc_rings.specparse import parse_local_atom
     ext = ExtensionDesc(parse_local_atom(spec), 6)
@@ -599,12 +631,19 @@ def test_decode_batch_matches_decode_local(spec, monkeypatch):
                 word = word + ext.scalar_mul(g, sample_error(ext, n, 1 + w % 3, rng))
         words.append(word % ext.char)
     words = np.array(words)
-    handed = []
-    monkeypatch.setattr(lrpc, "decode_local",
-                        lambda code, word: handed.append(word) or decode_local(code, word))
+    kernels = []
+    left_kernel = rings.LocalRingDesc._left_kernel
+
+    def counted(ring, mat):
+        out = left_kernel(ring, mat)
+        kernels.append(out[1])
+        return out
+
+    monkeypatch.setattr(rings.LocalRingDesc, "_left_kernel", counted)
     got = []
     for lo in range(0, len(words), TRIAL_CHUNK):
         got += lrpc.decode_batch(code, words[lo:lo + TRIAL_CHUNK])
+    fallbacks = kernels.count(False)
     lines = set()
     for out, word in zip(got, words):
         want = decode_local(code, word)
@@ -616,9 +655,90 @@ def test_decode_batch_matches_decode_local(spec, monkeypatch):
             assert out.dtype == want.dtype and np.array_equal(out, want)
             lines.add(0)
     if ext.base.upsilon == 1:  # a field: every module and kernel is free
-        assert lines == {0, 8, 16, 18} and not handed
+        assert lines == {0, 8, 16, 18} and not fallbacks
     else:
-        assert lines == {0, 5, 8, 14, 16, 18} and handed
+        assert lines == {0, 5, 8, 14, 16, 18} and fallbacks
+
+
+def test_decode_batch_of_odd_stacks(small_code):
+    """An empty stack decodes to [], and any shape other than (B, n, D_S)
+    (one word, a wrong length, one more axis) raises ExtensionMismatch."""
+    from lrpc_rings import decode_batch
+    code, ext = small_code, small_code.ext
+    n = code.params.n
+    assert decode_batch(code, np.zeros((0, n, ext.D), dtype=np.int64)) == []
+    assert decode_batch(code, []) == []
+    for shape in ((n, ext.D), (2, n + 1, ext.D), (n, n + 1, ext.D), (1, 2, n, ext.D)):
+        with pytest.raises(errors.ExtensionMismatch):
+            decode_batch(code, np.zeros(shape, dtype=np.int64))
+
+
+@pytest.mark.parametrize("spec", BATCH_DECODER_SPECS)
+def test_stacked_erasure_decode_matches_one_call_per_support(spec):
+    """erasure_decode of a stack of G supports returns, for each, what the
+    call on that support alone returns or raises: the same error, or an
+    exception of the same class with the same message.  Each stack of 16
+    mixes rank-2 supports of errors with their syndromes (solved), a
+    support holding eps and f_2 eps (RankDeficient), other random supports
+    (NoSolution: outside the product module) and syndromes drawn from the
+    product module of the support (NoSolution: with 8 equations for 7
+    unknowns, mostly inconsistent).  G = 0 and G = 1 are stacks too, and so
+    is a stack of empty supports."""
+    from lrpc_rings.specparse import parse_local_atom
+    ext = ExtensionDesc(parse_local_atom(spec), 6)
+    ring = ext.base
+    rng = np.random.default_rng(zlib.crc32(spec.encode()))
+    code = generate_code(CodeParams(7, 3, 2, 1), ext, rng)
+    n, k, lam = code.params.n, code.params.k, code.params.lam
+
+    def case(kind):
+        if kind == 0:
+            e = sample_error(ext, n, 2, rng)
+            return ext.unrep(ext.support(e).basis()), syndrome(code, e)
+        if kind == 1:
+            eps = ext.rand_unit(rng, (1,))
+            return np.concatenate([eps, ext.mul(code.F_basis[1:2], eps)]), \
+                syndrome(code, ext.rand(rng, (n,)))
+        basis = ext.unrep(sample_free_submodule(ring, ext.m, 2, rng).basis())
+        if kind == 2:
+            return basis, syndrome(code, sample_error(ext, n, 2, rng))
+        prods = ext.vec_rep(ext.mul(code.F_basis[:, None], basis[None]).reshape(lam * 2, ext.D))
+        return basis, ext.unrep(ring.matmul(ring.rand(rng, (n - k, lam * 2)), prods))
+
+    def alone(basis, synd):
+        try:
+            return erasure_decode(code, basis, synd)
+        except (errors.RankDeficient, errors.NoSolution) as exc:
+            return exc
+
+    def same(got, want):
+        if isinstance(want, np.ndarray):
+            return isinstance(got, np.ndarray) and np.array_equal(got, want)
+        return type(got) is type(want) and str(got) == str(want)
+
+    empty = np.zeros((0, 2, ext.D), dtype=np.int64)
+    assert erasure_decode(code, empty, np.zeros((0, n - k, ext.D), dtype=np.int64)) == []
+    for g in (1, 16, 16):
+        cases = [case(kind) for kind in rng.permutation(np.arange(g) % 4)]
+        bases, synds = np.array([c[0] for c in cases]), np.array([c[1] for c in cases])
+        got = erasure_decode(code, bases, synds)
+        want = [alone(b, s) for b, s in cases]
+        assert len(got) == g and all(same(x, y) for x, y in zip(got, want))
+        if g == 16:
+            kinds = {type(x).__name__ if isinstance(x, Exception) else "error" for x in want}
+            texts = {str(x) for x in want if isinstance(x, errors.NoSolution)}
+            assert kinds == {"error", "RankDeficient", "NoSolution"} and len(texts) == 2
+    synds = np.array([syndrome(code, ext.rand(rng, (n,))) for _ in range(3)])
+    synds[1] = 0
+    got = erasure_decode(code, np.zeros((3, 0, ext.D), dtype=np.int64), synds)
+    assert isinstance(got[0], errors.NoSolution) and isinstance(got[2], errors.NoSolution)
+    assert isinstance(got[1], np.ndarray) and not got[1].any()
+    # rank-4 supports: lambda t' = 8 products in R^6 are never independent
+    wide = np.array([ext.unrep(sample_free_submodule(ring, ext.m, 4, rng).basis())
+                     for _ in range(3)])
+    got = erasure_decode(code, wide, synds)
+    assert all(isinstance(x, errors.RankDeficient) for x in got)
+    assert all(same(x, alone(b, s)) for x, b, s in zip(got, wide, synds))
 
 
 @pytest.mark.parametrize("spec, m", [("Z4", 8), ("Z9", 6), ("GR(4,2)", 5),
