@@ -13,7 +13,7 @@ from .extension import ExtensionDesc
 from .lrpc import (CodeParams, DecoderState, DecodingFailure, LrpcCode,
                    build_h_ext, code_from_text, code_to_text, decode_batch,
                    decode_local, encode, erasure_decode, generate_code,
-                   sample_error, syndrome)
+                   generate_codes, sample_error, syndrome)
 from .modlin import (MatR, SolutionSet, SquarePropertyReport, Submodule,
                      count_free_submodules, count_independent_tuples,
                      free_module_test, free_rank, general_intersection,
@@ -24,7 +24,8 @@ from .product_ring import (ProductDecodingFailure, ProductExtensionDesc,
                            ProductLrpcCode, ProductRingDesc, ProductSubmodule,
                            decode_product, decode_product_batch,
                            decompose_ring, encode_product,
-                           generate_product_code, localized_rank, project,
+                           generate_product_code, generate_product_codes,
+                           localized_rank, project,
                            sample_error_product, syndrome_product)
 from .rings import (GaloisRingParams, LocalRingDesc, QuotientSpec, RingElem,
                     Zmod, construct_local_ring, galois_ring, quotient_ring)

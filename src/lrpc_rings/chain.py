@@ -168,12 +168,13 @@ class TensorAlgebra:
 
     def right_map(self, b):
         """The Z_char matrix of x -> x b for b of shape (k, c, D): shape
-        (k*D, c*D), in ``dtype``, for :meth:`apply_right`.  Row (i, j) holds
-        the coordinates of e_j b[i, :], the j-th row of b[i, :]'s
+        (k*D, c*D), in ``dtype``, for :meth:`apply_right`, or the stack of
+        them for a stack of matrices (..., k, c, D).  Row (i, j) holds the
+        coordinates of e_j b[i, :], the j-th row of b[i, :]'s
         multiplication matrices."""
-        k, c, d = b.shape
-        maps = self.mul_matrices(b).transpose(0, 2, 1, 3)  # [i, l, j, m] -> [i, j, l, m]
-        return maps.astype(self.dtype, order="C").reshape(k * d, c * d)
+        (k, c, d), lead = b.shape[-3:], b.shape[:-3]
+        maps = self.mul_matrices(b).swapaxes(-3, -2)  # [i, l, j, m] -> [i, j, l, m]
+        return maps.astype(self.dtype, order="C").reshape(lead + (k * d, c * d))
 
     def apply_right(self, a, b_map):
         """a b for a of shape (..., k, D), given ``b_map = right_map(b)``:

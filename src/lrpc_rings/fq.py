@@ -10,7 +10,9 @@ Polynomials over a field are lists of element codes, ascending degree;
 the routines below take the field as their first argument.  Matrices over
 F_q are reduced over F_p, by the vectorized routines ``rank_mod_p`` and
 ``rref_mod_p``; over F_2 these XOR rows packed into Python ints
-(``pack_rows``), as the residue-first elimination of ``modlin`` does.
+(``pack_rows``), as the residue-first elimination of ``modlin`` does.  For
+odd p a stack of matrices is reduced by one step per column for the whole
+stack (``_rref_stack``).
 """
 
 from __future__ import annotations
@@ -289,10 +291,25 @@ def _rref_mod_2(rows) -> dict:
     return piv
 
 
-def rank_mod_p(mat, p) -> int:
-    """Rank of an integer matrix over F_p: the pivot count of its RREF,
-    over F_2 that of the packed rows of its shorter side."""
+def rank_mod_p(mat, p):
+    """Rank of an integer matrix over F_p, or the ranks (B,) of a stack
+    (B, rows, cols): the pivot count of the RREF, over F_2 that of the
+    packed rows of each matrix's shorter side.  For odd p a stack of at
+    least two matrices is reduced along its shorter side by
+    :func:`_rref_stack`, one step per column for the whole stack; over F_2
+    the packed rows of one matrix at a time beat those steps at every
+    stack size up to 16 (10 x 2, 3 x 10 and 10 x 20 matrices)."""
     m = np.asarray(mat, dtype=np.int64) % p
+    if m.ndim == 3 and p > 2 and len(m) > 1:
+        return _rref_stack(m if m.shape[2] <= m.shape[1] else m.swapaxes(1, 2).copy(), p)[2]
+    if m.ndim == 3 and p > 2:
+        return np.array([rank_mod_p(x, p) for x in m], dtype=np.intp)
+    if m.ndim == 3:
+        t = m if m.shape[1] <= m.shape[2] else m.swapaxes(1, 2)
+        rows = pack_rows(t.reshape(-1, t.shape[2]))
+        s = t.shape[1]
+        return np.array([len(_rref_mod_2(rows[i * s:i * s + s])) for i in range(len(t))],
+                        dtype=np.intp)
     if m.size == 0:
         return 0
     if p == 2:
@@ -328,6 +345,43 @@ def rref_mod_p(mat, p):
         pivots.append(c)
         r += 1
     return m[:r], pivots
+
+
+def _rref_stack(m, p):
+    """RREF over F_p of every matrix of a stack m (B, rows, cols) of
+    residues, in place: (m, pivots, rank), where the first rank[b] rows of
+    m[b] are its RREF (the rows below are 0) and pivots[b, :rank[b]] their
+    pivot columns.  Step c works on the matrices with a nonzero entry in
+    column c at or below their next pivot row: the topmost such row is
+    swapped up, scaled to a leading 1, and clears column c in every other
+    row."""
+    B, rows, cols = m.shape
+    rank = np.zeros(B, dtype=np.intp)
+    pivots = np.zeros((B, min(rows, cols)), dtype=np.intp)
+    below = np.arange(rows)
+    for c in range(cols):
+        nz = m[:, :, c] != 0
+        nz &= below >= rank[:, None]
+        live = np.flatnonzero(nz.any(axis=1))
+        if not live.size:
+            continue
+        r, i = rank[live], nz[live].argmax(axis=1)
+        x = m[live]
+        ar = np.arange(len(live))
+        top = x[ar, i]
+        x[ar, i] = x[ar, r]
+        if p > 2:
+            top *= np.array([pow(v, p - 2, p) for v in top[:, c].tolist()])[:, None]
+            top %= p
+        x -= x[:, :, c, None] * top[:, None, :]
+        x %= p
+        x[ar, r] = top
+        m[live] = x
+        pivots[live, r] = c
+        rank[live] += 1
+        if (rank == rows).all():
+            break
+    return m, pivots, rank
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +472,18 @@ class Fq:
     # -- matrices of integer-coded elements, reduced over F_p --
 
     def expand(self, mat):
-        """The F_p image of an F_q matrix of codes (r, c): row i becomes the
-        digit rows of x^u A[i, :] for u < mu, shape (r*mu, c*mu).  Its row
-        space is the F_q row space of A, so its F_p rank is mu times the
-        F_q rank of A."""
-        a = self.digits(mat)  # (r, c, mu)
-        r, c = a.shape[:2]
-        return (a[:, None] @ self._shift % self.p).reshape(r * self.mu, c * self.mu)
+        """The F_p image of an F_q matrix of codes (r, c), or of each matrix
+        of a stack (..., r, c): row i becomes the digit rows of x^u A[i, :]
+        for u < mu, shape (..., r*mu, c*mu).  Its row space is the F_q row
+        space of A, so its F_p rank is mu times the F_q rank of A."""
+        a = self.digits(mat)  # (..., r, c, mu)
+        (r, c), mu = a.shape[-3:-1], self.mu
+        out = a[..., :, None, :, :] @ self._shift % self.p
+        return out.reshape(a.shape[:-3] + (r * mu, c * mu))
 
-    def matrix_rank(self, mat) -> int:
+    def matrix_rank(self, mat):
+        """Rank over F_q of a matrix of codes, or the ranks (B,) of a stack
+        (B, r, c)."""
         if self.mu == 1:
             return rank_mod_p(mat, self.p)
         return rank_mod_p(self.expand(mat), self.p) // self.mu

@@ -15,6 +15,11 @@ lines 11-18, which decodes the group as a stack (decode_local's group is a
 stack of one) and calls :func:`erasure_decode` once on its stack of
 supports.  So decode_batch returns what decode_local returns for each word.
 
+Likewise there is one code generator, :func:`generate_codes`, which samples
+the codes of many random generators in lockstep, and one construction,
+:func:`_build_codes`, which builds a stack of codes; :func:`generate_code`
+and ``LrpcCode(...)`` are their cases of one.
+
 Vectors over S are numpy arrays of shape (n, D_S); matrices (r, c, D_S);
 a stack of words (B, n, D_S).
 """
@@ -29,13 +34,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import (BadRank, ExtensionMismatch, GenerationFailed,
-                     NoInvertibleMinor, NoSolution, NotFree, NotInF,
+                     NoInvertibleMinor, NoSolution, NotInF,
                      ParseError, RankDeficient)
 from .extension import ExtensionDesc
 from .modlin import (Submodule, _free_complement, _meet_matrix, _unpermuted_rows,
                      _with_identity, column_jordan, free_module_test,
                      intersect_preimages, sample_free_submodule,
-                     square_property_check, unit_pivot_factor)
+                     square_property_check, square_witnesses, unit_pivot_factor)
 
 SERIAL_HEADER = "lrpc-ring/1"
 GENERATION_ATTEMPTS = 1000  # draws of F, of each row of H, and of H itself
@@ -112,32 +117,25 @@ class LrpcCode:
     decoding) iff the column solver P exists, and H has full free row rank
     over S iff its Jordan form has n - k pivots.  Every code that
     constructs is therefore uniquely decodable.  ``flags``, when given, is
-    trusted for the other three properties."""
+    trusted for the other three properties.
+
+    The precomputations exist once, in :func:`_build_codes`, which builds a
+    stack of codes of one shape together; a code constructed here is its
+    stack of one."""
 
     def __init__(self, ext: ExtensionDesc, params: CodeParams, h_matrix,
                  f_basis, flags=None):
-        self.ext = ext
-        self.params = params
         n, k, lam = params.n, params.k, params.lam
-        self.H = np.asarray(h_matrix, dtype=np.int64) % ext.char
-        if self.H.shape != (n - k, n, ext.D):
+        h = np.asarray(h_matrix, dtype=np.int64) % ext.char
+        if h.shape != (n - k, n, ext.D):
             raise ExtensionMismatch("parity-check matrix has the wrong shape")
-        self.F_basis = np.asarray(f_basis, dtype=np.int64) % ext.char
-        if self.F_basis.shape != (lam, ext.D) or not np.array_equal(self.F_basis[0], ext.one):
+        f = np.asarray(f_basis, dtype=np.int64) % ext.char
+        if f.shape != (lam, ext.D) or not np.array_equal(f[0], ext.one):
             raise ExtensionMismatch("F basis must have lambda rows starting with 1")
-        self.H_ext = build_h_ext(ext, self.H, self.F_basis)
-        self._P = self._column_solver()
-        self._h_jordan = unit_pivot_factor(ext, self.H)
-        if self._h_jordan[2] != n - k:
-            raise NoInvertibleMinor("parity-check matrix admits no invertible "
-                                    "(n-k) x (n-k) column submatrix")
-        self.F_module = Submodule(ext.base, ext.m, ext.vec_rep(self.F_basis))
-        self.flags = dict(flags) if flags else self._compute_flags()
-        self._G = self._generator_matrix()
-        self._h_map = ext.base.right_map(np.swapaxes(self.H_ext, 0, 1))
-        self._f_maps = ext.mul_matrices(self.F_basis).astype(ext.dtype).reshape(
-            lam * ext.D, ext.D)
-        self._encode_map = ext.right_map(self._G)
+        [code] = _build_codes(ext, params, h[None], f[None], flags)
+        if isinstance(code, NoInvertibleMinor):
+            raise code
+        vars(self).update(vars(code))
 
     @cached_property
     def F_inv(self):
@@ -166,43 +164,83 @@ class LrpcCode:
         n, k, lam = self.params.n, self.params.k, self.params.lam
         return self.H_ext.reshape(n - k, lam, n, self.ext.base.D).transpose(0, 2, 1, 3)
 
-    def _column_solver(self):
-        """P with P H_ext = (I_n; 0).  It exists iff H_ext has an invertible
-        n x n row minor (unique decoding); else raises NoInvertibleMinor."""
-        ring = self.ext.base
-        b = np.swapaxes(self.H_ext, 0, 1)
-        try:
-            t = column_jordan(ring, b)
-        except NotFree:
-            raise NoInvertibleMinor("H_ext lacks full column rank over the ring, "
-                                    "so the code is not uniquely decodable") from None
-        return np.swapaxes(t, 0, 1).copy()
-
-    def _generator_matrix(self):
-        """Systematic-style generator G with H G^T = 0 and free rank k.
-
-        The Jordan form of H over S is (I | X) on permuted columns
-        (piv | rest), where X = H1^-1 H2 for H1 = H[:, piv], H2 = H[:, rest];
-        then G[:, piv] = -X^T and G[:, rest] = I_k.
-        """
-        ext = self.ext
-        n, k = self.params.n, self.params.k
-        w, perm, _ = self._h_jordan
-        piv, rest = perm[:n - k], perm[n - k:]
-        g = np.zeros((k, n, ext.D), dtype=np.int64)
-        g[:, piv] = np.swapaxes(ext.neg(w[:, n - k:]), 0, 1)
-        g[np.arange(k), rest] = ext.one
-        return g
-
     def __repr__(self):
         p = self.params
         return (f"LrpcCode(n={p.n}, k={p.k}, lambda={p.lam}, "
                 f"m={self.ext.m}, ring={self.ext.base.spec_string})")
 
 
+def _build_codes(ext, params, h, f_basis, flags=None, h_ext=None) -> list:
+    """LrpcCode(ext, params, h[j], f_basis[j], flags) for every j of a stack
+    of canonical parity-check matrices h (B, n-k, n, D_S) and F bases
+    (B, lambda, D_S): the list of the B codes, each one the code or the
+    NoInvertibleMinor that its construction raises.  NotInF (an entry of
+    some H outside its F) is raised for the stack.  ``h_ext``, when given,
+    is trusted to be the stack of the H_ext (the generator has their
+    coefficients).
+
+    Every precomputation runs once for the stack: H_ext
+    (:func:`build_h_ext`); the column solver P with P H_ext = (I_n; 0), the
+    right block of the unit-pivot elimination of (H_ext | I), which has n
+    pivots iff H_ext has an invertible n x n row minor (unique decoding),
+    as its residue rank is n (over F_2 that packed rank is taken first, and
+    only the codes that pass it are eliminated); the Jordan form of H over
+    S, which must have n - k pivots; the systematic-style generator G with
+    H G^T = 0, read off that form: it is (I | X) on permuted columns
+    (piv | rest), where X = H1^-1 H2 for H1 = H[:, piv], H2 = H[:, rest],
+    so G[:, piv] = -X^T and G[:, rest] = I_k; and the maps of the syndrome
+    and the encoder.
+    """
+    ring = ext.base
+    n, k, lam = params.n, params.k, params.lam
+    if h_ext is None:
+        h_ext = build_h_ext(ext, h, f_basis)
+    out = [NoInvertibleMinor("H_ext lacks full column rank over the ring, "
+                             "so the code is not uniquely decodable") for _ in h]
+    solvable = np.arange(len(h))
+    if ring.q == 2:  # a packed residue rank, a fraction of the elimination it can save
+        solvable = np.flatnonzero(ring.residue_field.matrix_rank(ring.residue_codes(h_ext)) == n)
+    w, _, r = unit_pivot_factor(ring, _with_identity(ring, _rows(h_ext, solvable)), ncols=n)
+    solvable, w = solvable[r == n], _rows(w, np.flatnonzero(r == n))
+    if not solvable.size:
+        return out
+    w_h, perm, r = unit_pivot_factor(ext, _rows(h, solvable))
+    for j in solvable[r != n - k].tolist():
+        out[j] = NoInvertibleMinor("parity-check matrix admits no invertible "
+                                   "(n-k) x (n-k) column submatrix")
+    codes, full = solvable[r == n - k], np.flatnonzero(r == n - k)
+    w, w_h, perm = _rows(w, full), _rows(w_h, full), _rows(perm, full)
+    g = np.zeros((len(codes), k, n, ext.D), dtype=np.int64)
+    stack = np.arange(len(codes))[:, None]
+    g[stack, :, perm[:, :n - k]] = ext.neg(w_h[:, :, n - k:])
+    g[stack, np.arange(k), perm[:, n - k:]] = ext.one
+    solver = np.ascontiguousarray(w[:, :, n:])
+    h_map = ring.right_map(np.swapaxes(h_ext[codes], -3, -2))
+    f_maps = ext.mul_matrices(f_basis[codes]).astype(ext.dtype).reshape(
+        len(codes), lam * ext.D, ext.D)
+    encode_map = ext.right_map(g)
+    for i, j in enumerate(codes.tolist()):
+        code = out[j] = LrpcCode.__new__(LrpcCode)
+        code.ext, code.params, code.H, code.F_basis = ext, params, h[j], f_basis[j]
+        code.H_ext, code._P = h_ext[j], solver[i]
+        code._h_jordan = (w_h[i], perm[i], n - k)
+        code.F_module = Submodule(ring, ext.m, ext.vec_rep(f_basis[j]))
+        code.flags = dict(flags) if flags else code._compute_flags()
+        code._G, code._h_map = g[i], h_map[i]
+        code._f_maps, code._encode_map = f_maps[i], encode_map[i]
+    return out
+
+
+def _rows(a, idx):
+    """a[idx], without the copy when idx is every row."""
+    return a if len(idx) == len(a) else a[idx]
+
+
 def build_h_ext(ext: ExtensionDesc, h_matrix, f_basis) -> np.ndarray:
     """Expanded parity-check matrix over R: rows blocked by parity row i,
     inner index ell, holding the coefficients of H[i, j] over the F basis.
+    A stack of matrices (..., rows, n, D_S), each with its basis
+    (..., lambda, D_S), gives the stack of their expansions.
 
     One column reduction B T = (I_lambda | 0) of the basis rows B serves
     every entry: v T = (x | 0) iff v = x B.  Raises NotInF when an entry
@@ -210,22 +248,23 @@ def build_h_ext(ext: ExtensionDesc, h_matrix, f_basis) -> np.ndarray:
     """
     ring = ext.base
     h_matrix = np.asarray(h_matrix, dtype=np.int64)
-    rows, n = h_matrix.shape[0], h_matrix.shape[1]
+    lead, (rows, n) = h_matrix.shape[:-3], h_matrix.shape[-3:-1]
     f_basis = np.asarray(f_basis, dtype=np.int64)
-    lam = f_basis.shape[0]
+    lam = f_basis.shape[-2]
     t = column_jordan(ring, ext.vec_rep(f_basis), exc=NotInF)
-    vt = ring.matmul(ext.vec_rep(h_matrix.reshape(-1, ext.D)), t)
-    outside = vt[:, lam:].reshape(rows * n, -1).any(axis=1)
+    vt = ring.matmul(ext.vec_rep(h_matrix.reshape(lead + (rows * n, ext.D))), t)
+    outside = vt[..., lam:, :].reshape(-1, rows * n, (ext.m - lam) * ring.D).any(axis=-1)
     if outside.any():
-        i, j = divmod(int(np.argmax(outside)), n)
+        i, j = divmod(int(np.argmax(outside.any(axis=0))), n)
         raise NotInF(f"entry ({i},{j}) does not lie in the module F")
-    coeffs = vt[:, :lam].reshape(rows, n, lam, ring.D)
-    return coeffs.transpose(0, 2, 1, 3).reshape(rows * lam, n, ring.D)
+    coeffs = vt[..., :lam, :].reshape(lead + (rows, n, lam, ring.D))
+    return np.swapaxes(coeffs, -3, -2).reshape(lead + (rows * lam, n, ring.D))
 
 
 def generate_code(params: CodeParams, ext: ExtensionDesc, rng) -> LrpcCode:
     """Sample an LRPC code with the unique-decoding, maximal-row-span,
-    unity and square properties, by rejection.
+    unity and square properties, by rejection: :func:`generate_codes` on
+    the one generator ``rng``.
 
     F is drawn as a free rank-lambda module containing 1 and redrawn until
     the square-property check passes; H coefficients are drawn from
@@ -233,48 +272,93 @@ def generate_code(params: CodeParams, ext: ExtensionDesc, rng) -> LrpcCode:
     matrix is redrawn while LrpcCode refuses it (NoInvertibleMinor: H_ext
     lacks full column rank over R or H full free row rank over S).
     """
+    [code] = generate_codes(params, ext, [rng])
+    if isinstance(code, GenerationFailed):
+        raise code
+    return code
+
+
+def generate_codes(params: CodeParams, ext: ExtensionDesc, rngs) -> list:
+    """:func:`generate_code` for every generator of ``rngs``, in lockstep:
+    the list of the codes, each equal to the one generate_code makes from
+    its generator (or the GenerationFailed that it raises), with every
+    generator left where generate_code leaves it.
+
+    Each rejection loop runs in rounds.  In a round every generator that is
+    still sampling draws exactly what the one-generator loop draws next: F's
+    generators, the next row of H, or, after a refusal, H again from its
+    first row.  Then one stacked call decides which draws are accepted:
+    the unit-pivot elimination of the F generators (F is free iff it has
+    lambda pivots) and :func:`modlin.square_witnesses`; the residue ranks
+    of the rows; and :func:`_build_codes`, whose NoInvertibleMinor sends a
+    generator back to draw a new H.  GENERATION_ATTEMPTS bounds the F
+    draws, the draws of each row and the H draws of each generator apart.
+    """
     ring = ext.base
     n, k, lam = params.n, params.k, params.lam
     params.validate_for_extension(ext.m)
-    report = None
+    out = [None] * len(rngs)
+    f_basis = np.zeros((len(rngs), lam, ext.D), dtype=np.int64)
+    todo = np.arange(len(rngs))
     for _ in range(GENERATION_ATTEMPTS):
-        gens = np.concatenate([ext.one[None, :], ext.rand(rng, (lam - 1,))], axis=0)
-        f_sub = Submodule(ring, ext.m, ext.vec_rep(gens))
-        if free_module_test(f_sub) != (lam, True):
-            continue
-        rep = square_property_check(ext, f_sub)
-        if rep.has_square_property:
-            report = rep
+        if not todo.size:
             break
-    if report is None:
-        raise GenerationFailed("could not sample a support module with the "
-                               "square property")
-    f_basis = report.suitable_basis
-
-    for _ in range(GENERATION_ATTEMPTS):
-        coeff = np.zeros((n - k, n, lam, ring.D), dtype=np.int64)
-        for i in range(n - k):
-            for _ in range(GENERATION_ATTEMPTS):
-                row = ring.rand_unit_or_zero(rng, (n, lam))
-                codes = ring.residue_codes(row)
-                if ring.residue_field.matrix_rank(codes) == lam:
-                    coeff[i] = row
-                    break
-            else:  # pragma: no cover
-                raise GenerationFailed("could not sample a parity-check row "
-                                       "whose coefficients span F")
-        h_matrix = np.zeros((n - k, n, ext.D), dtype=np.int64)
+        gens = np.array([np.concatenate([ext.one[None, :], ext.rand(rngs[j], (lam - 1,))])
+                         for j in todo.tolist()])
+        w, perm, r = unit_pivot_factor(ring, ext.vec_rep(gens))
+        good = r == lam  # a free F: its Jordan form has lambda pivots
+        if good.any():
+            basis = ext.unrep(_unpermuted_rows(w[good], perm[good], lam))
+            has = square_witnesses(ext, basis)[0]
+            f_basis[todo[good][has]] = basis[has]
+            good[good] = has
+        todo = todo[~good]
+    for j in todo.tolist():
+        out[j] = GenerationFailed("could not sample a support module with the "
+                                  "square property")
+    flags = {"unique_decoding": True, "maximal_row_span": True,
+             "unity": True, "square_property": True}
+    todo = [j for j, res in enumerate(out) if res is None]
+    h_tries = dict.fromkeys(todo, 0)
+    while todo:
+        rows_of = {j: [] for j in todo}
+        tries = dict.fromkeys(todo, 0)
+        drawing = todo
+        while drawing:
+            draws = [ring.rand_unit_or_zero(rngs[j], (n, lam)) for j in drawing]
+            ranks = ring.residue_field.matrix_rank(ring.residue_codes(np.array(draws)))
+            for j, row, rank in zip(drawing, draws, ranks.tolist()):
+                if rank == lam:
+                    rows_of[j].append(row)
+                    tries[j] = 0
+                else:
+                    tries[j] += 1
+            drawing = [j for j in drawing
+                       if len(rows_of[j]) < n - k and tries[j] < GENERATION_ATTEMPTS]
+        for j in todo:
+            if tries[j] == GENERATION_ATTEMPTS:
+                out[j] = GenerationFailed("could not sample a parity-check row "
+                                          "whose coefficients span F")
+        todo = [j for j in todo if tries[j] < GENERATION_ATTEMPTS]
+        if not todo:
+            break
+        coeff = np.array([rows_of[j] for j in todo]).reshape(len(todo), n - k, n, lam, ring.D)
+        h = np.zeros((len(todo), n - k, n, ext.D), dtype=np.int64)
         for ell in range(lam):
-            h_matrix = (h_matrix + ext.scalar_mul(coeff[:, :, ell, :],
-                                                  f_basis[ell])) % ext.char
-        flags = {"unique_decoding": True, "maximal_row_span": True,
-                 "unity": True, "square_property": True}
-        try:
-            return LrpcCode(ext, params, h_matrix, f_basis, flags)
-        except NoInvertibleMinor:
-            continue
-    raise GenerationFailed("retry budget exhausted while sampling H; "
-                           "parameters are likely infeasible")
+            h += ext.scalar_mul(coeff[:, :, :, ell], f_basis[todo, None, None, ell])
+            h %= ext.char
+        h_ext = coeff.swapaxes(2, 3).reshape(len(todo), (n - k) * lam, n, ring.D)
+        refused = []
+        for j, code in zip(todo, _build_codes(ext, params, h, f_basis[todo], flags, h_ext)):
+            out[j] = code
+            if isinstance(code, NoInvertibleMinor):
+                h_tries[j] += 1
+                refused.append(j)
+                if h_tries[j] == GENERATION_ATTEMPTS:
+                    out[j] = GenerationFailed("retry budget exhausted while sampling H; "
+                                              "parameters are likely infeasible")
+        todo = [j for j in refused if h_tries[j] < GENERATION_ATTEMPTS]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +578,7 @@ def _decode_group(code, words, synd, w, perm, nu):
     stacked unit-pivot elimination.  K from it is free, its rows are rows
     of an invertible matrix, and K B is a basis of E' of rank rows(K) with
     no further elimination.  A word whose kernel is not free takes the
-    Howell form (:meth:`LocalRingDesc.left_kernel`), and its E' is tested by
+    Howell form (:meth:`LocalRingDesc.howell_left_kernel`), and its E' is tested by
     :func:`free_module_test` (line 14).  Then the rank check of line 16,
     one stacked :func:`erasure_decode` of the rest, whose RankDeficient is
     line 16 (the product condition frk(E'F) = nu) and whose NoSolution is
@@ -517,7 +601,7 @@ def _decode_group(code, words, synd, w, perm, nu):
         e_basis = ring.matmul(kernel[:, nu - t_p:, cols:], basis)  # E' where K is free of rank t'
     for j, (rank, is_free) in enumerate(zip(r_e, free)):
         if not is_free:
-            e_prime = Submodule(ring, ext.m, ring.matmul(ring.left_kernel(z[j]), basis[j]))
+            e_prime = Submodule(ring, ext.m, ring.matmul(ring.howell_left_kernel(z[j]), basis[j]))
             rank, is_free = free_module_test(e_prime)
             if not is_free:
                 out[j] = DecodingFailure(14, "intersected support is not a free module")
@@ -528,15 +612,12 @@ def _decode_group(code, words, synd, w, perm, nu):
             out[j] = DecodingFailure(16, f"frk of the intersected support is {rank}, "
                                          f"expected {t_p}")
 
-    def rows(a, idx):  # a[idx], without the copy when idx is every row
-        return a if len(idx) == len(a) else a[idx]
-
     todo = [j for j, res in enumerate(out) if res is None]
     if not todo:
         return out
     done, errs = [], []
-    for j, res in zip(todo, erasure_decode(code, ext.unrep(rows(e_basis, todo)),
-                                           rows(synd, todo), canonical=True)):
+    for j, res in zip(todo, erasure_decode(code, ext.unrep(_rows(e_basis, todo)),
+                                           _rows(synd, todo), canonical=True)):
         if isinstance(res, RankDeficient):
             out[j] = DecodingFailure(16, "product of candidate support with F has wrong free rank")
         elif isinstance(res, NoSolution):
@@ -547,8 +628,8 @@ def _decode_group(code, words, synd, w, perm, nu):
     if not done:
         return out
     err = np.array(errs)
-    bad = (syndrome(code, err, canonical=True) != rows(synd, done)).any(axis=(1, 2))
-    decoded = np.subtract(rows(words, done), err, out=err)
+    bad = (syndrome(code, err, canonical=True) != _rows(synd, done)).any(axis=(1, 2))
+    decoded = np.subtract(_rows(words, done), err, out=err)
     decoded %= ext.char
     for j, word, is_bad in zip(done, decoded, bad.tolist()):
         if is_bad:  # pragma: no cover

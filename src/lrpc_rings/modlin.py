@@ -18,9 +18,10 @@ those choices fix.  Over other rings with D > 1 (extensions, GR(4,2),
 multiples of the unnormalised pivot row, and one array inverse of the
 pivot products normalises W at the end.  Over Z_char itself (D == 1) the
 loop runs on plain integer arrays.  A stack of matrices of one shape is
-factored in one call: over residue field F_2 a large enough stack runs
-the residue-first steps for all its matrices at once, with per-matrix
-pivot masks.  On top of that sit the intersection,
+factored in one call: a large enough stack runs the steps for all its
+matrices at once, residue-first over F_2 with per-matrix pivot masks, and
+the loop's steps with per-matrix pivots over larger residue fields.  On
+top of that sit the intersection,
 product, counting, sampling and product-recovery operations used by the
 decoder; the decoder's E' = S cap f_2^-1 S cap ... is
 :func:`intersect_preimages`, one left kernel K read off S's Jordan form,
@@ -43,15 +44,21 @@ from typing import Optional
 import numpy as np
 
 from . import fq
+from .chain import inverse_mod
 from .errors import (AmbientMismatch, BadRank, NoSuitableBasis, NotFree,
                      OneNotInModule, RingMismatch)
 from .rings import LocalRingDesc
 
-# Stacks of at least this many matrices over a residue field F_2 are
-# eliminated together.  Smaller ones loop over the one-matrix kernels: the
-# stacked kernel pays a fixed cost per pivot step, and broke even at about
-# 8 matrices of 12 x 20 over Z4 and of 6 x 10 over Z4[x]/(x^2).
+# Stacks of at least STACK_MIN matrices over a residue field F_2, and of at
+# least UNITS_STACK_MIN over larger residue fields, are eliminated
+# together.  Smaller ones loop over the one-matrix kernels: each stacked
+# kernel pays a fixed cost per pivot step.  Over F_2 it broke even at about
+# 8 matrices of 12 x 20 over Z4 and of 6 x 10 over Z4[x]/(x^2); over larger
+# fields at 2 to 4 matrices, at every shape that code generation eliminates
+# (6 x 10 over Z2, Z3 and Z4[x]/(x^2) ext m=10, 12 x 20 over Z4 ext m=20,
+# 12 x 22 and 2 x 10 over Z3).
 STACK_MIN = 8
+UNITS_STACK_MIN = 4
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +132,21 @@ def unit_pivot_factor(arith, a, ncols=None):
 
     A stack of matrices, shape (B, s, N, D), gives the stacked results:
     W (B, s, N, D), perm (B, N) and r (B,), each matrix's equal to its own
-    call.  When q == 2 and B >= STACK_MIN the stack is eliminated at once
-    (:func:`_factor_residue_f2_stack`); any other stack loops over its
-    matrices.
+    call.  A large enough stack is eliminated at once: when q == 2 and
+    B >= STACK_MIN (:func:`_factor_residue_f2_stack`), and when q > 2 and
+    B >= UNITS_STACK_MIN (:func:`_factor_units_stack`); any other stack
+    loops over its matrices.
     """
-    char = arith.char
-    w = np.asarray(a, dtype=np.int64) % char
+    w = np.asarray(a, dtype=np.int64) % arith.char
+    n = w.shape[-2] if ncols is None else ncols
     if w.ndim == 4:
-        return _factor_stack(arith, w, w.shape[2] if ncols is None else ncols)
-    s, n = w.shape[0], w.shape[1] if ncols is None else ncols
+        return _factor_stack(arith, w, n)
+    return _factor_one(arith, w, n)
+
+
+def _factor_one(arith, w, n):
+    """:func:`unit_pivot_factor` of one canonical matrix w (s, N, D)."""
+    char, s = arith.char, w.shape[0]
     if arith.q == 2:
         return _factor_residue_f2(arith, w, n)
     if arith.D > 1:
@@ -157,14 +170,16 @@ def unit_pivot_factor(arith, a, ncols=None):
 
 def _factor_stack(arith, w, n):
     """:func:`unit_pivot_factor` of a canonical stack w (B, s, N, D)."""
-    if arith.q == 2 and len(w) >= STACK_MIN:
+    if len(w) >= STACK_MIN and arith.q == 2:
         return _factor_residue_f2_stack(arith, w, n)
+    if len(w) >= UNITS_STACK_MIN and arith.q > 2:
+        return _factor_units_stack(arith, w, n)
     if not len(w):
         return w, np.zeros((0, w.shape[2]), dtype=np.intp), np.zeros(0, dtype=np.intp)
     if len(w) == 1:  # views, not np.stack: a stack of one is the decoder's one-word path
-        w1, perm, r = unit_pivot_factor(arith, w[0], n)
+        w1, perm, r = _factor_one(arith, w[0], n)
         return w1[None], perm[None], np.array([r])
-    parts = [unit_pivot_factor(arith, x, n) for x in w]
+    parts = [_factor_one(arith, x, n) for x in w]
     return (np.stack([x[0] for x in parts]), np.stack([x[1] for x in parts]),
             np.array([x[2] for x in parts], dtype=np.intp))
 
@@ -224,6 +239,78 @@ def _factor_deferred(arith, w, n):
         w[:, h:] = arith._dot(w[:, h:], maps[rows])
         w[np.arange(h), np.arange(h)] = arith.one
     return w, perm, h
+
+
+def _factor_units_stack(arith, w, n):
+    """:func:`unit_pivot_factor` of every matrix of a canonical stack w
+    (B, s, N, D) at once, over a local arithmetic with q > 2, pivots in the
+    first n columns.
+
+    Step h runs the one-matrix step h on every matrix that still has a unit
+    in its rows h.. and columns h..n: each picks its own pivot column and
+    row, as :func:`_pivot_to` does, and the swaps are fancy-indexed.  Over
+    Z_char (D == 1) the pivot row is normalised by its Python-int inverse,
+    as in the D == 1 loop.  For D > 1 the pivot inverses are deferred as in
+    :func:`_factor_deferred`: rows are cleared by multiples of the
+    unnormalised pivot row, each matrix's pivot products are kept, and one
+    array ``inverse`` of all of them normalises every matrix at the end.
+    """
+    char, D = arith.char, arith.D
+    B, s, N = w.shape[:3]
+    k = min(s, n)
+    perm = np.tile(np.arange(N), (B, 1))
+    rank = np.zeros(B, dtype=np.intp)
+    scale = np.zeros((B, k, D), dtype=np.int64)  # as in _factor_deferred
+    live = np.arange(B)
+    for h in range(k):
+        units = arith.is_unit(w[live, h:, h:n])
+        cols = units.any(axis=1)
+        keep = cols.any(axis=1)
+        if not keep.all():
+            live, units, cols = live[keep], units[keep], cols[keep]
+            if not live.size:
+                break
+        ar = np.arange(len(live))
+        j = cols.argmax(axis=1)
+        i = h + units[ar, :, j].argmax(axis=1)
+        j += h
+        x = w[live]
+        x[ar, h], x[ar, i] = x[ar, i], x[ar, h]
+        x[ar, :, h], x[ar, :, j] = x[ar, :, j], x[ar, :, h]
+        perm[live, h], perm[live, j] = perm[live, j], perm[live, h]
+        if D == 1:
+            v = x[..., 0]
+            piv = v[:, h, h:] * inverse_mod(v[:, h, h], char)[:, None] % char
+            coefs = v[:, :, h, None].copy()
+            coefs[:, h] = 0
+            v[:, :, h:] -= coefs * piv[:, None]
+            v[:, :, h:] %= char
+            v[:, h, h:] = piv
+        else:
+            piv = x[:, h, h:].copy()
+            maps = arith.mul_matrices(piv)  # maps[:, 0] multiplies by d
+            sc = scale[live]
+            sc[:, :h] = arith._dot(sc[:, :h], maps[:, 0])
+            sc[:, h] = piv[:, 0]
+            scale[live] = sc
+            cross = arith._dot(x[:, :, h], maps.transpose(0, 2, 1, 3).reshape(len(ar), D, -1))
+            x[:, :, h:] = arith._dot(x[:, :, h:], maps[:, None, 0])
+            x[:, :, h:] -= cross.reshape(x[:, :, h:].shape)
+            x[:, :, h:] %= char
+            x[:, h, h:] = piv
+        w[live] = x
+        rank[live] += 1
+    if D > 1 and rank.any():
+        # row i < r of a matrix carries P_i and every row below it P_0; the
+        # pivot block, zero off its diagonal, is set to I
+        pivots = np.arange(k) < rank[:, None]
+        inv = np.broadcast_to(arith.one, scale.shape).copy()
+        inv[pivots] = arith.inverse(scale[pivots])
+        rows = np.where(np.arange(s) < rank[:, None], np.arange(s), 0)
+        w = arith._dot(w, arith.mul_matrices(inv)[np.arange(B)[:, None], rows])
+        b, i = np.nonzero(pivots)
+        w[b, i, i] = arith.one
+    return w, perm, rank
 
 
 def _factor_residue_f2(arith, w, n):
@@ -351,7 +438,8 @@ def _with_identity(arith, a):
 
 
 def column_jordan(arith, b, exc=NotFree):
-    """T (n x n, invertible) with B T = (I_r | 0) for B with independent rows.
+    """T (n x n, invertible) with B T = (I_r | 0) for B with independent rows,
+    or the stack of them for a stack of such B (..., r, n, D).
 
     Row reduction of (B^T | I_n) with pivots in B^T's r columns gives
     (U B^T | U) with U B^T = (I_r; 0), so T = U^T.  Raises ``exc`` when
@@ -359,12 +447,12 @@ def column_jordan(arith, b, exc=NotFree):
     are not linearly independent over the local ring; otherwise no column
     of B^T moved, since a column without a unit pivot never gains one.
     """
-    bt = np.swapaxes(np.asarray(b, dtype=np.int64), 0, 1)
-    r = bt.shape[1]
+    bt = np.swapaxes(np.asarray(b, dtype=np.int64), -3, -2)
+    r = bt.shape[-2]
     w, _, rank = unit_pivot_factor(arith, _with_identity(arith, bt), ncols=r)
-    if rank < r:
+    if np.any(rank < r):
         raise exc("rows are not linearly independent over the ring")
-    return np.swapaxes(w[:, r:], 0, 1)
+    return np.swapaxes(w[..., r:, :], -3, -2)
 
 
 def gauss_inverse(arith, m, exc=NotFree):
@@ -810,9 +898,9 @@ def square_property_check(ext, f_mod: Submodule) -> SquarePropertyReport:
     """Check the square property of F and produce a suitable basis.
 
     The suitable basis is F's Jordan basis, whose first element is 1; then
-    a witness index i0 with F intersect (b_i0 F') = 0 is searched for.
+    a witness index i0 with F intersect (b_i0 F') = 0 is searched for
+    (:func:`square_witnesses`).
     """
-    ring = ext.base
     one_vec = ext.vec_rep(ext.one)
     lam, is_free = free_module_test(f_mod)
     # For a free F, 1 in F makes some generator a unit in column 0, so the
@@ -832,14 +920,40 @@ def square_property_check(ext, f_mod: Submodule) -> SquarePropertyReport:
     if not is_free:
         return SquarePropertyReport(False, None, beta2, None)
     basis = ext.unrep(vecs)
-    if lam == 1:
-        return SquarePropertyReport(True, basis, beta2, None)
-    f_prime = Submodule(ring, ext.m, ext.vec_rep(basis[1:]))
-    for i0 in range(2, lam + 1):
-        scaled = scale_module(ext, f_prime, basis[i0 - 1])
-        if general_intersection(f_mod, scaled).is_zero():
-            return SquarePropertyReport(True, basis, beta2, i0)
-    return SquarePropertyReport(False, None, beta2, None)
+    has, i0 = square_witnesses(ext, basis[None])
+    if not has[0]:
+        return SquarePropertyReport(False, None, beta2, None)
+    return SquarePropertyReport(True, basis, beta2, int(i0[0]) or None)
+
+
+def square_witnesses(ext, basis):
+    """The square property of a stack of free modules F containing 1, given
+    by their Jordan bases (B, lambda, D_S) with b_1 = 1: (has, i0), where
+    i0[j] is the least i0 in 2..lambda with F intersect b_i0 F' = 0 for
+    F' = <b_2, ..., b_lambda> (0 if there is none, and when lambda = 1,
+    where F has the property), and has[j] says whether F_j has it.
+
+    A basis element is a unit of S, so b_i0 F' is free of rank lambda - 1,
+    and the intersection is 0 iff the 2 lambda - 1 rows b_1, ..., b_lambda,
+    b_i0 b_2, ..., b_i0 b_lambda have no nontrivial relation over R.  Over
+    a finite local ring that holds iff their residues are independent over
+    F_q: if those are dependent, unit-pivot elimination leaves a
+    combination with a unit coefficient inside m R^m, which a nonzero
+    element of the annihilator of m turns into a nontrivial relation.  So
+    each i0 costs one stacked residue rank.
+    """
+    ring = ext.base
+    b, lam = basis.shape[:2]
+    i0 = np.zeros(b, dtype=np.intp)
+    for i in range(2, lam + 1):
+        todo = np.flatnonzero(i0 == 0)
+        if not todo.size:
+            break
+        rows = np.concatenate([basis[todo], ext.mul(basis[todo, i - 1, None], basis[todo, 1:])],
+                              axis=1)
+        ranks = ring.residue_field.matrix_rank(ring.residue_codes(ext.vec_rep(rows)))
+        i0[todo[ranks == 2 * lam - 1]] = i
+    return (i0 > 0) | (lam == 1), i0
 
 
 def recover_factor(ext, ab_mod: Submodule, report: SquarePropertyReport) -> Submodule:

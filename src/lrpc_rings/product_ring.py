@@ -19,11 +19,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fq, specparse
-from .errors import (ExtensionMismatch, IndexOutOfRange, RingMismatch,
-                     UnsupportedRing)
+from .errors import (ExtensionMismatch, GenerationFailed, IndexOutOfRange,
+                     RingMismatch, UnsupportedRing)
 from .extension import ExtensionDesc
 from .lrpc import (CodeParams, DecodingFailure, LrpcCode, decode_batch,
-                   decode_local, encode, generate_code, sample_error, syndrome)
+                   decode_local, encode, generate_codes, sample_error, syndrome)
 from .modlin import STACK_MIN, Submodule, free_module_test, module_rank
 from .rings import LocalRingDesc, Zmod
 
@@ -211,9 +211,31 @@ class ProductLrpcCode:
 
 def generate_product_code(params: CodeParams, ext: ProductExtensionDesc,
                           rng) -> ProductLrpcCode:
-    """Independent local-code generation per factor."""
-    codes = [generate_code(params, fac, rng) for fac in ext.factors]
-    return ProductLrpcCode(ext, params, codes)
+    """Independent local-code generation per factor, from one generator:
+    :func:`generate_product_codes` on ``rng`` alone."""
+    return generate_product_codes(params, ext, [rng])[0]
+
+
+def generate_product_codes(params: CodeParams, ext: ProductExtensionDesc,
+                           rngs) -> list:
+    """The product code of every generator of ``rngs``: factor by factor,
+    :func:`lrpc.generate_codes` makes the factor's code of every generator
+    in lockstep, so each generator draws its factor codes in factor order,
+    as one generate_code call per factor would.  A generator whose factor
+    code fails draws no further factor; if any fails, the GenerationFailed
+    of the first such generator in the list is raised."""
+    per_factor = []
+    live = list(range(len(rngs)))
+    failed = {}
+    for fac in ext.factors:
+        codes = dict(zip(live, generate_codes(params, fac, [rngs[j] for j in live])))
+        failed.update((j, c) for j, c in codes.items() if isinstance(c, GenerationFailed))
+        live = [j for j in live if j not in failed]
+        per_factor.append(codes)
+    if failed:
+        raise failed[min(failed)]
+    return [ProductLrpcCode(ext, params, [codes[j] for codes in per_factor])
+            for j in range(len(rngs))]
 
 
 def encode_product(code: ProductLrpcCode, msg) -> tuple:
@@ -261,7 +283,8 @@ def decode_product_batch(code: ProductLrpcCode, received) -> list:
     order, equals decode_product's word for word.  Every factor's stack
     goes through :func:`lrpc.decode_batch`; below STACK_MIN words, where
     stacking gains little or loses, each word goes through decode_product
-    (so does the one word of a code made for a single trial)."""
+    (so does each word of a chunk of fresh-code trials, which is decoded
+    by its own code as a stack of one)."""
     if len(received[0]) < STACK_MIN:
         return [decode_product(code, word) for word in zip(*received)]
     per_factor = [decode_batch(c, r) for c, r in zip(code.codes, received)]

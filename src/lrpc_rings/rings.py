@@ -227,26 +227,29 @@ class LocalRingDesc(TensorAlgebra):
         return particular, self.contract_vectors(ker)
 
     def left_kernel(self, m):
-        """Generators of {x in R^k : x M = 0} for M of shape (k, n, D)."""
-        return self._left_kernel(m)[0]
-
-    def _left_kernel(self, m):
-        """(generators, free) of {x in R^k : x M = 0} for M (k, n, D).
+        """Generators of {x in R^k : x M = 0} for M of shape (k, n, D).
 
         The unit-pivot kernel on (M | I_k), with pivots in M's n columns,
         gives W = (U M[:, perm] | U) for an invertible U.  When W[r:, :n] = 0
         (no non-unit left below the r pivots) the kernel is free, with basis
-        U[r:] = W[r:, n:], and free is True.  Otherwise the Howell form of
-        M's expansion over R0 gives generators, which need not be a basis,
-        and free is False.
+        U[r:] = W[r:, n:].  Otherwise :meth:`howell_left_kernel` gives
+        generators, which need not be a basis.
         """
         from .modlin import _with_identity, unit_pivot_factor  # modlin imports this module
         m = np.asarray(m, dtype=np.int64)
         n = m.shape[1]
         w, _, r = unit_pivot_factor(self, _with_identity(self, m), ncols=n)
         if not w[r:, :n].any():
-            return w[r:, n:], True
-        return self.contract_vectors(self.chain.left_kernel(self.expand_rows(m))), False
+            return w[r:, n:]
+        return self.howell_left_kernel(m)
+
+    def howell_left_kernel(self, m):
+        """Generators of {x in R^k : x M = 0} for M (k, n, D) from the Howell
+        form of M's expansion over R0 alone; they need not be a basis.  For
+        an M whose kernel is known not to be free, where the unit-pivot
+        elimination of :meth:`left_kernel` would be spent for nothing."""
+        rows = self.expand_rows(np.asarray(m, dtype=np.int64))
+        return self.contract_vectors(self.chain.left_kernel(rows))
 
     def solve_form(self, gens):
         """Cacheable Howell form for repeated solves of x . gens = v (same

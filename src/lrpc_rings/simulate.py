@@ -30,7 +30,7 @@ from .lrpc import CodeParams, decode_local  # noqa: F401
 from .product_ring import (ProductDecodingFailure, ProductExtensionDesc,
                            ProductRingDesc, decode_product_batch,
                            encode_product, generate_product_code,
-                           sample_error_product)
+                           generate_product_codes, sample_error_product)
 
 
 class IoError(LrpcError):
@@ -150,11 +150,15 @@ def run_trials(config: ExperimentConfig,
     codeword (possible only when the success conditions fail) is tallied
     under line 18.
 
-    The trials of one code go in chunks of TRIAL_CHUNK (one trial when
-    every trial has its own code): each trial of a chunk draws from its
-    own stream, in trial order, then the chunk is encoded and decoded as
-    one stack (:func:`product_ring.decode_product_batch`).  Decoding draws
-    no random numbers, so the records do not depend on the chunking.
+    The trials go in chunks of TRIAL_CHUNK, and each trial draws from its
+    own stream.  With a fresh code per trial, the chunk's codes are made
+    first, in lockstep (:func:`product_ring.generate_product_codes`), each
+    from its trial's stream as generate_product_code would make it; then
+    every trial of the chunk draws its message and error, in trial order.
+    The trials of one code are encoded and decoded as one stack
+    (:func:`product_ring.decode_product_batch`); a fresh code's one word is
+    decoded by its own code.  Decoding draws no random numbers, so the
+    records do not depend on the chunking.
     ``per_trial_hook(t, trial, code, codeword, error, result)`` is invoked
     once per trial, in trial order, after the trial's chunk is decoded;
     it receives the ``ProductLrpcCode`` and per-factor tuples (one-element
@@ -164,7 +168,6 @@ def run_trials(config: ExperimentConfig,
     _, ext = parse_ring_spec(config.full_spec())
     params = CodeParams(config.n, config.k, config.lam, max(config.t_values))
     fresh = config.fresh_code_per_trial
-    chunk = 1 if fresh else TRIAL_CHUNK
     records = []
     for t in config.t_values:
         start = time.perf_counter()
@@ -173,18 +176,19 @@ def run_trials(config: ExperimentConfig,
         code = None  # frees the previous t's code before the next is built
         if not fresh:
             code = generate_product_code(params, ext, _trial_rng(config.seed, t, 0))
-        for first in range(1, config.trials + 1, chunk):
-            trials = range(first, min(first + chunk, config.trials + 1))
-            msgs, errs = [], []
-            for trial in trials:
-                rng = _trial_rng(config.seed, t, trial)
-                if fresh:
-                    code = generate_product_code(params, ext, rng)
-                msgs.append(ext.rand_vector(rng, config.k))
-                errs.append(sample_error_product(ext, config.n, t, rng))
-            errs = _stack(errs)
-            cws = encode_product(code, _stack(msgs))
-            results = decode_product_batch(code, ext.add(cws, errs))
+        for first in range(1, config.trials + 1, TRIAL_CHUNK):
+            trials = range(first, min(first + TRIAL_CHUNK, config.trials + 1))
+            rngs = [_trial_rng(config.seed, t, trial) for trial in trials]
+            codes = (generate_product_codes(params, ext, rngs) if fresh
+                     else [code] * len(rngs))
+            msgs = _stack([ext.rand_vector(rng, config.k) for rng in rngs])
+            errs = _stack([sample_error_product(ext, config.n, t, rng) for rng in rngs])
+            if fresh:  # each word is decoded by its own code, as a stack of one
+                parts = [_encode_decode(c, ext, msgs, errs, [i]) for i, c in enumerate(codes)]
+                cws = tuple(map(np.concatenate, zip(*(cw for cw, _ in parts))))
+                results = [res for _, (res,) in parts]
+            else:
+                cws, results = _encode_decode(code, ext, msgs, errs, slice(None))
             for i, trial in enumerate(trials):
                 cw, res = tuple(c[i] for c in cws), results[i]
                 if isinstance(res, ProductDecodingFailure):
@@ -196,7 +200,8 @@ def run_trials(config: ExperimentConfig,
                     failures += 1
                     hist[line] += 1
                 if per_trial_hook is not None:
-                    per_trial_hook(t, trial, code, cw, tuple(e[i] for e in errs), res)
+                    per_trial_hook(t, trial, codes[i], cw, tuple(e[i] for e in errs), res)
+            codes = None  # frees the chunk's codes before the next chunk's are built
         bound = product_theoretical_bound([f.base.q for f in ext.factors],
                                           config.lam, t, config.m,
                                           config.n, config.k)
@@ -208,6 +213,14 @@ def run_trials(config: ExperimentConfig,
             failure_reason_histogram=hist,
             wall_ms=wall))
     return records
+
+
+def _encode_decode(code, ext, msgs, errs, idx):
+    """Codewords and decoder results of the trials ``idx`` of a chunk, all
+    of one code: per-factor stacks of messages and errors in, the
+    per-factor stack of codewords and the list of results out."""
+    cws = encode_product(code, tuple(m[idx] for m in msgs))
+    return cws, decode_product_batch(code, ext.add(cws, tuple(e[idx] for e in errs)))
 
 
 def _stack(vectors):

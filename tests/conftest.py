@@ -384,3 +384,19 @@ def decode_local_oracle(code, received):
         return DecodingFailure(18)
     assert np.array_equal(synd(err), s)
     return (r - err) % ext.char
+
+
+CODE_ARRAYS = ("H", "F_basis", "H_ext", "_P", "_G", "_h_map", "_f_maps", "_encode_map")
+
+
+def assert_same_code(got, want):
+    """Two LrpcCodes agree byte for byte: H, the F basis, the flags, the
+    F module's generators and every precomputed array, dtypes included."""
+    assert got.flags == want.flags
+    for name in CODE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got._h_jordan[2] == want._h_jordan[2]
+    for a, b in zip(got._h_jordan[:2], want._h_jordan[:2]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(got.F_module.gens, want.F_module.gens)

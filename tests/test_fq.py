@@ -254,3 +254,44 @@ def test_quotient_residue_field_refusal_names_the_spec():
     with pytest.raises(errors.UnsupportedRing,
                        match=r"^Z2\[x\]/\(x\^64\+x\^4\+x\^3\+x\+1\) has a residue field of size 2\^64"):
         quotient_ring(2, 1, [1, 1, 0, 1, 1] + [0] * 59 + [1])
+
+
+# the residue fields that code generation ranks stacks over: F_3 (Z3 and
+# its extension's coordinates over R), F_3 again for Z9, and F_4 (GR(4,2))
+STACK_FIELD_RINGS = ("Z3", "Z9", "GR(4,2)", "Z3 ext m=10")
+
+
+@pytest.mark.parametrize("spec", STACK_FIELD_RINGS)
+def test_stacked_ranks_match_one_call_per_matrix(spec):
+    """The rank of every matrix of a stack, and over odd p its RREF and
+    pivots from the stacked steps, equal the one-matrix routines', on
+    stacks of mixed ranks: random residue matrices, zero matrices, repeated
+    and combined rows, tall and wide shapes, stacks of 0, 1, 2 and 17."""
+    name, _, m = spec.partition(" ext m=")
+    ring = parse_local_atom(name)
+    field = ring.residue_field
+    rng = np.random.default_rng(sum(map(ord, spec)))
+    seen = set()
+    for rows, cols in ((10, 2), (3, 10), (12, 10), (5, 5), (1, 7)):
+        if m:  # coordinate rows over R of elements of the extension
+            cols = int(m)
+        for size in (0, 1, 2, 17):
+            elems = ring.rand(rng, (size, rows, cols))
+            elems[::4] = 0
+            elems[1::4, -1] = elems[1::4, 0]
+            elems[2::4, :, 0] = ring.p * elems[2::4, :, 0] % ring.char
+            codes = ring.residue_codes(elems)
+            got = field.matrix_rank(codes)
+            assert got.dtype == np.intp and got.shape == (size,)
+            want = [field.matrix_rank(c) for c in codes]
+            assert got.tolist() == want
+            seen.update(want)
+            if field.mu == 1 and field.p > 2 and size:
+                rref, pivots, rank = fq._rref_stack(codes % field.p, field.p)
+                for i, c in enumerate(codes):
+                    one, one_pivots = fq.rref_mod_p(c, field.p)
+                    assert rank[i] == len(one_pivots)
+                    assert np.array_equal(rref[i, :rank[i]], one)
+                    assert not rref[i, rank[i]:].any()
+                    assert pivots[i, :rank[i]].tolist() == one_pivots
+    assert {0, 1, 2} <= seen

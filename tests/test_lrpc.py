@@ -11,9 +11,9 @@ from lrpc_rings import (CodeParams, DecodingFailure, ExtensionDesc, LrpcCode,
                         intersect_with_free, module_product, sample_error,
                         sample_free_submodule, syndrome, unit_pivot_factor)
 
-from conftest import (decode_local_oracle, erasure_decode_oracle,
-                      gauss_inverse_oracle, schoolbook_ext_mul,
-                      unit_pivot_factor_oracle)
+from conftest import (assert_same_code, decode_local_oracle,
+                      erasure_decode_oracle, gauss_inverse_oracle,
+                      schoolbook_ext_mul, unit_pivot_factor_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,45 @@ class TestGeneration:
         coeff[1, :, 1] = coeff[1, :, 0]  # residue rank 1 < lambda
         flags = flags_of(coeff)
         assert flags["unity"] and not flags["maximal_row_span"]
+
+
+@pytest.mark.parametrize("spec, m", [("Z3", 10), ("Z9", 6), ("GR(4,2)", 5),
+                                     ("Z4[x]/(x^2)", 6), ("Z2", 7)])
+def test_stacked_construction_matches_one_code_at_a_time(spec, m):
+    """lrpc._build_codes on a stack of H over one F gives, for each, the
+    code that LrpcCode builds from it alone, every array byte for byte and
+    the recomputed flags, or the NoInvertibleMinor it raises, message
+    included: stacks mix accepted H, H whose H_ext lacks full column rank
+    (a zero column) and H without full free row rank (a repeated row)."""
+    from lrpc_rings import lrpc
+    from lrpc_rings.specparse import parse_local_atom
+    ring = parse_local_atom(spec)
+    ext = ExtensionDesc(ring, m)
+    params = CodeParams(6, 1, 2, 1)  # H_ext keeps 8 rows for 6 columns past a repeated row
+    n, k, lam = params.n, params.k, params.lam
+    rng = np.random.default_rng(zlib.crc32(spec.encode()))
+    f_basis = generate_code(params, ext, rng).F_basis
+    hs = []
+    for j in range(13):
+        coeff = ring.rand(rng, (n - k, n, lam))
+        if j % 4 == 1:
+            coeff[:, 0] = 0
+        elif j % 4 == 2:
+            coeff[-1] = coeff[0]
+        hs.append(sum(ext.scalar_mul(coeff[:, :, ell], f_basis[ell])
+                      for ell in range(lam)) % ext.char)
+    got = lrpc._build_codes(ext, params, np.array(hs), np.array([f_basis] * len(hs)))
+    kinds = set()
+    for h, out in zip(hs, got):
+        try:
+            want = LrpcCode(ext, params, h, f_basis)
+        except errors.NoInvertibleMinor as exc:
+            assert type(out) is errors.NoInvertibleMinor and str(out) == str(exc)
+            kinds.add(str(exc)[:6])
+        else:
+            assert_same_code(out, want)
+            kinds.add("code")
+    assert kinds == {"code", "H_ext ", "parity"}
 
 
 @pytest.mark.parametrize("flags", [None, "given"])
@@ -557,15 +596,22 @@ def test_decode_matches_the_dense_decoder(spec, m, params, monkeypatch):
     lines 5 and 14 occur."""
     from lrpc_rings import rings
     from lrpc_rings.specparse import parse_local_atom
-    kernels = {True: 0, False: 0}
-    left_kernel = rings.LocalRingDesc._left_kernel
+    kernels = {True: 0, False: 0}  # free kernels, Howell fallbacks
+    left_kernel = rings.LocalRingDesc.left_kernel
+    howell_left_kernel = rings.LocalRingDesc.howell_left_kernel
 
-    def counted(ring, mat):
+    def counted(ring, mat):  # free unless the fallback ran inside
+        fallbacks = kernels[False]
         out = left_kernel(ring, mat)
-        kernels[out[1]] += 1
+        kernels[True] += kernels[False] == fallbacks
         return out
 
-    monkeypatch.setattr(rings.LocalRingDesc, "_left_kernel", counted)
+    def counted_fallback(ring, mat):
+        kernels[False] += 1
+        return howell_left_kernel(ring, mat)
+
+    monkeypatch.setattr(rings.LocalRingDesc, "left_kernel", counted)
+    monkeypatch.setattr(rings.LocalRingDesc, "howell_left_kernel", counted_fallback)
     ext = ExtensionDesc(parse_local_atom(spec), m)
     g = ext.base.maximal_ideal_gens[-1]
     rng = np.random.default_rng(1)
@@ -610,7 +656,7 @@ def test_decode_batch_matches_decode_local(spec, monkeypatch):
     maximal ideal (0 over a field), mixed in every stack, so that lines 5, 8, 14, 16 and 18 occur
     (5 and 14 only off fields), and over the non-fields words whose left
     kernel takes the Howell fallback, counted by the calls of
-    LocalRingDesc._left_kernel that return free=False."""
+    LocalRingDesc.howell_left_kernel."""
     from lrpc_rings import lrpc, rings
     from lrpc_rings.simulate import TRIAL_CHUNK
     from lrpc_rings.specparse import parse_local_atom
@@ -632,18 +678,17 @@ def test_decode_batch_matches_decode_local(spec, monkeypatch):
         words.append(word % ext.char)
     words = np.array(words)
     kernels = []
-    left_kernel = rings.LocalRingDesc._left_kernel
+    howell_left_kernel = rings.LocalRingDesc.howell_left_kernel
 
     def counted(ring, mat):
-        out = left_kernel(ring, mat)
-        kernels.append(out[1])
-        return out
+        kernels.append(mat.shape)
+        return howell_left_kernel(ring, mat)
 
-    monkeypatch.setattr(rings.LocalRingDesc, "_left_kernel", counted)
+    monkeypatch.setattr(rings.LocalRingDesc, "howell_left_kernel", counted)
     got = []
     for lo in range(0, len(words), TRIAL_CHUNK):
         got += lrpc.decode_batch(code, words[lo:lo + TRIAL_CHUNK])
-    fallbacks = kernels.count(False)
+    fallbacks = len(kernels)
     lines = set()
     for out, word in zip(got, words):
         want = decode_local(code, word)
@@ -845,7 +890,7 @@ class TestSerialization:
         body = json.loads(body)
         del body["flags"]
         clone = code_from_text(head + "\n" + json.dumps(body))
-        assert over_s == [(6, 10, clone.ext.D)]
+        assert over_s == [(1, 6, 10, clone.ext.D)]  # LrpcCode builds a stack of one
         assert clone.flags == small_code.flags
 
     @pytest.mark.parametrize("flag", ["unique_decoding", "maximal_row_span",

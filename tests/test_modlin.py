@@ -13,7 +13,7 @@ from lrpc_rings import (MatR, Submodule, count_free_submodules,
                         square_property_check, unit_pivot_factor)
 from lrpc_rings import ExtensionDesc, Zmod, galois_ring, modlin
 from lrpc_rings.modlin import (column_jordan, gauss_inverse, intersect_preimages,
-                               scale_module)
+                               scale_module, square_witnesses)
 from lrpc_rings.specparse import parse_local_atom
 
 from conftest import (brute_solution_set, gauss_inverse_oracle,
@@ -320,9 +320,13 @@ def test_residue_field_f2_selects_the_residue_first_path(z4, z9, rxi, gr42, s5, 
 
 
 # the F_2 rings whose stacks take the stacked residue-first kernel, the
-# larger residue fields, and an extension over each (every extension with
-# m > 1 has q > 2, so its stacks loop over the one-matrix kernels)
+# larger residue fields (D = 1 with odd p, and D > 1), and an extension over
+# each (every extension with m > 1 has q > 2): these take the stacked
+# unit-pivot kernel
 STACK_RINGS = {
+    "Z3": lambda: Zmod(3),
+    "Z9": lambda: Zmod(9),
+    "Z3 ext m=10": lambda: ExtensionDesc(Zmod(3), 10),
     "Z4": lambda: Zmod(4),
     "Z8": lambda: Zmod(8),
     "Z4[x]/(x^2)": lambda: parse_local_atom("Z4[x]/(x^2)"),
@@ -338,7 +342,7 @@ STACK_RINGS = {
 
 def _stacks(ring, rng):
     """Stacks (B, s, N, D) with their ncols, for B = 0, 1, 2, around
-    STACK_MIN and around the trial chunk.  Each stack mixes random matrices
+    UNITS_STACK_MIN and STACK_MIN, and around the trial chunk.  Each stack mixes random matrices
     with unreduced entries, matrices without a unit (r = 0), rows that are
     p times another, repeated rows and sparse residues; the shapes include
     ncols < N, more rows than columns, and (A | I) blocks of full rank."""
@@ -347,8 +351,8 @@ def _stacks(ring, rng):
     eye = lambda k: Submodule.full(ring, k).gens
     for s, cols, ncols, with_eye in ((3, 5, None, False), (6, 9, 4, False),
                                      (5, 3, None, False), (4, 4, 4, True)):
-        for size in (0, 1, 2, modlin.STACK_MIN - 1, modlin.STACK_MIN,
-                     TRIAL_CHUNK - 1, TRIAL_CHUNK + 1):
+        for size in (0, 1, 2, modlin.UNITS_STACK_MIN - 1, modlin.UNITS_STACK_MIN,
+                     modlin.STACK_MIN - 1, modlin.STACK_MIN, TRIAL_CHUNK - 1, TRIAL_CHUNK + 1):
             mats = []
             for b in range(size):
                 a = ring.rand(rng, (s, cols))
@@ -373,22 +377,29 @@ def _stacks(ring, rng):
 def test_stacked_factor_matches_one_call_per_matrix(name, monkeypatch):
     """unit_pivot_factor of a stack returns, for every matrix, the (W, perm,
     r) of its own call byte for byte.  Over residue field F_2 a stack of at
-    least STACK_MIN matrices runs the stacked kernel; every other stack
-    loops."""
+    least STACK_MIN matrices runs the residue-first stacked kernel, over
+    larger residue fields a stack of at least UNITS_STACK_MIN the stacked
+    unit-pivot kernel; every other stack loops."""
     ring = STACK_RINGS[name]()
     stacked = []
-    kernel = modlin._factor_residue_f2_stack
 
-    def spy(arith, w, n):
-        stacked.append(len(w))
-        return kernel(arith, w, n)
+    def spy(kernel):
+        def counted(arith, w, n):
+            stacked.append((kernel.__name__, len(w)))
+            return kernel(arith, w, n)
+        return counted
 
-    monkeypatch.setattr(modlin, "_factor_residue_f2_stack", spy)
+    for kernel in ("_factor_residue_f2_stack", "_factor_units_stack"):
+        monkeypatch.setattr(modlin, kernel, spy(getattr(modlin, kernel)))
+    if ring.q == 2:
+        kernel, least = "_factor_residue_f2_stack", modlin.STACK_MIN
+    else:
+        kernel, least = "_factor_units_stack", modlin.UNITS_STACK_MIN
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     for a, ncols in _stacks(ring, rng):
         stacked.clear()
         w, perm, r = unit_pivot_factor(ring, a, ncols)
-        assert stacked == ([len(a)] if ring.q == 2 and len(a) >= modlin.STACK_MIN else [])
+        assert stacked == ([(kernel, len(a))] if len(a) >= least else [])
         assert (w.dtype, w.shape) == (np.int64, a.shape)
         assert (perm.dtype, perm.shape) == (np.intp, a.shape[:1] + a.shape[2:3])
         assert (r.dtype, r.shape) == (np.intp, a.shape[:1])
@@ -867,6 +878,35 @@ class TestSquareProperty:
         assert module_rank(f_mod) == 2
         rep = square_property_check(s5, f_mod)
         assert rep.has_square_property and rep.beta2 == 3 and rep.i0 == 2
+
+
+@pytest.mark.parametrize("spec, m", [("Z3", 4), ("Z9", 4), ("GR(4,2)", 3), ("Z3", 10),
+                                     ("Z2", 6), ("Z4[x]/(x^2)", 4)])
+def test_square_witnesses_match_one_check_per_module(spec, m):
+    """square_witnesses on a stack of free F's Jordan bases gives, for
+    each, the property and witness that square_property_check gives on it
+    alone, which the intersection oracle checks: stacks that mix F with and
+    without the square property (for lambda = 2, b_2 in a subfield of
+    degree 2; for lambda = 3 and m < 5, every F), lambda = 1, 2 and 3."""
+    ring = parse_local_atom(spec)
+    ext = ExtensionDesc(ring, m)
+    rng = np.random.default_rng(zlib.crc32(f"{spec} {m}".encode()))
+    seen = set()
+    for lam in (1, 2, 3):
+        bases, reports = [], []
+        while len(bases) < 12:
+            f_mod = ext.support(np.concatenate([ext.one[None], ext.rand(rng, (lam - 1,))]))
+            if free_module_test(f_mod) != (lam, True):
+                continue
+            bases.append(ext.unrep(f_mod.basis()))
+            reports.append(square_property_check(ext, f_mod))
+        has, i0 = square_witnesses(ext, np.array(bases))
+        for rep, h, i, basis in zip(reports, has.tolist(), i0.tolist(), bases):
+            assert (h, i or None) == (rep.has_square_property, rep.i0)
+            want = square_property_oracle(ext, ext.support(basis))
+            assert (want[0], want[3]) == (h, i or None)
+            seen.add(h)
+    assert seen == {True, False} or (spec, m) == ("Z3", 10)
 
 
 class TestRecoverFactor:

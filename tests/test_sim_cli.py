@@ -6,12 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lrpc_rings import (DecodingFailure, ExperimentConfig,
+from lrpc_rings import (CodeParams, DecodingFailure, ExperimentConfig,
                         ProductDecodingFailure, TrialRecord, emit_csv, errors,
                         parse_ring_spec, product_theoretical_bound, read_csv,
                         run_trials, theoretical_bound)
 from lrpc_rings.cli import main as cli_main
 from lrpc_rings.simulate import CSV_HEADER
+
+from conftest import assert_same_code
 
 
 class TestParseRingSpec:
@@ -167,13 +169,19 @@ PINNED_RUNS = {
                          trials=35, seed=17),
                     "baa7e678545b9185474eec0d98e6b596740ea4c210b8f17e08cde26de523681a",
                     "d89f2969c55f01eca3acabec53618066e5fadcdc77e3bcc3723dba4c3c8ca248"),
+    # fresh codes in two full chunks and a short one; the digests were made
+    # by the trial loop that generated each trial's code alone
+    "z6-fresh-chunks": (dict(ring_spec="Z6", m=8, n=8, k=3, lam=2, t_values=(1, 2),
+                             trials=35, seed=17, fresh_code_per_trial=True),
+                        "9e6d6627cf2468a15f0a4e89839075cbae3abd162590667967d2cfbf749565ec",
+                        "9e9cf82f338c55ad11e0c48bae0a06a02533fe23eb3617e73463f8ee93356054"),
 }
 
 
 def test_chunk_pins_straddle_two_chunks():
     """The chunk-boundary pins hold two full chunks and a short one."""
     from lrpc_rings.simulate import TRIAL_CHUNK
-    for name in ("z4-chunks", "z4x2-chunks"):
+    for name in ("z4-chunks", "z4x2-chunks", "z6-fresh-chunks"):
         assert PINNED_RUNS[name][0]["trials"] == 2 * TRIAL_CHUNK + 3
 
 
@@ -191,6 +199,114 @@ def test_pinned_simulator_output(name, tmp_path):
     emit_csv(run_trials(ExperimentConfig(**kwargs), per_trial_hook=hook), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_sha
     assert seq.hexdigest() == seq_sha
+
+
+# fresh-code runs whose chunks hold NoInvertibleMinor refusals and F that
+# fail the square property (m = 4: an F with b_2 in F_(q^2) fails), over the
+# composite Z6, a non-Galois chain ring and an odd-characteristic Galois
+# ring; 20 trials are a full chunk and a short one
+FRESH_STREAM_RUNS = {
+    "Z6": dict(ring_spec="Z6", m=4, n=6, k=2, lam=2, t_values=(1,), trials=20, seed=5),
+    "Z4[x]/(x^2)": dict(ring_spec="Z4[x]/(x^2)", m=4, n=6, k=2, lam=2, t_values=(1,),
+                        trials=20, seed=5),
+    "Z9": dict(ring_spec="Z9", m=4, n=6, k=2, lam=2, t_values=(1,), trials=20, seed=5),
+}
+
+
+def _run_fresh(kwargs):
+    """run_trials with a fresh code per trial: the records and the hook's
+    arguments, in order."""
+    seen = []
+    config = ExperimentConfig(fresh_code_per_trial=True, **kwargs)
+    return run_trials(config, per_trial_hook=lambda *args: seen.append(args)), seen
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_STREAM_RUNS))
+def test_fresh_chunks_keep_every_trials_stream(name, monkeypatch):
+    """Every trial of a chunk of fresh codes gets the code that
+    generate_product_code makes from its own stream alone (H, the F basis,
+    the flags and every precomputed array), and the codeword and error
+    that the stream then gives, as in the loop that ran one trial at a
+    time.  The chunks hold F redraws and NoInvertibleMinor refusals of
+    several trials at once."""
+    from lrpc_rings import lrpc
+    from lrpc_rings.product_ring import (encode_product, generate_product_code,
+                                         sample_error_product)
+    from lrpc_rings.simulate import _trial_rng
+    counts = {"refused": 0, "redrawn": 0}
+    build, witnesses = lrpc._build_codes, lrpc.square_witnesses
+
+    def counted_build(ext, params, h, *args):
+        out = build(ext, params, h, *args)
+        if len(h) > 1:
+            counts["refused"] += sum(isinstance(c, errors.NoInvertibleMinor) for c in out)
+        return out
+
+    def counted_witnesses(ext, basis):
+        has, i0 = witnesses(ext, basis)
+        if len(basis) > 1:
+            counts["redrawn"] += int((~has).sum())
+        return has, i0
+
+    monkeypatch.setattr(lrpc, "_build_codes", counted_build)
+    monkeypatch.setattr(lrpc, "square_witnesses", counted_witnesses)
+    kwargs = FRESH_STREAM_RUNS[name]
+    _, seen = _run_fresh(kwargs)
+    assert counts["refused"] and counts["redrawn"]
+    monkeypatch.undo()
+    _, ext = parse_ring_spec(f"{kwargs['ring_spec']} ext m={kwargs['m']}")
+    params = CodeParams(kwargs["n"], kwargs["k"], kwargs["lam"], max(kwargs["t_values"]))
+    assert [(t, trial) for t, trial, *_ in seen] == [(1, j) for j in range(1, 21)]
+    for t, trial, code, cw, err, _ in seen:
+        rng = _trial_rng(kwargs["seed"], t, trial)
+        want = generate_product_code(params, ext, rng)
+        for got_c, want_c in zip(code.codes, want.codes, strict=True):
+            assert_same_code(got_c, want_c)
+        msg = ext.rand_vector(rng, kwargs["k"])
+        want_err = sample_error_product(ext, kwargs["n"], t, rng)
+        want_cw = encode_product(want, tuple(x[None] for x in msg))
+        assert all(np.array_equal(a, b[0]) for a, b in zip(cw, want_cw, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(err, want_err, strict=True))
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_STREAM_RUNS))
+def test_fresh_records_do_not_depend_on_the_chunk(name, monkeypatch, tmp_path):
+    """TRIAL_CHUNK = 1, 5 and 16 give the same CSV bytes and the same hook
+    calls: trial, code, codeword, error and result."""
+    from lrpc_rings import simulate
+    runs = []
+    for chunk in (1, 5, 16):
+        monkeypatch.setattr(simulate, "TRIAL_CHUNK", chunk)
+        records, seen = _run_fresh(FRESH_STREAM_RUNS[name])
+        path = tmp_path / f"{chunk}.csv"
+        emit_csv(records, path)
+        calls = [(t, trial, tuple(c.H.tobytes() for c in code.codes),
+                  tuple(x.tobytes() for x in cw), tuple(x.tobytes() for x in err),
+                  _outcome_line(cw, res)) for t, trial, code, cw, err, res in seen]
+        runs.append((path.read_bytes(), calls))
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("spec, attempts, seed", [("Z6", 1, 5), ("Z4[x]/(x^2)", 2, 3)])
+def test_generation_budgets_stay_per_trial(spec, attempts, seed, monkeypatch):
+    """With GENERATION_ATTEMPTS so low that trials of a chunk exhaust their
+    F, row or H budgets, the chunked run raises the GenerationFailed of the
+    run that makes one code at a time: the first failing trial's, although
+    later trials fail in earlier rounds (Z6: trial 2 runs out of H draws,
+    trial 3 of F draws; Z4[x]/(x^2): trial 3 of H draws, trial 4 of draws of
+    one row)."""
+    from lrpc_rings import lrpc, simulate
+    monkeypatch.setattr(lrpc, "GENERATION_ATTEMPTS", attempts)
+    config = ExperimentConfig(ring_spec=spec, m=4, n=6, k=2, lam=2, t_values=(1,),
+                              trials=16, seed=seed, fresh_code_per_trial=True)
+    raised = []
+    for chunk in (1, 16):
+        monkeypatch.setattr(simulate, "TRIAL_CHUNK", chunk)
+        with pytest.raises(errors.GenerationFailed) as info:
+            run_trials(config)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][1].startswith("retry budget exhausted while sampling H")
 
 
 class TestEmitCsv:
