@@ -37,7 +37,7 @@ from .errors import (BadRank, ExtensionMismatch, GenerationFailed,
                      NoInvertibleMinor, NoSolution, NotInF,
                      ParseError, RankDeficient)
 from .extension import ExtensionDesc
-from .modlin import (Submodule, _free_complement, _meet_matrix, _unpermuted_rows,
+from .modlin import (Submodule, _free_complement, _meet_matrix, _rows, _unpermuted_rows,
                      _with_identity, column_jordan, free_module_test,
                      intersect_preimages, sample_free_submodule,
                      square_property_check, square_witnesses, unit_pivot_factor)
@@ -147,11 +147,9 @@ class LrpcCode:
 
     def _compute_flags(self):
         ext, ring = self.ext, self.ext.base
-        n, k, lam = self.params.n, self.params.k, self.params.lam
-        coeff = self._coefficients()
-        span_ok = all(
-            ring.residue_field.matrix_rank(ring.residue_codes(coeff[i])) == lam
-            for i in range(n - k))
+        lam = self.params.lam
+        coeff = self._coefficients()  # the rows' (n, lam) coefficients, stacked
+        span_ok = (ring.residue_field.matrix_rank(ring.residue_codes(coeff)) == lam).all()
         unity = (ring.is_unit(coeff) | ~coeff.any(axis=-1)).all()
         sq = square_property_check(ext, self.F_module).has_square_property
         return {"unique_decoding": True,
@@ -229,11 +227,6 @@ def _build_codes(ext, params, h, f_basis, flags=None, h_ext=None) -> list:
         code._G, code._h_map = g[i], h_map[i]
         code._f_maps, code._encode_map = f_maps[i], encode_map[i]
     return out
-
-
-def _rows(a, idx):
-    """a[idx], without the copy when idx is every row."""
-    return a if len(idx) == len(a) else a[idx]
 
 
 def build_h_ext(ext: ExtensionDesc, h_matrix, f_basis) -> np.ndarray:
@@ -550,7 +543,7 @@ def decode_batch(code: LrpcCode, words) -> list:
     for i in np.flatnonzero(~live):
         out[i] = words[i]
     live = np.flatnonzero(live)
-    w, perm, nu = unit_pivot_factor(ext.base, ext.vec_rep(synd[live]))
+    w, perm, nu = unit_pivot_factor(ext.base, ext.vec_rep(_rows(synd, live)))
     free = ~(w.any(axis=(2, 3)) & (np.arange(n - k) >= nu[:, None])).any(axis=1)
     for i, rank, is_free in zip(live.tolist(), nu.tolist(), free.tolist()):
         if not is_free:
@@ -559,9 +552,10 @@ def decode_batch(code: LrpcCode, words) -> list:
             out[i] = DecodingFailure(8, f"lambda does not divide frk(S) = {rank}")
     keep = free & (nu % lam == 0)
     for rank in sorted(set(nu[keep].tolist())):
-        group = keep & (nu == rank)
+        group = np.flatnonzero(keep & (nu == rank))
         idx = live[group]
-        results = _decode_group(code, words[idx], synd[idx], w[group], perm[group], rank)
+        results = _decode_group(code, _rows(words, idx), _rows(synd, idx),
+                                _rows(w, group), _rows(perm, group), rank)
         for i, res in zip(idx.tolist(), results):
             out[i] = res
     return out
@@ -574,16 +568,33 @@ def _decode_group(code, words, synd, w, perm, nu):
     list of the G results, each a decoded word or a DecodingFailure.
 
     E' = S cap f_2^-1 S cap ... is K B for B S's Jordan basis and K the
-    left kernel of :func:`modlin._meet_matrix`, found for the group by one
-    stacked unit-pivot elimination.  K from it is free, its rows are rows
-    of an invertible matrix, and K B is a basis of E' of rank rows(K) with
-    no further elimination.  A word whose kernel is not free takes the
-    Howell form (:meth:`LocalRingDesc.howell_left_kernel`), and its E' is tested by
-    :func:`free_module_test` (line 14).  Then the rank check of line 16,
-    one stacked :func:`erasure_decode` of the rest, whose RankDeficient is
-    line 16 (the product condition frk(E'F) = nu) and whose NoSolution is
-    line 18, and the check that each recovered error reproduces its
-    syndrome.
+    left kernel of the meet matrix Z (:func:`modlin._meet_matrix`), found
+    for the group by one stacked unit-pivot elimination of (Z | I), with r
+    pivots in Z's columns: W = (U Z[:, perm] | U) for an invertible U.
+    When W[r:, :cols] = 0, K = U[r:] is free, its rows are rows of an
+    invertible matrix, and K B is a basis of E' of rank nu - r with no
+    further elimination.
+
+    Otherwise E' is not free, and the word fails at line 14:
+      * B is a basis of the free S, so x -> x B is injective and
+        E' = K B is isomorphic to ker_L(Z) = {x : x Z = 0}.
+      * x Z = 0 iff y = x U^-1 kills U Z[:, perm] = (I_r X; 0 Y), so y's
+        first r entries are 0 and ker_L(Z) is isomorphic to
+        {y in R^(nu-r) : y Y = 0} for Y = W[r:, r:cols], whose entries are
+        all non-units (no unit is left below the pivots).
+      * Y != 0: every entry of Y lies in the maximal ideal m, so that
+        kernel holds Soc(R)^(nu-r), Soc(R) = Ann(m), which is therefore
+        its socle; it is not all of R^(nu-r), since a unit vector at a
+        nonzero row of Y is outside.
+      * A free submodule of R^(nu-r) whose socle is Soc(R)^(nu-r) has
+        rank nu - r (a free module of rank f has socle Soc(R)^f, whose
+        length is f times that of Soc(R)), so it has |R|^(nu-r) elements
+        and is all of R^(nu-r).  Hence the kernel, and E', are not free.
+
+    Then the rank check of line 16, one stacked :func:`erasure_decode` of
+    the rest, whose RankDeficient is line 16 (the product condition
+    frk(E'F) = nu) and whose NoSolution is line 18, and the check that each
+    recovered error reproduces its syndrome.
     """
     ext, ring = code.ext, code.ext.base
     t_p = nu // code.params.lam
@@ -601,14 +612,8 @@ def _decode_group(code, words, synd, w, perm, nu):
         e_basis = ring.matmul(kernel[:, nu - t_p:, cols:], basis)  # E' where K is free of rank t'
     for j, (rank, is_free) in enumerate(zip(r_e, free)):
         if not is_free:
-            e_prime = Submodule(ring, ext.m, ring.matmul(ring.howell_left_kernel(z[j]), basis[j]))
-            rank, is_free = free_module_test(e_prime)
-            if not is_free:
-                out[j] = DecodingFailure(14, "intersected support is not a free module")
-                continue
-            if rank == t_p:
-                e_basis[j] = e_prime.basis()
-        if rank != t_p:
+            out[j] = DecodingFailure(14, "intersected support is not a free module")
+        elif rank != t_p:
             out[j] = DecodingFailure(16, f"frk of the intersected support is {rank}, "
                                          f"expected {t_p}")
 

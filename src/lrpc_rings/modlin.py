@@ -14,19 +14,19 @@ pivot commutes with the residue map, so every choice it makes (pivot
 columns, row and column swaps, r) is made on the residue rows, packed
 into Python ints, and W is then computed exactly from the Schur form
 those choices fix.  Over other rings with D > 1 (extensions, GR(4,2),
-...) the per-pivot loop defers its inverses: rows are cleared by
-multiples of the unnormalised pivot row, and one array inverse of the
-pivot products normalises W at the end.  Over Z_char itself (D == 1) the
-loop runs on plain integer arrays.  A stack of matrices of one shape is
+...) it is the stacked unit-pivot kernel, one matrix being a stack of
+one: the pivot inverses are deferred, rows are cleared by multiples of
+the unnormalised pivot row, and one array inverse of the pivot products
+normalises W at the end.  Over Z_char itself (D == 1) the per-pivot loop
+runs on plain integer arrays.  A stack of matrices of one shape is
 factored in one call: a large enough stack runs the steps for all its
 matrices at once, residue-first over F_2 with per-matrix pivot masks, and
 the loop's steps with per-matrix pivots over larger residue fields.  On
-top of that sit the intersection,
-product, counting, sampling and product-recovery operations used by the
-decoder; the decoder's E' = S cap f_2^-1 S cap ... is
-:func:`intersect_preimages`, one left kernel K read off S's Jordan form,
-and K B for S's basis B is a basis of E' whenever the unit-pivot kernel
-gave K.
+top of that sit the intersection, product, counting, sampling and
+product-recovery operations used by the decoder; the decoder's
+E' = S cap f_2^-1 S cap ... is :func:`intersect_preimages`, one left
+kernel K read off S's Jordan form, and K B for S's basis B is a basis of
+E' whenever the unit-pivot kernel gave K.
 
 Matrices over R are numpy arrays of shape (rows, cols, D); vectors are
 (cols, D).  A Submodule of R^n stores a generator matrix and lazily
@@ -50,13 +50,12 @@ from .errors import (AmbientMismatch, BadRank, NoSuitableBasis, NotFree,
 from .rings import LocalRingDesc
 
 # Stacks of at least STACK_MIN matrices over a residue field F_2, and of at
-# least UNITS_STACK_MIN over larger residue fields, are eliminated
-# together.  Smaller ones loop over the one-matrix kernels: each stacked
-# kernel pays a fixed cost per pivot step.  Over F_2 it broke even at about
-# 8 matrices of 12 x 20 over Z4 and of 6 x 10 over Z4[x]/(x^2); over larger
-# fields at 2 to 4 matrices, at every shape that code generation eliminates
-# (6 x 10 over Z2, Z3 and Z4[x]/(x^2) ext m=10, 12 x 20 over Z4 ext m=20,
-# 12 x 22 and 2 x 10 over Z3).
+# least UNITS_STACK_MIN over Z_char with odd p (D == 1), are eliminated
+# together; smaller ones loop over the one-matrix kernels, since each
+# stacked kernel pays a fixed cost per pivot step.  Over F_2 it broke even
+# at about 8 matrices of 12 x 20 over Z4 and of 6 x 10 over Z4[x]/(x^2);
+# over Z3 at 2 to 4 matrices (12 x 22 and 2 x 10).  At D > 1 with q > 2
+# every nonempty stack takes the stacked kernel, a matrix alone too.
 STACK_MIN = 8
 UNITS_STACK_MIN = 4
 
@@ -125,20 +124,29 @@ def unit_pivot_factor(arith, a, ncols=None):
     made on the packed residue rows (:func:`_factor_residue_f2`): a row
     operation with a unit pivot commutes with the residue map, so the
     choices are those of the loop, and they fix W.  Otherwise, for D > 1,
-    the loop defers every pivot inverse to one array ``inverse`` at the
-    end (:func:`_factor_deferred`).  Over Z_char itself (D == 1) the loop
-    runs on the (rows, cols) view, with a unit test mod p and a Python-int
-    pivot inverse.
+    the matrix is a stack of one for :func:`_factor_units_stack`, which
+    defers every pivot inverse to one array ``inverse`` at the end.  Over
+    Z_char itself (D == 1) the loop runs on the (rows, cols) view, with a
+    unit test mod p and a Python-int pivot inverse.
 
     A stack of matrices, shape (B, s, N, D), gives the stacked results:
     W (B, s, N, D), perm (B, N) and r (B,), each matrix's equal to its own
     call.  A large enough stack is eliminated at once: when q == 2 and
     B >= STACK_MIN (:func:`_factor_residue_f2_stack`), and when q > 2 and
-    B >= UNITS_STACK_MIN (:func:`_factor_units_stack`); any other stack
-    loops over its matrices.
+    D > 1 or B >= UNITS_STACK_MIN (:func:`_factor_units_stack`); any other
+    stack loops over its matrices.
+
+    A has shape (s, N, D) or (B, s, N, D) for the arithmetic's D, and
+    0 <= ncols <= N; anything else raises RingMismatch (the shape) or
+    BadRank (ncols).
     """
     w = np.asarray(a, dtype=np.int64) % arith.char
+    if w.ndim not in (3, 4) or w.shape[-1] != arith.D:
+        raise RingMismatch(f"expected a matrix (s, N, {arith.D}) or a stack "
+                           f"(B, s, N, {arith.D}), got shape {w.shape}")
     n = w.shape[-2] if ncols is None else ncols
+    if not 0 <= n <= w.shape[-2]:
+        raise BadRank(f"ncols must lie in [0, {w.shape[-2]}], got {n}")
     if w.ndim == 4:
         return _factor_stack(arith, w, n)
     return _factor_one(arith, w, n)
@@ -150,7 +158,8 @@ def _factor_one(arith, w, n):
     if arith.q == 2:
         return _factor_residue_f2(arith, w, n)
     if arith.D > 1:
-        return _factor_deferred(arith, w, n)
+        w, perm, r = _factor_units_stack(arith, w[None], n)
+        return w[0], perm[0], int(r[0])
     perm = np.arange(w.shape[1])
     v = w.reshape(w.shape[:2])  # a view: steps on v update w
     h = 0
@@ -170,18 +179,23 @@ def _factor_one(arith, w, n):
 
 def _factor_stack(arith, w, n):
     """:func:`unit_pivot_factor` of a canonical stack w (B, s, N, D)."""
-    if len(w) >= STACK_MIN and arith.q == 2:
-        return _factor_residue_f2_stack(arith, w, n)
-    if len(w) >= UNITS_STACK_MIN and arith.q > 2:
-        return _factor_units_stack(arith, w, n)
     if not len(w):
         return w, np.zeros((0, w.shape[2]), dtype=np.intp), np.zeros(0, dtype=np.intp)
+    if len(w) >= STACK_MIN and arith.q == 2:
+        return _factor_residue_f2_stack(arith, w, n)
+    if arith.q > 2 and (arith.D > 1 or len(w) >= UNITS_STACK_MIN):
+        return _factor_units_stack(arith, w, n)
     if len(w) == 1:  # views, not np.stack: a stack of one is the decoder's one-word path
         w1, perm, r = _factor_one(arith, w[0], n)
         return w1[None], perm[None], np.array([r])
     parts = [_factor_one(arith, x, n) for x in w]
     return (np.stack([x[0] for x in parts]), np.stack([x[1] for x in parts]),
             np.array([x[2] for x in parts], dtype=np.intp))
+
+
+def _rows(a, idx):
+    """a[idx], without the copy when idx is every row."""
+    return a if len(idx) == len(a) else a[idx]
 
 
 def _pivot_to(w, perm, h, units):
@@ -201,46 +215,6 @@ def _pivot_to(w, perm, h, units):
     return True
 
 
-def _factor_deferred(arith, w, n):
-    """:func:`unit_pivot_factor` over a local arithmetic with D > 1 for the
-    canonical A = w of shape (s, N, D) and pivots in its first n columns.
-
-    The pivots are chosen as in the per-pivot loop, but the pivot row is
-    not normalised: with d the pivot, every row i != h becomes
-    d w_i - c_i w_h, which clears column h.  That is the loop's row times
-    the unit d, and scaling a row by a unit keeps its unit pattern, so
-    every later choice is the loop's.  Each pivot row j ends as
-    P_j = d_j d_(j+1) ... d_(r-1) times the loop's row, and every row
-    below as P_0 times it; one array ``inverse`` of P_0 .. P_(r-1) undoes
-    the scales, and the pivot block is set to I.  Scaling by d is one
-    ``_dot`` with d's multiplication matrix, and c (x) w_h one ``_dot``
-    with the pivot row's matrices side by side.  Columns left of h are
-    zero in row h, so each step updates columns h onward only.
-    """
-    char, D = arith.char, arith.D
-    s, N = w.shape[0], w.shape[1]
-    perm = np.arange(N)
-    scale = np.zeros((min(s, n), D), dtype=np.int64)  # scale[j] = P_j once r is known
-    h = 0
-    while h < s and h < n and _pivot_to(w, perm, h, arith.is_unit(w[h:, h:n])):
-        piv = w[h, h:].copy()
-        maps = arith.mul_matrices(piv)  # maps[0] multiplies by d
-        scale[:h] = arith._dot(scale[:h], maps[0])
-        scale[h] = piv[0]
-        cross = arith._dot(w[:, h], maps.transpose(1, 0, 2).reshape(D, -1))  # c_i w_h
-        w[:, h:] = arith._dot(w[:, h:], maps[0]) - cross.reshape(s, N - h, D)
-        w[:, h:] %= char
-        w[h, h:] = piv  # the update zeroed row h itself
-        h += 1
-    if h:
-        maps = arith.mul_matrices(arith.inverse(scale[:h]))
-        rows = np.arange(s)
-        rows[h:] = 0  # the rows below carry P_0
-        w[:, h:] = arith._dot(w[:, h:], maps[rows])
-        w[np.arange(h), np.arange(h)] = arith.one
-    return w, perm, h
-
-
 def _factor_units_stack(arith, w, n):
     """:func:`unit_pivot_factor` of every matrix of a canonical stack w
     (B, s, N, D) at once, over a local arithmetic with q > 2, pivots in the
@@ -250,34 +224,45 @@ def _factor_units_stack(arith, w, n):
     in its rows h.. and columns h..n: each picks its own pivot column and
     row, as :func:`_pivot_to` does, and the swaps are fancy-indexed.  Over
     Z_char (D == 1) the pivot row is normalised by its Python-int inverse,
-    as in the D == 1 loop.  For D > 1 the pivot inverses are deferred as in
-    :func:`_factor_deferred`: rows are cleared by multiples of the
-    unnormalised pivot row, each matrix's pivot products are kept, and one
-    array ``inverse`` of all of them normalises every matrix at the end.
+    as in the D == 1 loop.
+
+    For D > 1 the pivot inverses are deferred.  The pivot row is not
+    normalised: with d the pivot, every row i != h becomes d w_i - c_i w_h,
+    which clears column h.  That is the loop's row times the unit d, and
+    scaling a row by a unit keeps its unit pattern, so every later choice
+    is the loop's.  Each pivot row j ends as P_j = d_j d_(j+1) ... d_(r-1)
+    times the loop's row, and every row below as P_0 times it; one array
+    ``inverse`` of every matrix's P_0 .. P_(r-1) undoes the scales, and the
+    pivot block is set to I.  Scaling by d is one ``_dot`` with d's
+    multiplication matrix, and c (x) w_h one ``_dot`` with the pivot row's
+    matrices side by side.  Columns left of h are zero in row h, so each
+    step updates columns h onward only.
     """
     char, D = arith.char, arith.D
     B, s, N = w.shape[:3]
     k = min(s, n)
     perm = np.tile(np.arange(N), (B, 1))
     rank = np.zeros(B, dtype=np.intp)
-    scale = np.zeros((B, k, D), dtype=np.int64)  # as in _factor_deferred
+    scale = np.zeros((B, k, D), dtype=np.int64)  # scale[b, j] = P_j once r is known
     live = np.arange(B)
     for h in range(k):
-        units = arith.is_unit(w[live, h:, h:n])
+        x = _rows(w, live)  # w itself while every matrix is live
+        units = arith.is_unit(x[:, h:, h:n])
         cols = units.any(axis=1)
         keep = cols.any(axis=1)
         if not keep.all():
-            live, units, cols = live[keep], units[keep], cols[keep]
+            live, units, cols, x = live[keep], units[keep], cols[keep], x[keep]
             if not live.size:
                 break
         ar = np.arange(len(live))
         j = cols.argmax(axis=1)
         i = h + units[ar, :, j].argmax(axis=1)
         j += h
-        x = w[live]
-        x[ar, h], x[ar, i] = x[ar, i], x[ar, h]
-        x[ar, :, h], x[ar, :, j] = x[ar, :, j], x[ar, :, h]
-        perm[live, h], perm[live, j] = perm[live, j], perm[live, h]
+        if (i != h).any():  # swaps that move nothing are skipped, as in _pivot_to
+            x[ar, h], x[ar, i] = x[ar, i], x[ar, h]
+        if (j != h).any():
+            x[ar, :, h], x[ar, :, j] = x[ar, :, j], x[ar, :, h]
+            perm[live, h], perm[live, j] = perm[live, j], perm[live, h]
         if D == 1:
             v = x[..., 0]
             piv = v[:, h, h:] * inverse_mod(v[:, h, h], char)[:, None] % char
@@ -289,16 +274,18 @@ def _factor_units_stack(arith, w, n):
         else:
             piv = x[:, h, h:].copy()
             maps = arith.mul_matrices(piv)  # maps[:, 0] multiplies by d
-            sc = scale[live]
+            sc = _rows(scale, live)
             sc[:, :h] = arith._dot(sc[:, :h], maps[:, 0])
             sc[:, h] = piv[:, 0]
-            scale[live] = sc
+            if sc is not scale:
+                scale[live] = sc
             cross = arith._dot(x[:, :, h], maps.transpose(0, 2, 1, 3).reshape(len(ar), D, -1))
             x[:, :, h:] = arith._dot(x[:, :, h:], maps[:, None, 0])
             x[:, :, h:] -= cross.reshape(x[:, :, h:].shape)
             x[:, :, h:] %= char
             x[:, h, h:] = piv
-        w[live] = x
+        if x is not w:
+            w[live] = x
         rank[live] += 1
     if D > 1 and rank.any():
         # row i < r of a matrix carries P_i and every row below it P_0; the

@@ -24,7 +24,7 @@ from .errors import (ExtensionMismatch, GenerationFailed, IndexOutOfRange,
 from .extension import ExtensionDesc
 from .lrpc import (CodeParams, DecodingFailure, LrpcCode, decode_batch,
                    decode_local, encode, generate_codes, sample_error, syndrome)
-from .modlin import STACK_MIN, Submodule, free_module_test, module_rank
+from .modlin import Submodule, free_module_test, module_rank
 from .rings import LocalRingDesc, Zmod
 
 
@@ -280,13 +280,10 @@ def decode_product(code: ProductLrpcCode, received):
 def decode_product_batch(code: ProductLrpcCode, received) -> list:
     """:func:`decode_product` of every word of a stack: ``received`` holds
     one stack (B, n, D_S) per factor, and the list of the B results, in
-    order, equals decode_product's word for word.  Every factor's stack
-    goes through :func:`lrpc.decode_batch`; below STACK_MIN words, where
-    stacking gains little or loses, each word goes through decode_product
-    (so does each word of a chunk of fresh-code trials, which is decoded
-    by its own code as a stack of one)."""
-    if len(received[0]) < STACK_MIN:
-        return [decode_product(code, word) for word in zip(*received)]
+    order, equals decode_product's word for word.  Every factor's stack,
+    of any size, goes through :func:`lrpc.decode_batch`: so does the one
+    word of a fresh-code trial, which is decoded by its own code as a
+    stack of one."""
     per_factor = [decode_batch(c, r) for c, r in zip(code.codes, received)]
     out = []
     for results in zip(*per_factor):

@@ -23,7 +23,8 @@ inverted matrix, so nothing is re-verified when a ring is built.
 
 Left kernels come from the unit-pivot kernel of ``modlin`` whenever the
 kernel is free, and from the Howell form of the expansion over R0
-otherwise.
+otherwise.  The decoder needs only the first: a word whose kernel is not
+free fails at line 14 on that fact alone.
 
 Descriptors are immutable after construction and safely shareable across
 threads; elements are plain values and every operation is pure.
@@ -232,8 +233,9 @@ class LocalRingDesc(TensorAlgebra):
         The unit-pivot kernel on (M | I_k), with pivots in M's n columns,
         gives W = (U M[:, perm] | U) for an invertible U.  When W[r:, :n] = 0
         (no non-unit left below the r pivots) the kernel is free, with basis
-        U[r:] = W[r:, n:].  Otherwise :meth:`howell_left_kernel` gives
-        generators, which need not be a basis.
+        U[r:] = W[r:, n:].  Otherwise the kernel is not free, and the Howell
+        form of M's expansion over R0 gives generators, which need not be a
+        basis.
         """
         from .modlin import _with_identity, unit_pivot_factor  # modlin imports this module
         m = np.asarray(m, dtype=np.int64)
@@ -241,15 +243,7 @@ class LocalRingDesc(TensorAlgebra):
         w, _, r = unit_pivot_factor(self, _with_identity(self, m), ncols=n)
         if not w[r:, :n].any():
             return w[r:, n:]
-        return self.howell_left_kernel(m)
-
-    def howell_left_kernel(self, m):
-        """Generators of {x in R^k : x M = 0} for M (k, n, D) from the Howell
-        form of M's expansion over R0 alone; they need not be a basis.  For
-        an M whose kernel is known not to be free, where the unit-pivot
-        elimination of :meth:`left_kernel` would be spent for nothing."""
-        rows = self.expand_rows(np.asarray(m, dtype=np.int64))
-        return self.contract_vectors(self.chain.left_kernel(rows))
+        return self.contract_vectors(self.chain.left_kernel(self.expand_rows(m)))
 
     def solve_form(self, gens):
         """Cacheable Howell form for repeated solves of x . gens = v (same

@@ -586,38 +586,29 @@ DENSE_DECODER_CASES = [("Z4", 8, (8, 4, 2, 1)), ("Z8", 8, (8, 4, 2, 1)),
                        ("Z4[x]/(x^2)", 7, (8, 4, 2, 1)), ("Z2[x]/(x^3)", 7, (8, 4, 2, 1))]
 
 
+def _meet_kernel_not_free(state):
+    """Whether a decode reached the meet of lines 11-13 with a left kernel
+    K that is not free.  E' = K B for a basis B of the free S, so E' is
+    isomorphic to K; state.error_support is E' from
+    :func:`modlin.intersect_preimages`, tested here by its Jordan form."""
+    return state.error_support is not None and not free_module_test(state.error_support)[1]
+
+
 @pytest.mark.parametrize("spec, m, params", DENSE_DECODER_CASES)
-def test_decode_matches_the_dense_decoder(spec, m, params, monkeypatch):
+def test_decode_matches_the_dense_decoder(spec, m, params):
     """decode_local against decode_local_oracle (dense syndrome, Jordan
     test of E', erasure by column_jordan), word by word over 400 words:
     the same word or failure line.  The words are random words, c + e,
     c + g e and c + e + g e' for g a generator of the maximal ideal (0 over
-    a field), so that over the non-fields Howell-fallback kernels and
-    lines 5 and 14 occur."""
-    from lrpc_rings import rings
+    a field), so that over the non-fields lines 5 and 14 occur, and words
+    whose meet kernel is not free: each of them fails at line 14."""
     from lrpc_rings.specparse import parse_local_atom
-    kernels = {True: 0, False: 0}  # free kernels, Howell fallbacks
-    left_kernel = rings.LocalRingDesc.left_kernel
-    howell_left_kernel = rings.LocalRingDesc.howell_left_kernel
-
-    def counted(ring, mat):  # free unless the fallback ran inside
-        fallbacks = kernels[False]
-        out = left_kernel(ring, mat)
-        kernels[True] += kernels[False] == fallbacks
-        return out
-
-    def counted_fallback(ring, mat):
-        kernels[False] += 1
-        return howell_left_kernel(ring, mat)
-
-    monkeypatch.setattr(rings.LocalRingDesc, "left_kernel", counted)
-    monkeypatch.setattr(rings.LocalRingDesc, "howell_left_kernel", counted_fallback)
     ext = ExtensionDesc(parse_local_atom(spec), m)
     g = ext.base.maximal_ideal_gens[-1]
     rng = np.random.default_rng(1)
     code = generate_code(CodeParams(*params), ext, rng)
     n, k = code.params.n, code.params.k
-    lines = set()
+    lines, non_free = set(), 0
     for w in range(400):
         cw = encode(code, ext.rand(rng, (k,)))
         kind = w % 4
@@ -628,17 +619,21 @@ def test_decode_matches_the_dense_decoder(spec, m, params, monkeypatch):
             if kind >= 2:
                 word = word + ext.scalar_mul(g, sample_error(ext, n, 1 + w % 3, rng))
         word %= ext.char
-        out, want = decode_local(code, word), decode_local_oracle(code, word)
+        out, state = decode_local(code, word, with_state=True)
+        want = decode_local_oracle(code, word)
         if isinstance(want, DecodingFailure):
             assert isinstance(out, DecodingFailure) and out.line == want.line
             lines.add(want.line)
         else:
             assert isinstance(out, np.ndarray) and np.array_equal(out, want)
             lines.add(0)
+        if _meet_kernel_not_free(state):
+            non_free += 1
+            assert out.line == 14
     if ext.base.upsilon == 1:  # a field: every module is free
-        assert {0, 8, 16} <= lines and not kernels[False]
+        assert {0, 8, 16} <= lines and not non_free
     else:
-        assert {0, 5, 14, 16} <= lines and kernels[False] and kernels[True]
+        assert {0, 5, 14, 16} <= lines and non_free
 
 
 # n = 7 > lambda (n - k) - 1 and m = 6: a random word's syndrome support
@@ -648,16 +643,16 @@ BATCH_DECODER_SPECS = ("Z4", "Z8", "Z9", "Z2", "Z3", "GR(4,2)", "Z4[x]/(x^2)", "
 
 
 @pytest.mark.parametrize("spec", BATCH_DECODER_SPECS)
-def test_decode_batch_matches_decode_local(spec, monkeypatch):
+def test_decode_batch_matches_decode_local(spec):
     """decode_batch against decode_local, word for word over 420 words
     decoded in stacks of the trial chunk: the same word, or a failure with
     the same line and detail.  The words are random words, c + e, c + g e
     and c + e + g e' for errors of rank 1 to 3 and g a generator of the
-    maximal ideal (0 over a field), mixed in every stack, so that lines 5, 8, 14, 16 and 18 occur
-    (5 and 14 only off fields), and over the non-fields words whose left
-    kernel takes the Howell fallback, counted by the calls of
-    LocalRingDesc.howell_left_kernel."""
-    from lrpc_rings import lrpc, rings
+    maximal ideal (0 over a field), mixed in every stack, so that lines 5,
+    8, 14, 16 and 18 occur (5 and 14 only off fields), and over the
+    non-fields words whose meet kernel is not free: each of them fails at
+    line 14."""
+    from lrpc_rings import lrpc
     from lrpc_rings.simulate import TRIAL_CHUNK
     from lrpc_rings.specparse import parse_local_atom
     ext = ExtensionDesc(parse_local_atom(spec), 6)
@@ -677,21 +672,15 @@ def test_decode_batch_matches_decode_local(spec, monkeypatch):
                 word = word + ext.scalar_mul(g, sample_error(ext, n, 1 + w % 3, rng))
         words.append(word % ext.char)
     words = np.array(words)
-    kernels = []
-    howell_left_kernel = rings.LocalRingDesc.howell_left_kernel
-
-    def counted(ring, mat):
-        kernels.append(mat.shape)
-        return howell_left_kernel(ring, mat)
-
-    monkeypatch.setattr(rings.LocalRingDesc, "howell_left_kernel", counted)
     got = []
     for lo in range(0, len(words), TRIAL_CHUNK):
         got += lrpc.decode_batch(code, words[lo:lo + TRIAL_CHUNK])
-    fallbacks = len(kernels)
-    lines = set()
+    lines, non_free = set(), 0
     for out, word in zip(got, words):
-        want = decode_local(code, word)
+        want, state = decode_local(code, word, with_state=True)
+        if _meet_kernel_not_free(state):
+            non_free += 1
+            assert want.line == 14
         if isinstance(want, DecodingFailure):
             assert isinstance(out, DecodingFailure)
             assert (out.line, out.detail) == (want.line, want.detail)
@@ -700,9 +689,9 @@ def test_decode_batch_matches_decode_local(spec, monkeypatch):
             assert out.dtype == want.dtype and np.array_equal(out, want)
             lines.add(0)
     if ext.base.upsilon == 1:  # a field: every module and kernel is free
-        assert lines == {0, 8, 16, 18} and not fallbacks
+        assert lines == {0, 8, 16, 18} and not non_free
     else:
-        assert lines == {0, 5, 8, 14, 16, 18} and fallbacks
+        assert lines == {0, 5, 8, 14, 16, 18} and non_free
 
 
 def test_decode_batch_of_odd_stacks(small_code):

@@ -98,6 +98,24 @@ class TestUnitPivotFactor:
         w, perm, r = unit_pivot_factor(z4, eye)
         assert r == 3 and np.array_equal(w, eye)
 
+    def test_malformed_input_raises_lrpc_errors(self, z4, gr42):
+        """A matrix must be (s, N, D) or a stack (B, s, N, D) for the ring's
+        D, and 0 <= ncols <= N; anything else raises RingMismatch (the
+        shape) or BadRank (ncols), not an IndexError or a numpy error."""
+        one = np.ones((1, 2, 1), dtype=np.int64)
+        for ncols in (5, 3, -1):
+            with pytest.raises(errors.BadRank):
+                unit_pivot_factor(z4, one, ncols)
+            with pytest.raises(errors.BadRank):
+                unit_pivot_factor(z4, one[None], ncols)
+        for shape in ((2, 2, 3), (2, 2), (2,), (), (1, 1, 2, 2, 1)):
+            with pytest.raises(errors.RingMismatch):
+                unit_pivot_factor(z4, np.ones(shape, dtype=np.int64))
+        with pytest.raises(errors.RingMismatch):  # D = 2 entries need 2 coordinates
+            unit_pivot_factor(gr42, np.ones((2, 2, 1), dtype=np.int64))
+        for ncols in (0, 2):  # both ends of the range are valid
+            assert unit_pivot_factor(z4, one, ncols)[2] == min(ncols, 1)
+
     @pytest.mark.parametrize("ring_name", ["z4", "z9", "rxi", "gr42"])
     def test_ptq_exact_and_p_invertible(self, ring_name, request, rng):
         """A Q = P W exactly for the column permutation Q = perm and an
@@ -260,7 +278,7 @@ def test_upsilon_bounds_the_nilpotency_of_the_maximal_ideal(spec):
 
 
 # D > 1 rings with a residue field larger than F_2, base rings and
-# extensions: the deferred-inverse path
+# extensions: the stacked kernel's deferred inverses, on a stack of one
 DEFERRED_RINGS = {
     "GR(4,2)": lambda: galois_ring(2, 2, 2),
     "Z9[x]/(x^2)": lambda: parse_local_atom("Z9[x]/(x^2)"),
@@ -332,6 +350,7 @@ STACK_RINGS = {
     "Z4[x]/(x^2)": lambda: parse_local_atom("Z4[x]/(x^2)"),
     "Z2[x]/(x^3)": lambda: parse_local_atom("Z2[x]/(x^3)"),
     "GR(4,2)": lambda: galois_ring(2, 2, 2),
+    "Z9[x]/(x^2)": lambda: parse_local_atom("Z9[x]/(x^2)"),
     "Z4 ext m=3": lambda: ExtensionDesc(Zmod(4), 3),
     "Z8 ext m=2": lambda: ExtensionDesc(Zmod(8), 2),
     "Z4[x]/(x^2) ext m=2": lambda: ExtensionDesc(parse_local_atom("Z4[x]/(x^2)"), 2),
@@ -376,10 +395,13 @@ def _stacks(ring, rng):
 @pytest.mark.parametrize("name", sorted(STACK_RINGS))
 def test_stacked_factor_matches_one_call_per_matrix(name, monkeypatch):
     """unit_pivot_factor of a stack returns, for every matrix, the (W, perm,
-    r) of its own call byte for byte.  Over residue field F_2 a stack of at
-    least STACK_MIN matrices runs the residue-first stacked kernel, over
-    larger residue fields a stack of at least UNITS_STACK_MIN the stacked
-    unit-pivot kernel; every other stack loops."""
+    r) of its own call byte for byte, and of the per-pivot loop.  Over
+    residue field F_2 a stack of at least STACK_MIN matrices runs the
+    residue-first stacked kernel; over Z_char with odd p a stack of at
+    least UNITS_STACK_MIN, and at D > 1 with q > 2 every nonempty stack,
+    the stacked unit-pivot kernel; every other stack loops.  So at D > 1
+    with q > 2 the matrix alone is also the stacked kernel's, and only the
+    loop oracle checks it independently."""
     ring = STACK_RINGS[name]()
     stacked = []
 
@@ -394,7 +416,7 @@ def test_stacked_factor_matches_one_call_per_matrix(name, monkeypatch):
     if ring.q == 2:
         kernel, least = "_factor_residue_f2_stack", modlin.STACK_MIN
     else:
-        kernel, least = "_factor_units_stack", modlin.UNITS_STACK_MIN
+        kernel, least = "_factor_units_stack", 1 if ring.D > 1 else modlin.UNITS_STACK_MIN
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     for a, ncols in _stacks(ring, rng):
         stacked.clear()
@@ -406,6 +428,7 @@ def test_stacked_factor_matches_one_call_per_matrix(name, monkeypatch):
         for i in range(len(a)):
             one = unit_pivot_factor(ring, a[i], ncols)
             _same_factor((w[i], perm[i], int(r[i])), one)
+            _same_factor(one, unit_pivot_loop_oracle(ring, a[i], ncols))
 
 
 def _column_jordan_oracle(arith, b):
@@ -648,6 +671,29 @@ class TestLeftKernel:
             ker = self._check(ring, m)
             span = Submodule(ring, k, ker).elements()
             assert {x.tobytes() for x in span} == _brute_left_kernel(ring, m)
+
+    @pytest.mark.parametrize("spec", ["Z4", "Z8", "Z9", "GR(4,2)", "Z4[x]/(x^2)",
+                                      "Z2[x]/(x^3)"])
+    def test_a_non_unit_left_below_the_pivots_means_a_non_free_kernel(self, spec):
+        """The fact behind the decoder's line 14: the unit-pivot elimination
+        of (M | I), pivots in M's columns, leaves a nonzero block below its
+        r pivots (W[r:, :n] != 0) iff the left kernel of M, from the Howell
+        form alone, is not free.  Half the matrices have non-unit entries
+        only, and both cases occur on every ring."""
+        ring = parse_local_atom(spec)
+        rng = np.random.default_rng(zlib.crc32(spec.encode()))
+        seen = set()
+        for i in range(300):
+            k, n = rng.integers(1, 6, 2)
+            m = ring.rand(rng, (k, n))
+            if i % 2:
+                m = ring.mul(m, ring.rand_ideal(rng, (k, n)))
+            w, _, r = unit_pivot_factor(ring, modlin._with_identity(ring, m), ncols=n)
+            left_over = bool(w[r:, :n].any())
+            kernel = Submodule(ring, k, _howell_left_kernel(ring, m))
+            assert left_over == (not free_module_test(kernel)[1])
+            seen.add(left_over)
+        assert seen == {True, False}
 
     def test_free_kernels_skip_the_howell_form(self, z4, rxi, rng, monkeypatch):
         for ring in (z4, rxi):
