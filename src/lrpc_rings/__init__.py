@@ -13,20 +13,21 @@ from .extension import ExtensionDesc
 from .lrpc import (CodeParams, DecoderState, DecodingFailure, LrpcCode,
                    build_h_ext, code_from_text, code_to_text, decode_batch,
                    decode_local, encode, erasure_decode, generate_code,
-                   generate_codes, sample_error, syndrome)
+                   generate_codes, sample_error, sample_errors, syndrome)
 from .modlin import (MatR, SolutionSet, SquarePropertyReport, Submodule,
                      count_free_submodules, count_independent_tuples,
                      free_module_test, free_rank, general_intersection,
                      intersect_with_free, module_product, module_rank,
-                     sample_free_submodule, scale_module, solve_linear,
-                     square_property_check, recover_factor, unit_pivot_factor)
+                     sample_free_submodule, sample_free_submodules, scale_module,
+                     solve_linear, square_property_check, recover_factor, unit_pivot_factor)
 from .product_ring import (ProductDecodingFailure, ProductExtensionDesc,
                            ProductLrpcCode, ProductRingDesc, ProductSubmodule,
                            decode_product, decode_product_batch,
                            decompose_ring, encode_product,
                            generate_product_code, generate_product_codes,
                            localized_rank, project,
-                           sample_error_product, syndrome_product)
+                           sample_error_product, sample_errors_product,
+                           syndrome_product)
 from .rings import (GaloisRingParams, LocalRingDesc, QuotientSpec, RingElem,
                     Zmod, construct_local_ring, galois_ring, quotient_ring)
 from .simulate import (ExperimentConfig, IoError, TrialRecord, emit_csv,

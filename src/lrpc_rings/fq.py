@@ -293,58 +293,73 @@ def _rref_mod_2(rows) -> dict:
 
 def rank_mod_p(mat, p):
     """Rank of an integer matrix over F_p, or the ranks (B,) of a stack
-    (B, rows, cols): the pivot count of the RREF, over F_2 that of the
-    packed rows of each matrix's shorter side.  For odd p a stack of at
-    least two matrices is reduced along its shorter side by
-    :func:`_rref_stack`, one step per column for the whole stack; over F_2
-    the packed rows of one matrix at a time beat those steps at every
-    stack size up to 16 (10 x 2, 3 x 10 and 10 x 20 matrices)."""
+    (B, rows, cols): the pivot count of the RREF.  For odd p that is the
+    RREF of :func:`rref_mod_p` with the shorter side as the columns, so that
+    a stack of at least two matrices takes the fewest stacked steps; over
+    F_2 the packed rows of each matrix's shorter side are reduced one
+    matrix at a time, which beat those steps at every stack size up to 16
+    (10 x 2, 3 x 10 and 10 x 20 matrices)."""
     m = np.asarray(mat, dtype=np.int64) % p
-    if m.ndim == 3 and p > 2 and len(m) > 1:
-        return _rref_stack(m if m.shape[2] <= m.shape[1] else m.swapaxes(1, 2).copy(), p)[2]
-    if m.ndim == 3 and p > 2:
-        return np.array([rank_mod_p(x, p) for x in m], dtype=np.intp)
-    if m.ndim == 3:
-        t = m if m.shape[1] <= m.shape[2] else m.swapaxes(1, 2)
-        rows = pack_rows(t.reshape(-1, t.shape[2]))
-        s = t.shape[1]
-        return np.array([len(_rref_mod_2(rows[i * s:i * s + s])) for i in range(len(t))],
-                        dtype=np.intp)
-    if m.size == 0:
-        return 0
-    if p == 2:
-        return len(_rref_mod_2(pack_rows(m if m.shape[0] <= m.shape[1] else m.T)))
-    return len(rref_mod_p(m, p)[1])
+    if m.ndim == 2:
+        return int(rank_mod_p(m[None], p)[0])
+    if p > 2:
+        return rref_mod_p(m if m.shape[2] <= m.shape[1] else m.swapaxes(1, 2), p)[2]
+    if m.shape[1] > m.shape[2]:
+        m = m.swapaxes(1, 2)
+    rows = pack_rows(m.reshape(-1, m.shape[2]))
+    s = m.shape[1]
+    return np.array([len(_rref_mod_2(rows[i * s:i * s + s])) for i in range(len(m))],
+                    dtype=np.intp)
 
 
 def rref_mod_p(mat, p):
-    """Reduced row echelon form over F_p: returns (rref, pivot_columns)."""
+    """Reduced row echelon form over F_p: (rref, pivot_columns) of a
+    matrix, or (m, pivots, rank) of a stack (B, rows, cols) as
+    :func:`_rref_stack` returns them.  Over F_2 the rows of the whole stack
+    are packed once and each matrix is reduced by :func:`_rref_mod_2`; for
+    odd p a stack of at least two matrices takes the stacked steps, and a
+    single matrix the one-matrix loop, which costs less than a stack of
+    one.  The RREF is unique, so every path gives the same result."""
     m = np.asarray(mat, dtype=np.int64) % p
-    rows, cols = m.shape
+    if m.ndim == 2:
+        m, pivots, rank = rref_mod_p(m[None], p)
+        return m[0, :rank[0]], pivots[0, :rank[0]].tolist()
+    if p > 2 and len(m) > 1:
+        return _rref_stack(m, p)
+    B, rows, cols = m.shape
+    rank = np.zeros(B, dtype=np.intp)
+    pivots = np.zeros((B, min(rows, cols)), dtype=np.intp)
     if p == 2:
-        piv = _rref_mod_2(pack_rows(m))
-        bits = sorted(piv)
-        return unpack_rows([piv[b] for b in bits], cols), [b.bit_length() - 1 for b in bits]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + nz[0]
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = m[r] * inv % p
-        others = np.nonzero(m[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
+        packed = pack_rows(m.reshape(-1, cols))
+        reduced = []
+        for b in range(B):
+            piv = _rref_mod_2(packed[b * rows:b * rows + rows])
+            bits = sorted(piv)
+            reduced += [piv[x] for x in bits] + [0] * (rows - len(bits))
+            rank[b] = len(bits)
+            pivots[b, :rank[b]] = [x.bit_length() - 1 for x in bits]
+        return unpack_rows(reduced, cols).reshape(m.shape), pivots, rank
+    for b, x in enumerate(m):  # rows below the rank end up 0
+        r = 0
+        for c in range(cols):
+            if r == rows:
+                break
+            nz = np.nonzero(x[r:, c])[0]
+            if nz.size == 0:
+                continue
+            i = r + nz[0]
+            if i != r:
+                x[[r, i]] = x[[i, r]]
+            inv = pow(int(x[r, c]), p - 2, p)
+            x[r] = x[r] * inv % p
+            others = np.nonzero(x[:, c])[0]
+            others = others[others != r]
+            if others.size:
+                x[others] = (x[others] - np.outer(x[others, c], x[r])) % p
+            pivots[b, r] = c
+            r += 1
+        rank[b] = r
+    return m, pivots, rank
 
 
 def _rref_stack(m, p):
@@ -489,10 +504,18 @@ class Fq:
         return rank_mod_p(self.expand(mat), self.p) // self.mu
 
     def rref(self, mat):
-        """RREF over F_q as digit vectors: ((r, cols, mu), pivot columns).
-        The rows are every mu-th row of the F_p RREF of the expansion,
-        where the pivots of row i are the columns mu*piv_i + u, u < mu."""
-        rows, piv = rref_mod_p(self.expand(mat), self.p)
-        rows = rows[::self.mu]
-        return (rows.reshape(len(rows), rows.shape[1] // self.mu, self.mu),
-                [c // self.mu for c in piv[::self.mu]])
+        """RREF over F_q as digit vectors: ((r, cols, mu), pivot columns) of
+        a matrix, or (digits (B, r, cols, mu), pivots, rank) of a stack
+        (B, r, cols), laid out as :func:`rref_mod_p` lays out a stack.  The
+        rows are every mu-th row of the F_p RREF of the expansion, where the
+        pivots of row i are the columns mu*piv_i + u, u < mu."""
+        mat = np.asarray(mat)
+        if mat.ndim == 2:
+            digits, pivots, rank = self.rref(mat[None])
+            return digits[0, :rank[0]], pivots[0, :rank[0]].tolist()
+        if self.mu == 1:
+            rows, pivots, rank = rref_mod_p(mat, self.p)
+            return rows[..., None], pivots, rank
+        rows, pivots, rank = rref_mod_p(self.expand(mat), self.p)
+        return (rows[:, ::self.mu].reshape(mat.shape + (self.mu,)),
+                pivots[:, ::self.mu] // self.mu, rank // self.mu)

@@ -18,7 +18,8 @@ supports.  So decode_batch returns what decode_local returns for each word.
 Likewise there is one code generator, :func:`generate_codes`, which samples
 the codes of many random generators in lockstep, and one construction,
 :func:`_build_codes`, which builds a stack of codes; :func:`generate_code`
-and ``LrpcCode(...)`` are their cases of one.
+and ``LrpcCode(...)`` are their cases of one.  So is :func:`sample_error`
+of the one error sampler, :func:`sample_errors`.
 
 Vectors over S are numpy arrays of shape (n, D_S); matrices (r, c, D_S);
 a stack of words (B, n, D_S).
@@ -39,7 +40,7 @@ from .errors import (BadRank, ExtensionMismatch, GenerationFailed,
 from .extension import ExtensionDesc
 from .modlin import (Submodule, _free_complement, _meet_matrix, _rows, _unpermuted_rows,
                      _with_identity, column_jordan, free_module_test,
-                     intersect_preimages, sample_free_submodule,
+                     intersect_preimages, sample_free_submodules,
                      square_property_check, square_witnesses, unit_pivot_factor)
 
 SERIAL_HEADER = "lrpc-ring/1"
@@ -649,26 +650,59 @@ def _decode_group(code, words, synd, w, perm, nu):
 
 
 def sample_error(ext: ExtensionDesc, n: int, t: int, rng) -> np.ndarray:
-    """Uniform error vector of length n with free support of rank exactly t.
+    """Uniform error vector of length n with free support of rank exactly t:
+    :func:`sample_errors` on the one generator ``rng``.
 
     Uniform free support via sample_free_submodule, then a uniform
     coefficient matrix rejected until its residue image has full rank,
     which makes the support of the assembled vector exactly the sampled
     module (and the overall distribution uniform).
     """
+    errs, failure = sample_errors(ext, n, t, [rng])
+    if failure is not None:
+        raise failure
+    return errs[0]
+
+
+def sample_errors(ext: ExtensionDesc, n: int, t: int, rngs):
+    """:func:`sample_error` for every generator of ``rngs``, in lockstep:
+    (errs, failure), where errs (B, n, D_S) holds the error that
+    sample_error draws from each generator, which is left where
+    sample_error leaves it.
+
+    The supports come from :func:`modlin.sample_free_submodules`.  Then in
+    each round every generator still sampling draws its coefficient matrix,
+    and one stacked residue rank keeps those of rank t; one product of the
+    coefficient stack with the basis stack makes the errors.  A generator
+    draws at most ERROR_ATTEMPTS coefficient matrices.  If one runs out of
+    its support or coefficient budget, failure is the GenerationFailed that
+    sample_error raises for the first such generator, and errs stops before
+    it: the generators from there on are left anywhere.  Otherwise failure
+    is None.
+    """
     if t < 0 or t > min(n, ext.m):
         raise BadRank("error rank must satisfy 0 <= t <= min(n, m)")
     if t == 0:
-        return np.zeros((n, ext.D), dtype=np.int64)
+        return np.zeros((len(rngs), n, ext.D), dtype=np.int64), None
     ring = ext.base
-    support = sample_free_submodule(ring, ext.m, t, rng)
-    basis = ext.unrep(support.gens)  # a basis: its pivot block is the identity
-    for _ in range(ERROR_ATTEMPTS):
-        c = ring.rand(rng, (n, t))
-        if ring.residue_field.matrix_rank(ring.residue_codes(c)) == t:
-            vec = ring.mul(c[:, :, None, :], ext.vec_rep(basis)[None, :, :, :])
-            return ext.unrep(vec.sum(axis=1) % ext.char)
-    raise GenerationFailed("could not sample a full-rank coefficient matrix")
+    gens, failure = sample_free_submodules(ring, ext.m, t, rngs)
+    coeff = np.zeros((len(gens), n, t, ring.D), dtype=np.int64)
+    todo = np.arange(len(gens))
+    for attempt in range(ERROR_ATTEMPTS):
+        if not todo.size:
+            break
+        c = np.array([ring.rand(rngs[j], (n, t)) for j in todo.tolist()])
+        good = ring.residue_field.matrix_rank(ring.residue_codes(c)) == t
+        if attempt == 0:  # every generator in order: no scatter
+            coeff = c
+        else:
+            coeff[todo[good]] = c[good]
+        todo = todo[~good]
+    if todo.size:
+        failure = GenerationFailed("could not sample a full-rank coefficient matrix")
+        coeff, gens = coeff[:todo[0]], gens[:todo[0]]
+    # gens is a basis (its pivot block is the identity), in coordinates over R
+    return ext.unrep(ring.matmul(coeff, gens)), failure
 
 
 # ---------------------------------------------------------------------------

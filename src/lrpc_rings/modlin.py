@@ -45,8 +45,8 @@ import numpy as np
 
 from . import fq
 from .chain import inverse_mod
-from .errors import (AmbientMismatch, BadRank, NoSuitableBasis, NotFree,
-                     OneNotInModule, RingMismatch)
+from .errors import (AmbientMismatch, BadRank, GenerationFailed, NoSuitableBasis,
+                     NotFree, OneNotInModule, RingMismatch)
 from .rings import LocalRingDesc
 
 # Stacks of at least STACK_MIN matrices over a residue field F_2, and of at
@@ -58,6 +58,7 @@ from .rings import LocalRingDesc
 # every nonempty stack takes the stacked kernel, a matrix alone too.
 STACK_MIN = 8
 UNITS_STACK_MIN = 4
+SAMPLE_ATTEMPTS = 100  # residue matrices per sampled free submodule
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +831,8 @@ def count_free_submodules(ring: LocalRingDesc, n: int, r: int) -> int:
 
 def sample_free_submodule(ring: LocalRingDesc, ambient: int, rank: int,
                           rng) -> Submodule:
-    """Uniform sample from the free rank-``rank`` submodules of R^ambient.
+    """Uniform sample from the free rank-``rank`` submodules of R^ambient:
+    :func:`sample_free_submodules` on the one generator ``rng``.
 
     Two stages: a uniform rank-dimensional subspace of F_q^ambient (via a
     uniform full-rank residue matrix, represented by its unique RREF), then
@@ -838,22 +840,63 @@ def sample_free_submodule(ring: LocalRingDesc, ambient: int, rank: int,
     whose pivot-column block is the exact identity and whose remaining
     entries reduce to the RREF entries; choosing those entries uniformly
     among lifts (q^((upsilon-1) r (n-r)) per module, the same for every
-    residue image) makes the two-stage scheme uniform.
+    residue image) makes the two-stage scheme uniform.  Raises
+    GenerationFailed after SAMPLE_ATTEMPTS residue matrices of lower rank.
+    """
+    gens, failure = sample_free_submodules(ring, ambient, rank, [rng])
+    if failure is not None:
+        raise failure
+    return Submodule(ring, ambient, gens[0])
+
+
+def sample_free_submodules(ring: LocalRingDesc, ambient: int, rank: int, rngs):
+    """:func:`sample_free_submodule` for every generator of ``rngs``, in
+    lockstep: (gens, failure), where gens (B, rank, ambient, D) holds the
+    basis that sample_free_submodule draws from each generator, which is
+    left where sample_free_submodule leaves it.
+
+    In each round every generator still sampling draws its residue matrix,
+    and one stacked RREF keeps those of full rank; then each draws its lift
+    of the RREF.  A generator draws at most SAMPLE_ATTEMPTS residue
+    matrices.  If one draws them all in vain, failure is the
+    GenerationFailed that sample_free_submodule raises, and gens stops
+    before the first such generator: the generators from there on are left
+    anywhere.  Otherwise failure is None.
     """
     if rank < 0 or rank > ambient:
         raise BadRank(f"rank must lie in [0, {ambient}]")
     if rank == 0:
-        return Submodule.zero(ring, ambient)
-    while True:
-        codes = rng.integers(0, ring.q, size=(rank, ambient))
-        digits, pivots = ring.residue_field.rref(codes)
-        if len(pivots) == rank:
+        return np.zeros((len(rngs), 0, ambient, ring.D), dtype=np.int64), None
+    field = ring.residue_field
+    digits = np.zeros((len(rngs), rank, ambient, field.mu), dtype=np.int64)
+    pivots = np.zeros((len(rngs), rank), dtype=np.intp)
+    todo = np.arange(len(rngs))
+    for attempt in range(SAMPLE_ATTEMPTS):
+        if not todo.size:
             break
-    gens = ring.rand_with_residue(rng, digits)
-    for bi, pc in enumerate(pivots):
-        gens[:, pc] = 0
-        gens[bi, pc] = ring.one
-    return Submodule(ring, ambient, gens)
+        codes = np.array([rngs[j].integers(0, ring.q, size=(rank, ambient))
+                          for j in todo.tolist()])
+        rows, piv, r = field.rref(codes)
+        good = r == rank
+        if attempt == 0:  # every generator in order: no scatter
+            digits, pivots = rows, piv
+        else:
+            digits[todo[good]] = rows[good]
+            pivots[todo[good]] = piv[good]
+        todo = todo[~good]
+    failure = None
+    if todo.size:
+        failure = GenerationFailed("could not sample a full-rank residue matrix")
+        digits, pivots = digits[:todo[0]], pivots[:todo[0]]
+    gens = np.empty(digits.shape[:3] + (ring.D,), dtype=np.int64)
+    for i, rng in enumerate(rngs[:len(gens)]):
+        gens[i] = ring.rand_ideal(rng, (rank, ambient))
+    gens += digits @ ring._psi_lift % ring.p
+    gens %= ring.char
+    b = np.arange(len(gens))[:, None]
+    gens[b, :, pivots] = 0
+    gens[b, np.arange(rank), pivots] = ring.one
+    return gens, failure
 
 
 # ---------------------------------------------------------------------------

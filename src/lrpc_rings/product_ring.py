@@ -23,7 +23,7 @@ from .errors import (ExtensionMismatch, GenerationFailed, IndexOutOfRange,
                      RingMismatch, UnsupportedRing)
 from .extension import ExtensionDesc
 from .lrpc import (CodeParams, DecodingFailure, LrpcCode, decode_batch,
-                   decode_local, encode, generate_codes, sample_error, syndrome)
+                   decode_local, encode, generate_codes, sample_errors, syndrome)
 from .modlin import Submodule, free_module_test, module_rank
 from .rings import LocalRingDesc, Zmod
 
@@ -248,13 +248,33 @@ def syndrome_product(code: ProductLrpcCode, received) -> tuple:
 
 def sample_error_product(ext: ProductExtensionDesc, n: int, t_per_factor,
                          rng) -> tuple:
-    """Per-factor uniform errors with free support of rank t_(j)."""
+    """Per-factor uniform errors with free support of rank t_(j):
+    :func:`sample_errors_product` on the one generator ``rng``."""
+    return tuple(e[0] for e in sample_errors_product(ext, n, t_per_factor, [rng]))
+
+
+def sample_errors_product(ext: ProductExtensionDesc, n: int, t_per_factor,
+                          rngs) -> tuple:
+    """The per-factor stacks (B, n, D_S) of the errors that
+    :func:`sample_error_product` draws from each generator of ``rngs``:
+    factor by factor, :func:`lrpc.sample_errors` samples the factor's
+    errors of every generator in lockstep, so each generator draws its
+    factor errors in factor order.  A generator that runs out of a budget
+    draws no further factor, and neither do those after it; the
+    GenerationFailed of the first such generator in the list is raised."""
     if isinstance(t_per_factor, int):
         t_per_factor = [t_per_factor] * ext.rho
     if len(t_per_factor) != ext.rho:
         raise ExtensionMismatch("need one error rank per factor")
-    return tuple(sample_error(fac, n, t, rng)
-                 for fac, t in zip(ext.factors, t_per_factor))
+    errs, failure = [], None
+    for fac, t in zip(ext.factors, t_per_factor):
+        err, fail = sample_errors(fac, n, t, rngs)
+        errs.append(err)
+        if fail is not None:  # it stops at an earlier generator than any failure before
+            failure, rngs = fail, rngs[:len(err)]
+    if failure is not None:
+        raise failure
+    return tuple(errs)
 
 
 def decode_product(code: ProductLrpcCode, received):

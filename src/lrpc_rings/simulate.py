@@ -30,7 +30,7 @@ from .lrpc import CodeParams, decode_local  # noqa: F401
 from .product_ring import (ProductDecodingFailure, ProductExtensionDesc,
                            ProductRingDesc, decode_product_batch,
                            encode_product, generate_product_code,
-                           generate_product_codes, sample_error_product)
+                           generate_product_codes, sample_errors_product)
 
 
 class IoError(LrpcError):
@@ -154,7 +154,9 @@ def run_trials(config: ExperimentConfig,
     own stream.  With a fresh code per trial, the chunk's codes are made
     first, in lockstep (:func:`product_ring.generate_product_codes`), each
     from its trial's stream as generate_product_code would make it; then
-    every trial of the chunk draws its message and error, in trial order.
+    every trial of the chunk draws its message, and the chunk's errors are
+    sampled in lockstep (:func:`product_ring.sample_errors_product`), each
+    from its trial's stream as sample_error_product would draw it.
     The trials of one code are encoded and decoded as one stack
     (:func:`product_ring.decode_product_batch`); a fresh code's one word is
     decoded by its own code.  Decoding draws no random numbers, so the
@@ -182,7 +184,7 @@ def run_trials(config: ExperimentConfig,
             codes = (generate_product_codes(params, ext, rngs) if fresh
                      else [code] * len(rngs))
             msgs = _stack([ext.rand_vector(rng, config.k) for rng in rngs])
-            errs = _stack([sample_error_product(ext, config.n, t, rng) for rng in rngs])
+            errs = sample_errors_product(ext, config.n, t, rngs)
             if fresh:  # each word is decoded by its own code, as a stack of one
                 parts = [_encode_decode(c, ext, msgs, errs, [i]) for i, c in enumerate(codes)]
                 cws = tuple(map(np.concatenate, zip(*(cw for cw, _ in parts))))

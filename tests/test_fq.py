@@ -295,3 +295,60 @@ def test_stacked_ranks_match_one_call_per_matrix(spec):
                     assert not rref[i, rank[i]:].any()
                     assert pivots[i, :rank[i]].tolist() == one_pivots
     assert {0, 1, 2} <= seen
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F5", "F4"])
+def test_stacked_rref_matches_one_call_per_matrix(name, monkeypatch):
+    """rref_mod_p and Fq.rref of a stack give, for each matrix, the RREF and
+    pivots of one call on it (and of the element-by-element oracle), with
+    rows below the rank 0: stacks of 1, 2 and 16 of 6 x 20, 20 x 6 and 1 x 1
+    matrices, with zero, repeated and combined rows.  Each path of the
+    dispatch runs: the packed rows over F_2, the stacked steps for odd p and
+    at least two matrices, the one-matrix loop for a single one, and the
+    F_p expansion for mu > 1."""
+    field = FIELDS.get(name) or fq.Fq(5)
+    calls = {"packed": 0, "stacked": 0, "loop": 0, "expanded": 0}
+
+    def count(target, key, path):
+        f = getattr(target, key)
+
+        def counted(*args):
+            calls[path] += path != "expanded" or args[1].ndim == 3  # stacks only
+            return f(*args)
+        monkeypatch.setattr(target, key, counted)
+    count(fq, "_rref_mod_2", "packed")
+    count(fq, "_rref_stack", "stacked")
+    count(fq.Fq, "expand", "expanded")
+    rng = np.random.default_rng(sum(map(ord, name)))
+    deficient = set()
+    for rows, cols in ((6, 20), (20, 6), (1, 1)):
+        for size in (1, 2, 16):
+            mats = rng.integers(0, field.q, size=(size, rows, cols))
+            mats[3::4] = 0
+            mats[1::4, -1] = mats[1::4, 0]
+            if rows > 2 and size > 2:  # row 2 is row 0 plus row 1
+                mats[2::4, 2] = [[field.add(x, y) for x, y in zip(r0, r1)]
+                                 for r0, r1 in mats[2::4, :2]]
+            before = dict(calls)
+            digits, pivots, rank = field.rref(mats)
+            deficient.update((rank < min(rows, cols)).tolist())
+            if field.mu == 1 and field.p > 2 and size == 1:
+                calls["loop"] += calls["stacked"] == before["stacked"]
+            assert digits.shape == (size, rows, cols, field.mu)
+            for i, mat in enumerate(mats):
+                one, one_pivots = field.rref(mat)
+                want, want_pivots = fq_rref_oracle(field, mat)
+                assert one_pivots == want_pivots and rank[i] == len(want)
+                assert pivots[i, :rank[i]].tolist() == want_pivots
+                assert np.array_equal(digits[i, :rank[i]], one)
+                assert [[field.encode(d) for d in row] for row in one] == want
+                assert not digits[i, rank[i]:].any()
+                if field.mu == 1:
+                    got, got_pivots, got_rank = fq.rref_mod_p(mats, field.p)
+                    assert np.array_equal(got[i], digits[i, :, :, 0])
+                    assert got_pivots[i, :rank[i]].tolist() == want_pivots
+                    assert got_rank[i] == rank[i]
+    want = {"F2": ["packed"], "F3": ["stacked", "loop"], "F5": ["stacked", "loop"],
+            "F4": ["packed", "expanded"]}[name]
+    assert all(calls[key] for key in want), calls
+    assert deficient == {False, True}

@@ -1,5 +1,6 @@
 import json
 import zlib
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -843,6 +844,101 @@ class TestSampleError:
         sigma = (n_draws * (1 / 6) * (5 / 6)) ** 0.5
         for c in counts.values():
             assert abs(c - exp) <= 3 * sigma
+
+
+# (spec, n, ranks): the reference ring, a non-Galois chain ring, both
+# factors of Z6, an odd-characteristic Galois ring and GR(4,2), the mu = 2
+# residue field, with t = n = m where that makes full rank rare: its odds
+# are 0.31 over F_2 (Z2 ext m=4), 0.57 over F_3 (Z3 ext m=3, Z9 ext m=5)
+# and 0.69 over F_4, so both round loops redraw
+ERROR_CHUNK_CASES = (("Z4 ext m=20", 20, range(1, 7)), ("Z4[x]/(x^2) ext m=10", 10, (1, 2)),
+                     ("Z6 ext m=10", 10, (1, 2)), ("Z9 ext m=5", 5, (1, 5)),
+                     ("GR(4,2) ext m=5", 5, (1, 5)), ("Z2 ext m=4", 4, (4,)),
+                     ("Z3 ext m=3", 3, (3,)))
+
+
+def _streams(*key, size):
+    return [np.random.default_rng([*key, j]) for j in range(size)]
+
+
+def test_error_chunks_keep_every_trials_stream(monkeypatch):
+    """Every error of a chunk sampled in lockstep equals the one that
+    sample_error draws from a fresh copy of its trial's stream, which is
+    then left where sample_error leaves it, on stacks of 0, 1, 2, 7 and 16;
+    the support and coefficient rounds both redraw matrices of stacks of
+    more than one."""
+    from lrpc_rings import fq, lrpc
+    from lrpc_rings.simulate import parse_ring_spec
+    redrawn = {"supports": 0, "coefficients": 0}
+    rref, matrix_rank = fq.Fq.rref, fq.Fq.matrix_rank
+
+    def counted(rounds, f, out_rank):
+        def call(field, mat):
+            out = f(field, mat)
+            if np.ndim(mat) == 3 and len(mat) > 1:
+                redrawn[rounds] += int((out_rank(out) < min(mat.shape[1:])).sum())
+            return out
+        return call
+
+    monkeypatch.setattr(fq.Fq, "rref", counted("supports", rref, lambda out: out[2]))
+    monkeypatch.setattr(fq.Fq, "matrix_rank",
+                        counted("coefficients", matrix_rank, lambda out: out))
+    for spec, n, ranks in ERROR_CHUNK_CASES:
+        for ext in parse_ring_spec(spec)[1].factors:
+            for t in ranks:
+                for size in (0, 1, 2, 7, 16):
+                    rngs = _streams(ext.base.q, t, size=size)
+                    errs, failure = lrpc.sample_errors(ext, n, t, rngs)
+                    assert failure is None and errs.shape == (size, n, ext.D)
+                    for err, rng, fresh in zip(errs, rngs, _streams(ext.base.q, t, size=size),
+                                               strict=True):
+                        assert np.array_equal(err, sample_error(ext, n, t, fresh))
+                        assert rng.integers(0, 2 ** 62) == fresh.integers(0, 2 ** 62)
+    assert redrawn["supports"] and redrawn["coefficients"], redrawn
+
+
+@pytest.mark.parametrize("spec, n, ranks, attempts, support_attempts",
+                         [("Z2 ext m=4", 4, (4,), 1, 100), ("Z2 ext m=4", 4, (4,), 2, 100),
+                          ("Z6 ext m=3", 3, (1, 3), 1, 1)])
+def test_error_budgets_stay_per_trial(spec, n, ranks, attempts, support_attempts,
+                                      monkeypatch):
+    """With budgets so low that trials run out of them, a chunk of 8 trials
+    raises the GenerationFailed of the loop that samples one trial at a
+    time over the same streams, and a local ring's chunk holds the errors
+    of the trials before it.  At n = t = m full rank has odds 0.31 over F_2
+    and 0.57 over F_3, so in some chunks the first failing trial is not the
+    first.  Over Z6 with both budgets 1 (t = 1 in Z2, whose draws fail
+    less often, then t = 3 in Z3), the loop raises for the support in some
+    chunks and for the coefficients in others, and the chunk raises the
+    same, although a later trial ran out earlier: in Z2, or in the other
+    stage."""
+    from lrpc_rings import lrpc, modlin
+    from lrpc_rings.product_ring import sample_error_product, sample_errors_product
+    from lrpc_rings.simulate import parse_ring_spec
+    monkeypatch.setattr(lrpc, "ERROR_ATTEMPTS", attempts)
+    monkeypatch.setattr(modlin, "SAMPLE_ATTEMPTS", support_attempts)
+    _, ext = parse_ring_spec(spec)
+    later, messages = 0, set()
+    for seed in range(16):
+        loop, message = [], None
+        for rng in _streams(seed, size=8):
+            try:
+                loop.append(sample_error_product(ext, n, list(ranks), rng))
+            except errors.GenerationFailed as exc:
+                message = str(exc)
+                break
+        with pytest.raises(errors.GenerationFailed) if message else nullcontext() as raised:
+            sample_errors_product(ext, n, list(ranks), _streams(seed, size=8))
+        assert message is None or str(raised.value) == message
+        if ext.rho == 1:
+            errs, failure = lrpc.sample_errors(ext.factors[0], n, ranks[0],
+                                               _streams(seed, size=8))
+            assert (failure and str(failure)) == message
+            assert len(errs) == len(loop) and all(map(np.array_equal, errs, (e for e, in loop)))
+        later += message is not None and len(loop) > 0
+        messages.add(message)
+    assert later
+    assert len(messages - {None}) == ext.rho
 
 
 class TestSerialization:

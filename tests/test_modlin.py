@@ -815,6 +815,44 @@ class TestSampling:
             sub = sample_free_submodule(ring, ambient, rank, rng)
             assert np.array_equal(sub.basis(), sub.gens)
 
+    @pytest.mark.parametrize("spec", ["Z2", "Z3", "Z4", "Z9", "GR(4,2)", "Z4[x]/(x^2)"])
+    def test_chunks_keep_every_trials_stream(self, spec):
+        """sample_free_submodules gives each generator of a stack the
+        generators that sample_free_submodule draws from a fresh copy of
+        it, and leaves it where sample_free_submodule does, on stacks of 0,
+        1, 2, 7 and 16; rank = ambient makes full rank rare (odds 0.29 to
+        0.69), so rounds redraw."""
+        ring = parse_local_atom(spec)
+        for ambient, rank in ((6, 0), (6, 2), (4, 4), (10, 3)):
+            for size in (0, 1, 2, 7, 16):
+                streams = lambda: [np.random.default_rng([rank, size, j]) for j in range(size)]
+                rngs = streams()
+                gens, failure = modlin.sample_free_submodules(ring, ambient, rank, rngs)
+                assert failure is None and gens.shape == (size, rank, ambient, ring.D)
+                for got, rng, fresh in zip(gens, rngs, streams(), strict=True):
+                    assert np.array_equal(got, sample_free_submodule(ring, ambient, rank,
+                                                                     fresh).gens)
+                    assert rng.integers(0, 2 ** 62) == fresh.integers(0, 2 ** 62)
+
+    def test_residue_draws_have_a_budget(self, monkeypatch):
+        """With SAMPLE_ATTEMPTS = 1 a rank-4 sample in F_2^4 (full-rank odds
+        0.31) raises GenerationFailed on some streams and succeeds on
+        others; a stack stops before its first failing generator."""
+        monkeypatch.setattr(modlin, "SAMPLE_ATTEMPTS", 1)
+        z2 = Zmod(2)
+        outcomes = []
+        for seed in range(16):
+            try:
+                sample_free_submodule(z2, 4, 4, np.random.default_rng(seed))
+                outcomes.append(True)
+            except errors.GenerationFailed:
+                outcomes.append(False)
+        assert True in outcomes and False in outcomes
+        gens, failure = modlin.sample_free_submodules(
+            z2, 4, 4, [np.random.default_rng(seed) for seed in range(16)])
+        assert isinstance(failure, errors.GenerationFailed)
+        assert len(gens) == outcomes.index(False)
+
     def test_uniform_over_rank1_submodules_z4sq(self, z4, rng):
         # all 6 rank-1 free submodules of Z4^2, identified by the smallest
         # packed associate of a basis vector
