@@ -438,26 +438,22 @@ class ChainRing(TensorAlgebra):
                     break
                 c = int(nz[0])
                 v = self.val(r[c])
-                if c not in pivots:
-                    u = self.divide_exact(r[c], v)
-                    if not np.array_equal(u % self.char, self.one):
-                        r = self.mul(r, self.inverse(u)) % self.char
-                    pivots[c] = [r, v]
-                    if v > 0:
-                        queue.append((r * (self.p ** (self.s - v))) % self.char)
-                    break
-                pr, pv = pivots[c]
-                if v < pv:
-                    u = self.divide_exact(r[c], v)
-                    if not np.array_equal(u % self.char, self.one):
-                        r = self.mul(r, self.inverse(u)) % self.char
-                    pivots[c] = [r, v]
-                    if v > 0:
-                        queue.append((r * (self.p ** (self.s - v))) % self.char)
-                    r = pr
+                old = pivots.get(c)
+                if old is not None and v >= old[1]:
+                    qcoef = self.divide_exact(r[c], old[1])
+                    r = (r - self.mul(qcoef[None, :], old[0])) % self.char
                     continue
-                qcoef = self.divide_exact(r[c], pv)
-                r = (r - self.mul(qcoef[None, :], pr)) % self.char
+                # r becomes column c's pivot: a new one, or one of smaller
+                # valuation, in which case the displaced row is reduced next
+                u = self.divide_exact(r[c], v)
+                if not np.array_equal(u % self.char, self.one):
+                    r = self.mul(r, self.inverse(u)) % self.char
+                pivots[c] = [r, v]
+                if v > 0:
+                    queue.append((r * (self.p ** (self.s - v))) % self.char)
+                if old is None:
+                    break
+                r = old[0]
         cols = sorted(pivots)
         rows = np.array([pivots[c][0] for c in cols], dtype=np.int64).reshape(len(cols), n, self.mu)
         vals = [pivots[c][1] for c in cols]

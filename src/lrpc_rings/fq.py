@@ -11,8 +11,8 @@ the routines below take the field as their first argument.  Matrices over
 F_q are reduced over F_p, by the vectorized routines ``rank_mod_p`` and
 ``rref_mod_p``; over F_2 these XOR rows packed into Python ints
 (``pack_rows``), as the residue-first elimination of ``modlin`` does.  For
-odd p a stack of matrices is reduced by one step per column for the whole
-stack (``_rref_stack``).
+odd p every matrix is a stack, of one if need be, reduced by one step per
+column for the whole stack (``_rref_stack``).
 """
 
 from __future__ import annotations
@@ -295,10 +295,9 @@ def rank_mod_p(mat, p):
     """Rank of an integer matrix over F_p, or the ranks (B,) of a stack
     (B, rows, cols): the pivot count of the RREF.  For odd p that is the
     RREF of :func:`rref_mod_p` with the shorter side as the columns, so that
-    a stack of at least two matrices takes the fewest stacked steps; over
-    F_2 the packed rows of each matrix's shorter side are reduced one
-    matrix at a time, which beat those steps at every stack size up to 16
-    (10 x 2, 3 x 10 and 10 x 20 matrices)."""
+    the stacked steps are fewest; over F_2 the packed rows of each matrix's
+    shorter side are reduced one matrix at a time, which beat those steps at
+    every stack size up to 16 (10 x 2, 3 x 10 and 10 x 20 matrices)."""
     m = np.asarray(mat, dtype=np.int64) % p
     if m.ndim == 2:
         return int(rank_mod_p(m[None], p)[0])
@@ -317,49 +316,26 @@ def rref_mod_p(mat, p):
     matrix, or (m, pivots, rank) of a stack (B, rows, cols) as
     :func:`_rref_stack` returns them.  Over F_2 the rows of the whole stack
     are packed once and each matrix is reduced by :func:`_rref_mod_2`; for
-    odd p a stack of at least two matrices takes the stacked steps, and a
-    single matrix the one-matrix loop, which costs less than a stack of
-    one.  The RREF is unique, so every path gives the same result."""
+    odd p every stack, and a matrix as a stack of one, takes the stacked
+    steps.  The RREF is unique, so both paths give the same result."""
     m = np.asarray(mat, dtype=np.int64) % p
     if m.ndim == 2:
         m, pivots, rank = rref_mod_p(m[None], p)
         return m[0, :rank[0]], pivots[0, :rank[0]].tolist()
-    if p > 2 and len(m) > 1:
+    if p > 2:
         return _rref_stack(m, p)
     B, rows, cols = m.shape
     rank = np.zeros(B, dtype=np.intp)
     pivots = np.zeros((B, min(rows, cols)), dtype=np.intp)
-    if p == 2:
-        packed = pack_rows(m.reshape(-1, cols))
-        reduced = []
-        for b in range(B):
-            piv = _rref_mod_2(packed[b * rows:b * rows + rows])
-            bits = sorted(piv)
-            reduced += [piv[x] for x in bits] + [0] * (rows - len(bits))
-            rank[b] = len(bits)
-            pivots[b, :rank[b]] = [x.bit_length() - 1 for x in bits]
-        return unpack_rows(reduced, cols).reshape(m.shape), pivots, rank
-    for b, x in enumerate(m):  # rows below the rank end up 0
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            nz = np.nonzero(x[r:, c])[0]
-            if nz.size == 0:
-                continue
-            i = r + nz[0]
-            if i != r:
-                x[[r, i]] = x[[i, r]]
-            inv = pow(int(x[r, c]), p - 2, p)
-            x[r] = x[r] * inv % p
-            others = np.nonzero(x[:, c])[0]
-            others = others[others != r]
-            if others.size:
-                x[others] = (x[others] - np.outer(x[others, c], x[r])) % p
-            pivots[b, r] = c
-            r += 1
-        rank[b] = r
-    return m, pivots, rank
+    packed = pack_rows(m.reshape(-1, cols))
+    reduced = []
+    for b in range(B):
+        piv = _rref_mod_2(packed[b * rows:b * rows + rows])
+        bits = sorted(piv)
+        reduced += [piv[x] for x in bits] + [0] * (rows - len(bits))
+        rank[b] = len(bits)
+        pivots[b, :rank[b]] = [x.bit_length() - 1 for x in bits]
+    return unpack_rows(reduced, cols).reshape(m.shape), pivots, rank
 
 
 def _rref_stack(m, p):

@@ -266,17 +266,20 @@ def generate_code(params: CodeParams, ext: ExtensionDesc, rng) -> LrpcCode:
     matrix is redrawn while LrpcCode refuses it (NoInvertibleMinor: H_ext
     lacks full column rank over R or H full free row rank over S).
     """
-    [code] = generate_codes(params, ext, [rng])
-    if isinstance(code, GenerationFailed):
-        raise code
-    return code
+    codes, failure = generate_codes(params, ext, [rng])
+    if failure is not None:
+        raise failure
+    return codes[0]
 
 
-def generate_codes(params: CodeParams, ext: ExtensionDesc, rngs) -> list:
+def generate_codes(params: CodeParams, ext: ExtensionDesc, rngs):
     """:func:`generate_code` for every generator of ``rngs``, in lockstep:
-    the list of the codes, each equal to the one generate_code makes from
-    its generator (or the GenerationFailed that it raises), with every
-    generator left where generate_code leaves it.
+    (codes, failure), where codes lists the code that generate_code makes
+    from each generator, which is left where generate_code leaves it.  If a
+    generator runs out of a budget, failure is the GenerationFailed that
+    generate_code raises for the first such generator, and codes stops
+    before it: the generators from there on are left anywhere.  Otherwise
+    failure is None.
 
     Each rejection loop runs in rounds.  In a round every generator that is
     still sampling draws exactly what the one-generator loop draws next: F's
@@ -352,7 +355,10 @@ def generate_codes(params: CodeParams, ext: ExtensionDesc, rngs) -> list:
                     out[j] = GenerationFailed("retry budget exhausted while sampling H; "
                                               "parameters are likely infeasible")
         todo = [j for j in refused if h_tries[j] < GENERATION_ATTEMPTS]
-    return out
+    for j, code in enumerate(out):
+        if isinstance(code, GenerationFailed):
+            return out[:j], code
+    return out, None
 
 
 # ---------------------------------------------------------------------------

@@ -7,22 +7,22 @@ is one Gauss-Jordan kernel with unit pivots, :func:`unit_pivot_factor`:
 its pivot count is the free rank (the rank of the residue-projected
 generators), and :func:`column_jordan`, :func:`gauss_inverse`, the free
 case of ``LocalRingDesc.left_kernel`` and the decoder's erasure step run
-it on a matrix with an identity block appended.  It has three paths with
-one result.  Over a ring with residue field F_2 it is residue-first: a
-unit is an entry with nonzero residue, and a row operation with a unit
-pivot commutes with the residue map, so every choice it makes (pivot
-columns, row and column swaps, r) is made on the residue rows, packed
-into Python ints, and W is then computed exactly from the Schur form
-those choices fix.  Over other rings with D > 1 (extensions, GR(4,2),
-...) it is the stacked unit-pivot kernel, one matrix being a stack of
-one: the pivot inverses are deferred, rows are cleared by multiples of
-the unnormalised pivot row, and one array inverse of the pivot products
-normalises W at the end.  Over Z_char itself (D == 1) the per-pivot loop
-runs on plain integer arrays.  A stack of matrices of one shape is
-factored in one call: a large enough stack runs the steps for all its
-matrices at once, residue-first over F_2 with per-matrix pivot masks, and
-the loop's steps with per-matrix pivots over larger residue fields.  On
-top of that sit the intersection, product, counting, sampling and
+it on a matrix with an identity block appended.  It takes a stack of
+matrices of one shape, one matrix being a stack of one, and has one
+dispatcher over kernels with one result.  Over a ring with residue field
+F_2 it is residue-first: a unit is an entry with nonzero residue, and a
+row operation with a unit pivot commutes with the residue map, so every
+choice it makes (pivot columns, row and column swaps, r) is made on the
+residue rows, and W is then computed exactly from the Schur form those
+choices fix; a large enough stack runs the steps for all its matrices at
+once with per-matrix pivot masks, a smaller one packs each matrix's rows
+into Python ints.  Over other residue fields a stack runs the steps for
+all its matrices at once with per-matrix pivots; at D > 1 (extensions,
+GR(4,2), ...) the pivot inverses are deferred, rows are cleared by
+multiples of the unnormalised pivot row, and one array inverse of the
+pivot products normalises W at the end.  Over Z_char itself (D == 1) a
+small stack runs a per-pivot loop on each matrix's plain integer array.
+On top of that sit the intersection, product, counting, sampling and
 product-recovery operations used by the decoder; the decoder's
 E' = S cap f_2^-1 S cap ... is :func:`intersect_preimages`, one left
 kernel K read off S's Jordan form, and K B for S's basis B is a basis of
@@ -51,7 +51,7 @@ from .rings import LocalRingDesc
 
 # Stacks of at least STACK_MIN matrices over a residue field F_2, and of at
 # least UNITS_STACK_MIN over Z_char with odd p (D == 1), are eliminated
-# together; smaller ones loop over the one-matrix kernels, since each
+# together; smaller ones loop over the per-matrix kernels, since each
 # stacked kernel pays a fixed cost per pivot step.  Over F_2 it broke even
 # at about 8 matrices of 12 x 20 over Z4 and of 6 x 10 over Z4[x]/(x^2);
 # over Z3 at 2 to 4 matrices (12 x 22 and 2 x 10).  At D > 1 with q > 2
@@ -120,22 +120,19 @@ def unit_pivot_factor(arith, a, ncols=None):
     W[r:] = 0.  For A = (A1 | A2) with A1 invertible of size r, W[:, r:]
     is A1^-1 A2.
 
-    Three paths make the same choices and return the same result.  When
-    the residue field is F_2 (q == 2) every choice (pivots, swaps, r) is
-    made on the packed residue rows (:func:`_factor_residue_f2`): a row
-    operation with a unit pivot commutes with the residue map, so the
-    choices are those of the loop, and they fix W.  Otherwise, for D > 1,
-    the matrix is a stack of one for :func:`_factor_units_stack`, which
-    defers every pivot inverse to one array ``inverse`` at the end.  Over
-    Z_char itself (D == 1) the loop runs on the (rows, cols) view, with a
-    unit test mod p and a Python-int pivot inverse.
-
     A stack of matrices, shape (B, s, N, D), gives the stacked results:
     W (B, s, N, D), perm (B, N) and r (B,), each matrix's equal to its own
-    call.  A large enough stack is eliminated at once: when q == 2 and
-    B >= STACK_MIN (:func:`_factor_residue_f2_stack`), and when q > 2 and
-    D > 1 or B >= UNITS_STACK_MIN (:func:`_factor_units_stack`); any other
-    stack loops over its matrices.
+    call; a single matrix is a stack of one.  Every kernel makes the same
+    choices and returns the same result.  When the residue field is F_2
+    (q == 2) every choice (pivots, swaps, r) is made on the residue rows: a
+    row operation with a unit pivot commutes with the residue map, so the
+    choices are the unit-pivot ones, and they fix W.  A stack of at least
+    STACK_MIN matrices is eliminated at once
+    (:func:`_factor_residue_f2_stack`), a smaller one matrix by matrix on
+    packed rows (:func:`_factor_residue_f2`).  When q > 2, a stack at D > 1
+    or of at least UNITS_STACK_MIN matrices is eliminated at once
+    (:func:`_factor_units_stack`), and a smaller stack over Z_char itself
+    (D == 1) matrix by matrix (:func:`_factor_loop`).
 
     A has shape (s, N, D) or (B, s, N, D) for the arithmetic's D, and
     0 <= ncols <= N; anything else raises RingMismatch (the shape) or
@@ -148,19 +145,35 @@ def unit_pivot_factor(arith, a, ncols=None):
     n = w.shape[-2] if ncols is None else ncols
     if not 0 <= n <= w.shape[-2]:
         raise BadRank(f"ncols must lie in [0, {w.shape[-2]}], got {n}")
-    if w.ndim == 4:
-        return _factor_stack(arith, w, n)
-    return _factor_one(arith, w, n)
-
-
-def _factor_one(arith, w, n):
-    """:func:`unit_pivot_factor` of one canonical matrix w (s, N, D)."""
-    char, s = arith.char, w.shape[0]
-    if arith.q == 2:
-        return _factor_residue_f2(arith, w, n)
-    if arith.D > 1:
-        w, perm, r = _factor_units_stack(arith, w[None], n)
+    if w.ndim == 3:
+        w, perm, r = _factor_stack(arith, w[None], n)
         return w[0], perm[0], int(r[0])
+    return _factor_stack(arith, w, n)
+
+
+def _factor_stack(arith, w, n):
+    """:func:`unit_pivot_factor` of a canonical stack w (B, s, N, D)."""
+    if not len(w):
+        return w, np.zeros((0, w.shape[2]), dtype=np.intp), np.zeros(0, dtype=np.intp)
+    if len(w) >= STACK_MIN and arith.q == 2:
+        return _factor_residue_f2_stack(arith, w, n)
+    if arith.q > 2 and (arith.D > 1 or len(w) >= UNITS_STACK_MIN):
+        return _factor_units_stack(arith, w, n)
+    kernel = _factor_residue_f2 if arith.q == 2 else _factor_loop
+    if len(w) == 1:  # views, not np.stack: a stack of one is the decoder's one-word path
+        w1, perm, r = kernel(arith, w[0], n)
+        return w1[None], perm[None], np.array([r])
+    parts = [kernel(arith, x, n) for x in w]
+    return (np.stack([x[0] for x in parts]), np.stack([x[1] for x in parts]),
+            np.array([x[2] for x in parts], dtype=np.intp))
+
+
+def _factor_loop(arith, w, n):
+    """:func:`unit_pivot_factor` over Z_char (D == 1) with odd p for the
+    canonical A = w of shape (s, N, 1), pivots in its first n columns: one
+    step per pivot on the (s, N) view, a unit test mod p and a Python-int
+    pivot inverse."""
+    char, s = arith.char, w.shape[0]
     perm = np.arange(w.shape[1])
     v = w.reshape(w.shape[:2])  # a view: steps on v update w
     h = 0
@@ -176,22 +189,6 @@ def _factor_one(arith, w, n):
             v[:, h:] %= char
         h += 1
     return w, perm, h
-
-
-def _factor_stack(arith, w, n):
-    """:func:`unit_pivot_factor` of a canonical stack w (B, s, N, D)."""
-    if not len(w):
-        return w, np.zeros((0, w.shape[2]), dtype=np.intp), np.zeros(0, dtype=np.intp)
-    if len(w) >= STACK_MIN and arith.q == 2:
-        return _factor_residue_f2_stack(arith, w, n)
-    if arith.q > 2 and (arith.D > 1 or len(w) >= UNITS_STACK_MIN):
-        return _factor_units_stack(arith, w, n)
-    if len(w) == 1:  # views, not np.stack: a stack of one is the decoder's one-word path
-        w1, perm, r = _factor_one(arith, w[0], n)
-        return w1[None], perm[None], np.array([r])
-    parts = [_factor_one(arith, x, n) for x in w]
-    return (np.stack([x[0] for x in parts]), np.stack([x[1] for x in parts]),
-            np.array([x[2] for x in parts], dtype=np.intp))
 
 
 def _rows(a, idx):
@@ -225,7 +222,7 @@ def _factor_units_stack(arith, w, n):
     in its rows h.. and columns h..n: each picks its own pivot column and
     row, as :func:`_pivot_to` does, and the swaps are fancy-indexed.  Over
     Z_char (D == 1) the pivot row is normalised by its Python-int inverse,
-    as in the D == 1 loop.
+    as in :func:`_factor_loop`.
 
     For D > 1 the pivot inverses are deferred.  The pivot row is not
     normalised: with d the pivot, every row i != h becomes d w_i - c_i w_h,

@@ -19,11 +19,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fq, specparse
-from .errors import (ExtensionMismatch, GenerationFailed, IndexOutOfRange,
-                     RingMismatch, UnsupportedRing)
+from .errors import (ExtensionMismatch, IndexOutOfRange, RingMismatch,
+                     UnsupportedRing)
 from .extension import ExtensionDesc
-from .lrpc import (CodeParams, DecodingFailure, LrpcCode, decode_batch,
-                   decode_local, encode, generate_codes, sample_errors, syndrome)
+# decode_local is unused here: a module attribute that perfbench/test_spans.py patches
+from .lrpc import (CodeParams, DecodingFailure, LrpcCode, _as_svector,  # noqa: F401
+                   decode_batch, decode_local, encode, generate_codes, sample_errors,
+                   syndrome)
 from .modlin import Submodule, free_module_test, module_rank
 from .rings import LocalRingDesc, Zmod
 
@@ -121,11 +123,21 @@ class ProductExtensionDesc:
         return tuple(ext.rand(rng, (length,)) for ext in self.factors)
 
     def add(self, a, b):
+        _check_components(self, a, b)
         return tuple(ext.add(x, y) for ext, x, y in zip(self.factors, a, b))
 
     def equal(self, a, b) -> bool:
+        _check_components(self, a, b)
         return all(np.array_equal(x % ext.char, y % ext.char)
                    for ext, x, y in zip(self.factors, a, b))
+
+
+def _check_components(ext: ProductExtensionDesc, *parts):
+    """Raise ExtensionMismatch unless each of ``parts`` holds exactly one
+    component per factor of ``ext``."""
+    for part in parts:
+        if len(part) != ext.rho:
+            raise ExtensionMismatch(f"expected {ext.rho} factor components, got {len(part)}")
 
 
 def project(obj, j: int):
@@ -221,28 +233,28 @@ def generate_product_codes(params: CodeParams, ext: ProductExtensionDesc,
     """The product code of every generator of ``rngs``: factor by factor,
     :func:`lrpc.generate_codes` makes the factor's code of every generator
     in lockstep, so each generator draws its factor codes in factor order,
-    as one generate_code call per factor would.  A generator whose factor
-    code fails draws no further factor; if any fails, the GenerationFailed
-    of the first such generator in the list is raised."""
-    per_factor = []
-    live = list(range(len(rngs)))
-    failed = {}
+    as one generate_code call per factor would.  A generator that runs out
+    of a budget draws no further factor, and neither do those after it;
+    the GenerationFailed of the first such generator in the list is
+    raised."""
+    per_factor, failure = [], None
     for fac in ext.factors:
-        codes = dict(zip(live, generate_codes(params, fac, [rngs[j] for j in live])))
-        failed.update((j, c) for j, c in codes.items() if isinstance(c, GenerationFailed))
-        live = [j for j in live if j not in failed]
+        codes, fail = generate_codes(params, fac, rngs)
         per_factor.append(codes)
-    if failed:
-        raise failed[min(failed)]
-    return [ProductLrpcCode(ext, params, [codes[j] for codes in per_factor])
-            for j in range(len(rngs))]
+        if fail is not None:  # it stops at an earlier generator than any failure before
+            failure, rngs = fail, rngs[:len(codes)]
+    if failure is not None:
+        raise failure
+    return [ProductLrpcCode(ext, params, codes) for codes in zip(*per_factor)]
 
 
 def encode_product(code: ProductLrpcCode, msg) -> tuple:
+    _check_components(code.ext, msg)
     return tuple(encode(c, m) for c, m in zip(code.codes, msg))
 
 
 def syndrome_product(code: ProductLrpcCode, received) -> tuple:
+    _check_components(code.ext, received)
     return tuple(syndrome(c, r) for c, r in zip(code.codes, received))
 
 
@@ -278,32 +290,27 @@ def sample_errors_product(ext: ProductExtensionDesc, n: int, t_per_factor,
 
 
 def decode_product(code: ProductLrpcCode, received):
-    """Run the local-ring decoder on every projection and recombine.
+    """Run the local-ring decoder on every projection and recombine:
+    :func:`decode_product_batch` on a stack of the one word ``received``,
+    which holds one vector over S_(j) per factor, in any form that
+    :func:`lrpc.decode_local` takes.
 
     Succeeds iff every factor decoder succeeds; the recombined output is
     the unique codeword whose j-th projection is the j-th local output.
     Failures carry the failing factor indices and their line tags.
     """
-    outs = []
-    failures = {}
-    for j, (c, r) in enumerate(zip(code.codes, received), start=1):
-        res = decode_local(c, r)
-        if isinstance(res, DecodingFailure):
-            failures[j] = res
-        else:
-            outs.append(res)
-    if failures:
-        return ProductDecodingFailure(failures)
-    return tuple(outs)
+    _check_components(code.ext, received)
+    [out] = decode_product_batch(code, tuple(_as_svector(c.ext, r, c.params.n)[None]
+                                             for c, r in zip(code.codes, received)))
+    return out
 
 
 def decode_product_batch(code: ProductLrpcCode, received) -> list:
     """:func:`decode_product` of every word of a stack: ``received`` holds
     one stack (B, n, D_S) per factor, and the list of the B results, in
-    order, equals decode_product's word for word.  Every factor's stack,
-    of any size, goes through :func:`lrpc.decode_batch`: so does the one
-    word of a fresh-code trial, which is decoded by its own code as a
-    stack of one."""
+    order.  Every factor's stack, of any size, goes through
+    :func:`lrpc.decode_batch`."""
+    _check_components(code.ext, received)
     per_factor = [decode_batch(c, r) for c, r in zip(code.codes, received)]
     out = []
     for results in zip(*per_factor):

@@ -941,6 +941,71 @@ def test_error_budgets_stay_per_trial(spec, n, ranks, attempts, support_attempts
     assert len(messages - {None}) == ext.rho
 
 
+@pytest.mark.parametrize("spec, attempts", [("Z4 ext m=4", 1), ("Z4 ext m=4", 2),
+                                            ("Z6 ext m=4", 1), ("Z6 ext m=4", 2)])
+def test_generation_budgets_stay_per_generator(spec, attempts, monkeypatch):
+    """With GENERATION_ATTEMPTS so low that generators run out of it,
+    generate_codes over 8 streams returns the codes of the generators
+    before the first failing one, each the code that generate_code makes
+    from a fresh copy of its stream, and the GenerationFailed that
+    generate_code raises for that one; on some streams it is not the
+    first, and at budget 1 over Z4 each of the F, row and H budgets runs
+    out.  Over Z6, generate_product_codes raises the failure of the first
+    generator that fails in either factor, drawing factor by factor as
+    generate_code does; at budget 1 that generator fails in Z3 on some
+    streams although a later one ran out in Z2."""
+    from lrpc_rings import lrpc
+    from lrpc_rings.product_ring import generate_product_codes
+    from lrpc_rings.simulate import parse_ring_spec
+    monkeypatch.setattr(lrpc, "GENERATION_ATTEMPTS", attempts)
+    _, ext = parse_ring_spec(spec)
+    params = CodeParams(6, 2, 2, 1)
+
+    def one_at_a_time(factors, rng):
+        """The codes generate_code makes from rng factor by factor, or the
+        index of the factor that fails and its message."""
+        codes = []
+        for i, fac in enumerate(factors):
+            try:
+                codes.append(generate_code(params, fac, rng))
+            except errors.GenerationFailed as exc:
+                return i, str(exc)
+        return codes
+
+    later, crossed, messages = 0, 0, set()
+    for seed in range(8):
+        for fac in ext.factors:
+            codes, failure = lrpc.generate_codes(params, fac, _streams(seed, size=8))
+            loop = [one_at_a_time([fac], rng) for rng in _streams(seed, size=8)]
+            first = next((j for j, out in enumerate(loop) if isinstance(out, tuple)), 8)
+            message = loop[first][1] if first < 8 else None
+            assert (failure and str(failure)) == message
+            assert len(codes) == first
+            for got, [want] in zip(codes, loop):
+                assert_same_code(got, want)
+            later += 0 < first < 8
+            messages.add(message)
+        if ext.rho == 1:
+            continue
+        loop = [one_at_a_time(ext.factors, rng) for rng in _streams(seed, size=8)]
+        failed = [j for j, out in enumerate(loop) if isinstance(out, tuple)]
+        if not failed:
+            for got, want in zip(generate_product_codes(params, ext, _streams(seed, size=8)),
+                                 loop, strict=True):
+                for a, b in zip(got.codes, want, strict=True):
+                    assert_same_code(a, b)
+            continue
+        with pytest.raises(errors.GenerationFailed) as raised:
+            generate_product_codes(params, ext, _streams(seed, size=8))
+        assert str(raised.value) == loop[failed[0]][1]
+        crossed += loop[failed[0]][0] == 1 and any(loop[j][0] == 0 for j in failed)
+    assert later
+    if attempts == 1 and ext.rho == 1:
+        assert len(messages - {None}) == 3
+    if attempts == 1 and ext.rho > 1:
+        assert crossed
+
+
 class TestSerialization:
     def test_roundtrip(self, small_code, rng):
         text = code_to_text(small_code)

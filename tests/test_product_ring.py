@@ -182,6 +182,39 @@ class TestProductCode:
             for j in (1, 2):
                 assert np.array_equal(project(out, j), project(cw, j))
 
+    def test_decode_product_takes_words_as_decode_local_does(self, z6_code, z6_ext):
+        """A word given per factor as a list of ints (constants of S_(j))
+        decodes as its array form does."""
+        ints = ([1, 0, 1, 1, 0, 1], [2, 1, 0, 0, 1, 2])
+        arrays = tuple(np.array([ext.coerce(x) for x in w]) for ext, w in zip(z6_ext.factors, ints))
+        got, want = decode_product(z6_code, ints), decode_product(z6_code, arrays)
+        assert type(got) is type(want)
+        if isinstance(want, ProductDecodingFailure):
+            assert got.failures.keys() == want.failures.keys()
+        else:
+            assert z6_ext.equal(got, want)
+
+    @pytest.mark.parametrize("components", [1, 3])
+    def test_a_tuple_needs_one_component_per_factor(self, components):
+        """Every entry point that takes a per-factor tuple refuses one with
+        fewer or more components than factors, with ExtensionMismatch,
+        instead of zip dropping or ignoring components."""
+        ext = ProductExtensionDesc(decompose_ring(6), 6)
+        rng = np.random.default_rng(6)
+        code = generate_product_code(CodeParams(6, 2, 2, 1), ext, rng)
+        msg = ext.rand_vector(rng, 2)
+        cw = encode_product(code, msg)
+        bad_msg, bad = (msg + msg)[:components], (cw + cw)[:components]
+        calls = [lambda: encode_product(code, bad_msg),
+                 lambda: syndrome_product(code, bad),
+                 lambda: decode_product(code, bad),
+                 lambda: decode_product_batch(code, tuple(x[None] for x in bad)),
+                 lambda: ext.add(bad, cw), lambda: ext.add(cw, bad),
+                 lambda: ext.equal(bad, cw), lambda: ext.equal(cw, bad)]
+        for call in calls:
+            with pytest.raises(errors.ExtensionMismatch, match="expected 2 factor components"):
+                call()
+
     @pytest.mark.parametrize("size", [0, 1, 2, 7, 8, 40])
     def test_batch_matches_decode_product(self, size):
         """decode_product_batch of per-factor stacks gives, word for word,
