@@ -8,12 +8,14 @@ the erasure problem on the recovered support.  The decoder costs
 O(lambda * gamma^4 * m * n * max(n^2, m^2)) base-ring operations.
 
 There is one decoder with two entry points: :func:`decode_local` decodes
-one word and :func:`decode_batch` a stack of words of one code.  Each runs
-the syndrome and the line-5/8 tests, then hands the words that pass them,
-grouped by frk(S), to :func:`_decode_group`, the one implementation of
-lines 11-18, which decodes the group as a stack (decode_local's group is a
-stack of one) and calls :func:`erasure_decode` once on its stack of
-supports.  So decode_batch returns what decode_local returns for each word.
+one word and :func:`decode_batch` a stack of words, each of its own code
+or all of one.  Each runs the syndrome and the line-5/8 tests, then hands
+the words that pass them, grouped by frk(S), to :func:`_decode_group`, the
+one implementation of lines 11-18, which decodes the group as a stack
+(decode_local's group is a stack of one) and calls :func:`erasure_decode`
+once on its stack of supports.  So decode_batch returns what decode_local
+returns for each word and its code.  A shared code is the stack of one
+(:func:`_per_word`).
 
 Likewise there is one code generator, :func:`generate_codes`, which samples
 the codes of many random generators in lockstep, and one construction,
@@ -167,6 +169,24 @@ class LrpcCode:
         p = self.params
         return (f"LrpcCode(n={p.n}, k={p.k}, lambda={p.lam}, "
                 f"m={self.ext.m}, ring={self.ext.base.spec_string})")
+
+
+class _CodeStack:
+    """The codes of a stack of words, one per word, read as one code by
+    the encoder and the decoder: each array that they read is the stack of
+    the codes' arrays along a leading axis, which pairs with the words'
+    axis in numpy's batched products.  An array is stacked on first read,
+    so an encode stacks no decoder array and a decode no encoder map."""
+
+    def __init__(self, codes):
+        self.codes = codes
+        self.ext, self.params = codes[0].ext, codes[0].params
+
+    def __getattr__(self, name):  # reached only for names __init__ did not set
+        if name not in ("_encode_map", "_h_map", "_f_maps", "_P", "F_basis"):
+            raise AttributeError(name)
+        stack = self.__dict__[name] = np.stack([getattr(c, name) for c in self.codes])
+        return stack
 
 
 def _build_codes(ext, params, h, f_basis, flags=None, h_ext=None) -> list:
@@ -365,14 +385,16 @@ def generate_codes(params: CodeParams, ext: ExtensionDesc, rngs):
 # encoding and syndromes
 
 
-def encode(code: LrpcCode, msg) -> np.ndarray:
+def encode(code, msg) -> np.ndarray:
     """Codeword msg . G of the message (length-k vector over S), or the
-    codewords of a stack of messages (..., k, D_S)."""
-    ext = code.ext
-    msg = _as_svector(ext, msg, code.params.k)
-    # one (1, k D_S) row per message: a stack makes vector-matrix products,
-    # not one matrix product large enough for OpenBLAS to spread over threads
-    return ext.apply_right(msg[..., None, :, :], code._encode_map)[..., 0, :, :]
+    codewords of a stack of messages (..., k, D_S).  ``code`` is an
+    LrpcCode, or a list of the B codes of a stack of B messages (B, k, D_S),
+    one per message (see :func:`_per_word`)."""
+    code, msg = _per_word(code, msg, "k")
+    # one (1, k D_S) row per message: a stack makes vector-matrix products
+    # (each with its own code's map), not one matrix product large enough
+    # for OpenBLAS to spread over threads
+    return code.ext.apply_right(msg[..., None, :, :], code._encode_map)[..., 0, :, :]
 
 
 def syndrome(code: LrpcCode, received, *, canonical: bool = False) -> np.ndarray:
@@ -383,14 +405,51 @@ def syndrome(code: LrpcCode, received, *, canonical: bool = False) -> np.ndarray
     over ell is one product with the multiplication maps of f_1 .. f_lambda
     stacked (``_f_maps``).  ``received`` may be one word or a stack of words
     (..., n, D_S); ``canonical`` says that it is already an array of
-    canonical residues, which skips its reduction."""
+    canonical residues, which skips its reduction.  The decoder also passes
+    a :class:`_CodeStack` with a stack (B, n, D_S) of its B words."""
     ext = code.ext
     n, k = code.params.n, code.params.k
     r = received if canonical else _as_svector(ext, received, n)
     h_r = ext.base.apply_right(ext.vec_rep(r).swapaxes(-3, -2), code._h_map)
     h_r = h_r.swapaxes(-3, -2)  # row (i, ell): H_ell r
-    h_r = h_r.reshape(r.shape[:-2] + (n - k, code._f_maps.shape[0]))
+    h_r = h_r.reshape(r.shape[:-2] + (n - k, code._f_maps.shape[-2]))
     return ext._dot(h_r, code._f_maps)
+
+
+def _per_word(code, words, length):
+    """(code, words) for a stack of words of ``length`` ("n" or "k")
+    elements of S: the words as canonical residues (:func:`_as_svector`),
+    and the code each word is read with.  An LrpcCode is shared by every
+    word: its arrays broadcast over the stack, as a stack of one.  A list
+    holds one code per word of a stack (B, length, D_S), all of one
+    extension and one set of parameters: a :class:`_CodeStack`, or the
+    shared code when the list repeats one code.  Raises ExtensionMismatch
+    for an empty list, for codes of two shapes and for B words that do not
+    pair with the codes."""
+    if isinstance(code, LrpcCode):
+        return code, _as_svector(code.ext, words, getattr(code.params, length))
+    codes = list(code)
+    if not codes:
+        raise ExtensionMismatch("a stack of codes needs at least one code")
+    first = codes[0]
+    words = _as_svector(first.ext, words, getattr(first.params, length))
+    if words.shape[:-2] != (len(codes),):
+        raise ExtensionMismatch(f"expected a stack of {len(codes)} vectors, one per code")
+    if all(c is first for c in codes):
+        return first, words
+    if any(c.ext is not first.ext or c.params != first.params for c in codes):
+        raise ExtensionMismatch("the codes of a stack need one extension and one "
+                                "set of parameters")
+    return _CodeStack(codes), words
+
+
+def _take(code, idx):
+    """The code of the words ``idx`` of a stack read with ``code``: a
+    shared code is every word's, and a :class:`_CodeStack` keeps the codes
+    of those words."""
+    if isinstance(code, LrpcCode) or len(idx) == len(code.codes):
+        return code
+    return _CodeStack([code.codes[i] for i in idx])
 
 
 def _as_svector(ext, v, length):
@@ -433,7 +492,8 @@ def erasure_decode(code: LrpcCode, support_basis, synd, *,
     A stack of G supports, bases (G, t', D_S) with syndromes (G, n-k, D_S),
     is solved with each step run once for the stack and gives the list of
     the G outcomes: the error, or the RankDeficient or NoSolution instance
-    that the call on that support alone raises.
+    that the call on that support alone raises.  The decoder also passes a
+    :class:`_CodeStack` of the G supports' codes.
     """
     ext, ring = code.ext, code.ext.base
     n, k, lam = code.params.n, code.params.k, code.params.lam
@@ -454,7 +514,8 @@ def erasure_decode(code: LrpcCode, support_basis, synd, *,
         outs = [RankDeficient(dependent) for _ in synd]
     else:
         m = ext.m
-        prods = ext._dot(basis[:, None], code._f_maps.reshape(lam, ext.D, ext.D))
+        f_maps = code._f_maps.reshape(code._f_maps.shape[:-2] + (lam, ext.D, ext.D))
+        prods = ext._dot(basis[:, None], f_maps)
         u_mat = ext.vec_rep(prods.reshape(g, nu, ext.D))               # rows: ell*t' + u
         w, perm, r = unit_pivot_factor(ring, _with_identity(ring, u_mat), ncols=m)
         v_mat = ext.vec_rep(synd)                                      # (G, n-k, m, D_R)
@@ -528,10 +589,12 @@ def decode_local(code: LrpcCode, received, with_state: bool = False):
     return finish(out)
 
 
-def decode_batch(code: LrpcCode, words) -> list:
+def decode_batch(code, words) -> list:
     """:func:`decode_local` of every word of a stack (B, n, D_S): the list of
     the B results, each a word or a DecodingFailure equal to decode_local's,
     ``detail`` included.  Any other shape raises ExtensionMismatch.
+    ``code`` is the words' one code, or the list of their B codes, one per
+    word (see :func:`_per_word`), and each word is decoded by its own code.
 
     Decoding draws no random numbers, so every stage runs once for the
     whole stack: the syndromes; the Jordan forms of their supports (lines 5
@@ -539,9 +602,9 @@ def decode_batch(code: LrpcCode, words) -> list:
     once for each group of words with the same frk(S) = nu
     (:func:`_decode_group`).  Only the words are reduced mod char.
     """
+    code, words = _per_word(code, words, "n")
     ext = code.ext
     n, k, lam = code.params.n, code.params.k, code.params.lam
-    words = _as_svector(ext, words, n)
     if words.ndim != 3:
         raise ExtensionMismatch(f"expected a stack of words of shape (B, {n}, {ext.D})")
     out = [None] * len(words)
@@ -561,7 +624,7 @@ def decode_batch(code: LrpcCode, words) -> list:
     for rank in sorted(set(nu[keep].tolist())):
         group = np.flatnonzero(keep & (nu == rank))
         idx = live[group]
-        results = _decode_group(code, _rows(words, idx), _rows(synd, idx),
+        results = _decode_group(_take(code, idx), _rows(words, idx), _rows(synd, idx),
                                 _rows(w, group), _rows(perm, group), rank)
         for i, res in zip(idx.tolist(), results):
             out[i] = res
@@ -573,6 +636,7 @@ def _decode_group(code, words, synd, w, perm, nu):
     canonical syndromes synd whose supports S are free of rank nu, a
     multiple of lambda, given by their stacked Jordan forms (w, perm): the
     list of the G results, each a decoded word or a DecodingFailure.
+    ``code`` is their one code or the :class:`_CodeStack` of their G codes.
 
     E' = S cap f_2^-1 S cap ... is K B for B S's Jordan basis and K the
     left kernel of the meet matrix Z (:func:`modlin._meet_matrix`), found
@@ -606,10 +670,10 @@ def _decode_group(code, words, synd, w, perm, nu):
     ext, ring = code.ext, code.ext.base
     t_p = nu // code.params.lam
     basis = _unpermuted_rows(w, perm, nu)  # (G, nu, m, D_R)
-    scalars = code.F_basis[1:]
+    scalars = code.F_basis[..., 1:, :]
     out = [None] * len(words)
     free, r_e, e_basis = [True] * len(words), [nu] * len(words), basis
-    if nu < ext.m and len(scalars):  # else E' = S, as in intersect_preimages
+    if nu < ext.m and scalars.shape[-2]:  # else E' = S, as in intersect_preimages
         z = _meet_matrix(ext, basis, _free_complement(ring, w, perm, nu), scalars)
         cols = z.shape[-2]
         kernel, _, rk = unit_pivot_factor(ring, _with_identity(ring, z), ncols=cols)
@@ -628,7 +692,7 @@ def _decode_group(code, words, synd, w, perm, nu):
     if not todo:
         return out
     done, errs = [], []
-    for j, res in zip(todo, erasure_decode(code, ext.unrep(_rows(e_basis, todo)),
+    for j, res in zip(todo, erasure_decode(_take(code, todo), ext.unrep(_rows(e_basis, todo)),
                                            _rows(synd, todo), canonical=True)):
         if isinstance(res, RankDeficient):
             out[j] = DecodingFailure(16, "product of candidate support with F has wrong free rank")
@@ -640,7 +704,8 @@ def _decode_group(code, words, synd, w, perm, nu):
     if not done:
         return out
     err = np.array(errs)
-    bad = (syndrome(code, err, canonical=True) != _rows(synd, done)).any(axis=(1, 2))
+    bad = (syndrome(_take(code, done), err, canonical=True)
+           != _rows(synd, done)).any(axis=(1, 2))
     decoded = np.subtract(_rows(words, done), err, out=err)
     decoded %= ext.char
     for j, word, is_bad in zip(done, decoded, bad.tolist()):

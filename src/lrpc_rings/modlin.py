@@ -749,7 +749,7 @@ def _meet_matrix(ext, basis, t2, scalars):
     of them: x Z = 0 iff x B lies in every {y : a_i y in G}."""
     ring = ext.base
     lead, (r, m, d) = basis.shape[:-3], basis.shape[-3:]
-    ell = scalars.shape[0]
+    ell = scalars.shape[-2]
     scaled = ext._dot(ext.unrep(basis)[..., None, :, :], ext.mul_matrices(scalars))
     z = ring.matmul(ext.vec_rep(scaled).reshape(lead + (ell * r, m, d)), t2)
     z = np.swapaxes(z.reshape(lead + (ell, r, m - r, d)), -4, -3)

@@ -248,9 +248,25 @@ def generate_product_codes(params: CodeParams, ext: ProductExtensionDesc,
     return [ProductLrpcCode(ext, params, codes) for codes in zip(*per_factor)]
 
 
-def encode_product(code: ProductLrpcCode, msg) -> tuple:
-    _check_components(code.ext, msg)
-    return tuple(encode(c, m) for c, m in zip(code.codes, msg))
+def _factor_codes(code):
+    """(ext, the code of each factor) for a product code, or for a list of
+    product codes, one per word of a stack, where each factor's code is the
+    list of the words' codes in that factor, which :func:`lrpc.encode` and
+    :func:`lrpc.decode_batch` read as one stack."""
+    if isinstance(code, ProductLrpcCode):
+        return code.ext, code.codes
+    if not len(code):
+        raise ExtensionMismatch("a stack of codes needs at least one code")
+    return code[0].ext, [list(codes) for codes in zip(*(c.codes for c in code))]
+
+
+def encode_product(code, msg) -> tuple:
+    """Per-factor codewords of a per-factor message or stack of messages;
+    ``code`` is a ProductLrpcCode or a list of them, one per message of
+    per-factor stacks (B, k, D_S)."""
+    ext, codes = _factor_codes(code)
+    _check_components(ext, msg)
+    return tuple(encode(c, m) for c, m in zip(codes, msg))
 
 
 def syndrome_product(code: ProductLrpcCode, received) -> tuple:
@@ -305,13 +321,16 @@ def decode_product(code: ProductLrpcCode, received):
     return out
 
 
-def decode_product_batch(code: ProductLrpcCode, received) -> list:
+def decode_product_batch(code, received) -> list:
     """:func:`decode_product` of every word of a stack: ``received`` holds
     one stack (B, n, D_S) per factor, and the list of the B results, in
-    order.  Every factor's stack, of any size, goes through
-    :func:`lrpc.decode_batch`."""
-    _check_components(code.ext, received)
-    per_factor = [decode_batch(c, r) for c, r in zip(code.codes, received)]
+    order.  ``code`` is the words' ProductLrpcCode, or the list of their B
+    product codes, one per word, and each word is decoded by its own.
+    Every factor's stack, of any size, goes through one
+    :func:`lrpc.decode_batch` call."""
+    ext, codes = _factor_codes(code)
+    _check_components(ext, received)
+    per_factor = [decode_batch(c, r) for c, r in zip(codes, received)]
     out = []
     for results in zip(*per_factor):
         failures = {j: res for j, res in enumerate(results, start=1)

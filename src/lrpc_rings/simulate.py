@@ -157,10 +157,11 @@ def run_trials(config: ExperimentConfig,
     every trial of the chunk draws its message, and the chunk's errors are
     sampled in lockstep (:func:`product_ring.sample_errors_product`), each
     from its trial's stream as sample_error_product would draw it.
-    The trials of one code are encoded and decoded as one stack
-    (:func:`product_ring.decode_product_batch`); a fresh code's one word is
-    decoded by its own code.  Decoding draws no random numbers, so the
-    records do not depend on the chunking.
+    Then the chunk's words are encoded as one stack and decoded as one
+    stack (:func:`product_ring.decode_product_batch`), each by its trial's
+    code, whether the chunk shares one code or has a fresh code per trial.
+    Decoding draws no random numbers, so the records do not depend on the
+    chunking.
     ``per_trial_hook(t, trial, code, codeword, error, result)`` is invoked
     once per trial, in trial order, after the trial's chunk is decoded;
     it receives the ``ProductLrpcCode`` and per-factor tuples (one-element
@@ -185,12 +186,8 @@ def run_trials(config: ExperimentConfig,
                      else [code] * len(rngs))
             msgs = _stack([ext.rand_vector(rng, config.k) for rng in rngs])
             errs = sample_errors_product(ext, config.n, t, rngs)
-            if fresh:  # each word is decoded by its own code, as a stack of one
-                parts = [_encode_decode(c, ext, msgs, errs, [i]) for i, c in enumerate(codes)]
-                cws = tuple(map(np.concatenate, zip(*(cw for cw, _ in parts))))
-                results = [res for _, (res,) in parts]
-            else:
-                cws, results = _encode_decode(code, ext, msgs, errs, slice(None))
+            cws = encode_product(codes, msgs)
+            results = decode_product_batch(codes, ext.add(cws, errs))
             for i, trial in enumerate(trials):
                 cw, res = tuple(c[i] for c in cws), results[i]
                 if isinstance(res, ProductDecodingFailure):
@@ -215,14 +212,6 @@ def run_trials(config: ExperimentConfig,
             failure_reason_histogram=hist,
             wall_ms=wall))
     return records
-
-
-def _encode_decode(code, ext, msgs, errs, idx):
-    """Codewords and decoder results of the trials ``idx`` of a chunk, all
-    of one code: per-factor stacks of messages and errors in, the
-    per-factor stack of codewords and the list of results out."""
-    cws = encode_product(code, tuple(m[idx] for m in msgs))
-    return cws, decode_product_batch(code, ext.add(cws, tuple(e[idx] for e in errs)))
 
 
 def _stack(vectors):

@@ -708,6 +708,29 @@ def test_decode_batch_of_odd_stacks(small_code):
             decode_batch(code, np.zeros(shape, dtype=np.int64))
 
 
+def test_a_list_of_codes_pairs_with_its_words(small_code):
+    """encode and decode_batch take a list with one code per word: a list
+    that repeats one code gives what that code gives, and an empty list, a
+    list of another length than the stack, and codes of two parameter
+    sets raise ExtensionMismatch."""
+    from lrpc_rings import decode_batch
+    code, ext = small_code, small_code.ext
+    k = code.params.k
+    rng = np.random.default_rng(7)
+    msgs = ext.rand(rng, (3, k))
+    cws = encode(code, msgs)
+    assert np.array_equal(encode([code] * 3, msgs), cws)
+    words = (cws + sample_error(ext, code.params.n, 1, rng)) % ext.char
+    for got, want in zip(decode_batch([code] * 3, words), decode_batch(code, words)):
+        assert np.array_equal(got, want)
+    other = generate_code(CodeParams(10, 5, 2, 2), ext, rng)
+    for codes in ([], [code] * 2, [code, code, other]):
+        with pytest.raises(errors.ExtensionMismatch):
+            encode(codes, msgs)
+        with pytest.raises(errors.ExtensionMismatch):
+            decode_batch(codes, words)
+
+
 @pytest.mark.parametrize("spec", BATCH_DECODER_SPECS)
 def test_stacked_erasure_decode_matches_one_call_per_support(spec):
     """erasure_decode of a stack of G supports returns, for each, what the

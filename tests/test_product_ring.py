@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from lrpc_rings import (CodeParams, ProductDecodingFailure,
+from lrpc_rings import (CodeParams, DecodingFailure, ProductDecodingFailure,
                         ProductExtensionDesc, ProductSubmodule,
-                        Submodule, decode_product, decode_product_batch,
-                        decompose_ring,
-                        encode_product, errors, generate_product_code,
+                        Submodule, decode_local, decode_product, decode_product_batch,
+                        decompose_ring, encode, encode_product, errors,
+                        generate_product_code, generate_product_codes,
                         localized_rank, project, sample_error,
                         sample_error_product, syndrome_product)
+from lrpc_rings.simulate import parse_ring_spec
 
 
 @pytest.fixture(scope="module")
@@ -218,8 +219,9 @@ class TestProductCode:
     @pytest.mark.parametrize("size", [0, 1, 2, 7, 8, 40])
     def test_batch_matches_decode_product(self, size):
         """decode_product_batch of per-factor stacks gives, word for word,
-        decode_product's result: the same failing factors with the same
-        lines and details, or the same words."""
+        what decode_local gives in each factor, recombined: the same
+        failing factors with the same lines and details, or the same
+        words."""
         ext = ProductExtensionDesc(decompose_ring(12), 4)
         rng = np.random.default_rng(12)
         code = generate_product_code(CodeParams(6, 2, 2, 1), ext, rng)
@@ -233,11 +235,84 @@ class TestProductCode:
         got = decode_product_batch(code, stacks)
         assert len(got) == size
         for out, word in zip(got, words):
-            want = decode_product(code, word)
-            if isinstance(want, ProductDecodingFailure):
-                assert isinstance(out, ProductDecodingFailure)
-                assert ({j: (f.line, f.detail) for j, f in out.failures.items()}
-                        == {j: (f.line, f.detail) for j, f in want.failures.items()})
-            else:
-                assert isinstance(out, tuple) and len(out) == len(want)
-                assert all(np.array_equal(a, b) for a, b in zip(out, want))
+            _assert_decodes_per_factor(out, code, word)
+
+
+def _assert_decodes_per_factor(out, code, word):
+    """``out`` is the recombination of decode_local on each factor of
+    ``word`` with that factor's code: the failing factors mapped to their
+    (line, detail), or, when no factor fails, the tuple of the words."""
+    local = [decode_local(c, w) for c, w in zip(code.codes, word)]
+    failures = {j: (res.line, res.detail) for j, res in enumerate(local, start=1)
+                if isinstance(res, DecodingFailure)}
+    if failures:
+        assert isinstance(out, ProductDecodingFailure)
+        assert {j: (f.line, f.detail) for j, f in out.failures.items()} == failures
+    else:
+        assert isinstance(out, tuple) and len(out) == len(local)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(out, local))
+    return [res.line if isinstance(res, DecodingFailure) else 0 for res in local]
+
+
+# spec, params, and the decoder exits that the mixed stacks reach in each
+# factor.  Z2 and Z3 are fields, where every module is free, so lines 5 and
+# 14 cannot occur, and line 18 does not occur at these parameters.  Over
+# Z4[x]/(x^2) a random word's syndrome support has free rank n - k: odd
+# n - k sends it to line 8, even n - k on to lines 14-18.
+MIXED_STACK_CASES = [
+    ("Z6 ext m=8", CodeParams(8, 3, 2, 2), [{0, 8, 16}, {0, 8, 16}]),
+    ("Z4[x]/(x^2) ext m=6", CodeParams(6, 2, 2, 1), [{0, 5, 14, 16, 18}]),
+    ("Z4[x]/(x^2) ext m=6", CodeParams(6, 3, 2, 1), [{0, 5, 8}]),
+]
+
+
+@pytest.mark.parametrize("spec, params, lines", MIXED_STACK_CASES)
+def test_stacks_of_mixed_codes(spec, params, lines):
+    """Stacks of 0, 1, 2, 7 and 16 words, each word of its own code out of
+    five, encoded by encode_product and decoded by decode_product_batch
+    with the list of the words' codes: every codeword is encode's by the
+    word's own code, and every result is decode_local's in each factor by
+    the word's own code, ``detail`` included.  The words are codewords,
+    random words, c + e and c + e + g e' for g a generator of the maximal
+    ideal, so that every decoder exit that the ring has occurs.  An empty
+    list of codes is refused."""
+    _, ext = parse_ring_spec(spec)
+    n, k = params.n, params.k
+    rng = np.random.default_rng(26)
+    pool = generate_product_codes(params, ext, [np.random.default_rng(s) for s in range(5)])
+    seen = [set() for _ in ext.factors]
+    w = 0
+    for _ in range(3):
+        for size in (0, 1, 2, 7, 16):
+            codes = [pool[(w + i) % len(pool)] for i in range(size)]
+            stack_code = codes or pool[0]  # no word, so no word's code: a shared code
+            msgs = tuple(f.rand(rng, (size, k)) for f in ext.factors)
+            cws = encode_product(stack_code, msgs)
+            words = []
+            for i, code in enumerate(codes):
+                for j, c in enumerate(code.codes):
+                    assert np.array_equal(cws[j][i], encode(c, msgs[j][i]))
+                kind, t = (w + i) % 4, 1 + (w + i) % 2
+                word = []
+                for j, f in enumerate(ext.factors):
+                    g = f.base.maximal_ideal_gens[-1]
+                    if kind == 0:
+                        word.append(f.rand(rng, (n,)))
+                        continue
+                    x = cws[j][i] if kind == 1 else cws[j][i] + sample_error(f, n, t, rng)
+                    if kind == 3:
+                        x = x + f.scalar_mul(g, sample_error(f, n, t, rng))
+                    word.append(x % f.char)
+                words.append(tuple(word))
+            stacks = tuple(np.array([word[j] for word in words], dtype=np.int64)
+                           .reshape(size, n, f.D) for j, f in enumerate(ext.factors))
+            got = decode_product_batch(stack_code, stacks)
+            assert len(got) == size
+            for out, code, word in zip(got, codes, words):
+                for j, line in enumerate(_assert_decodes_per_factor(out, code, word)):
+                    seen[j].add(line)
+            w += size
+    assert seen == lines
+    with pytest.raises(errors.ExtensionMismatch, match="at least one code"):
+        decode_product_batch([], tuple(np.zeros((0, n, f.D), dtype=np.int64)
+                                       for f in ext.factors))

@@ -159,7 +159,7 @@ PINNED_RUNS = {
            "644687fae06f2089231052ba7c408d4e26272df45bb681c8271248535eb54177",
            "42fd8a0fcb77e02b209900abcb01d20f28983307ad51d2303498ab9ba59c3f20"),
     # 35 = 2 * TRIAL_CHUNK + 3 trials per t: two full chunks and a short
-    # one, whose 3 words take decode_product one by one; the digests were
+    # one of 3 words, each chunk decoded as one stack; the digests were
     # made by the trial loop that decoded every trial alone
     "z4-chunks": (dict(ring_spec="Z4", m=10, n=10, k=4, lam=2, t_values=(1, 2, 3),
                        trials=35, seed=17),
@@ -199,6 +199,25 @@ def test_pinned_simulator_output(name, tmp_path):
     emit_csv(run_trials(ExperimentConfig(**kwargs), per_trial_hook=hook), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_sha
     assert seq.hexdigest() == seq_sha
+
+
+def test_fresh_chunks_decode_as_one_stack(monkeypatch):
+    """A chunk of fresh codes is decoded as one stack: the z6-fresh-chunks
+    run (35 trials per t, two t, two factors) makes one decode_batch call
+    per factor per chunk, 2 * 3 * 2 = 12 in all, whose stacks hold the
+    140 factor words, and not one call per word."""
+    from lrpc_rings import lrpc, product_ring
+    sizes = []
+    decode_batch = lrpc.decode_batch
+
+    def counted(code, words):
+        sizes.append(len(words))
+        return decode_batch(code, words)
+
+    monkeypatch.setattr(lrpc, "decode_batch", counted)
+    monkeypatch.setattr(product_ring, "decode_batch", counted)
+    run_trials(ExperimentConfig(**PINNED_RUNS["z6-fresh-chunks"][0]))
+    assert sizes == [16, 16, 16, 16, 3, 3] * 2
 
 
 # fresh-code runs whose chunks hold NoInvertibleMinor refusals and F that
