@@ -11,8 +11,10 @@ the routines below take the field as their first argument.  Matrices over
 F_q are reduced over F_p, by the vectorized routines ``rank_mod_p`` and
 ``rref_mod_p``; over F_2 these XOR rows packed into Python ints
 (``pack_rows``), as the residue-first elimination of ``modlin`` does.  For
-odd p every matrix is a stack, of one if need be, reduced by one step per
-column for the whole stack (``_rref_stack``).
+odd p every matrix is a stack, of one if need be, reduced by
+``unit_pivot_rref``: one step per pivot for the whole stack.  The same
+kernel, with char = p^s, is ``modlin``'s unit-pivot Jordan form over
+Z_(p^s).
 """
 
 from __future__ import annotations
@@ -293,16 +295,15 @@ def _rref_mod_2(rows) -> dict:
 
 def rank_mod_p(mat, p):
     """Rank of an integer matrix over F_p, or the ranks (B,) of a stack
-    (B, rows, cols): the pivot count of the RREF.  For odd p that is the
-    RREF of :func:`rref_mod_p` with the shorter side as the columns, so that
-    the stacked steps are fewest; over F_2 the packed rows of each matrix's
-    shorter side are reduced one matrix at a time, which beat those steps at
-    every stack size up to 16 (10 x 2, 3 x 10 and 10 x 20 matrices)."""
+    (B, rows, cols): the pivot count of :func:`unit_pivot_rref` for odd p.
+    Over F_2 the packed rows of each matrix's shorter side are reduced one
+    matrix at a time, which beat the stacked steps at every stack size up
+    to 16 (10 x 2, 3 x 10 and 10 x 20 matrices)."""
     m = np.asarray(mat, dtype=np.int64) % p
     if m.ndim == 2:
         return int(rank_mod_p(m[None], p)[0])
     if p > 2:
-        return rref_mod_p(m if m.shape[2] <= m.shape[1] else m.swapaxes(1, 2), p)[2]
+        return unit_pivot_rref(m, p, p, m.shape[2])[2]
     if m.shape[1] > m.shape[2]:
         m = m.swapaxes(1, 2)
     rows = pack_rows(m.reshape(-1, m.shape[2]))
@@ -314,17 +315,17 @@ def rank_mod_p(mat, p):
 def rref_mod_p(mat, p):
     """Reduced row echelon form over F_p: (rref, pivot_columns) of a
     matrix, or (m, pivots, rank) of a stack (B, rows, cols) as
-    :func:`_rref_stack` returns them.  Over F_2 the rows of the whole stack
-    are packed once and each matrix is reduced by :func:`_rref_mod_2`; for
-    odd p every stack, and a matrix as a stack of one, takes the stacked
+    :func:`unit_pivot_rref` returns them.  Over F_2 the rows of the whole
+    stack are packed once and each matrix is reduced by :func:`_rref_mod_2`;
+    for odd p every stack, and a matrix as a stack of one, takes the stacked
     steps.  The RREF is unique, so both paths give the same result."""
     m = np.asarray(mat, dtype=np.int64) % p
     if m.ndim == 2:
         m, pivots, rank = rref_mod_p(m[None], p)
         return m[0, :rank[0]], pivots[0, :rank[0]].tolist()
-    if p > 2:
-        return _rref_stack(m, p)
     B, rows, cols = m.shape
+    if p > 2:
+        return unit_pivot_rref(m, p, p, cols)
     rank = np.zeros(B, dtype=np.intp)
     pivots = np.zeros((B, min(rows, cols)), dtype=np.intp)
     packed = pack_rows(m.reshape(-1, cols))
@@ -338,40 +339,64 @@ def rref_mod_p(mat, p):
     return unpack_rows(reduced, cols).reshape(m.shape), pivots, rank
 
 
-def _rref_stack(m, p):
-    """RREF over F_p of every matrix of a stack m (B, rows, cols) of
-    residues, in place: (m, pivots, rank), where the first rank[b] rows of
-    m[b] are its RREF (the rows below are 0) and pivots[b, :rank[b]] their
-    pivot columns.  Step c works on the matrices with a nonzero entry in
-    column c at or below their next pivot row: the topmost such row is
-    swapped up, scaled to a leading 1, and clears column c in every other
-    row."""
-    B, rows, cols = m.shape
+def unit_pivot_rref(m, p, char, ncols):
+    """Gauss-Jordan elimination with unit pivots of every matrix of a stack
+    m (B, rows, cols) of integers in [0, char), char a power of the prime
+    p, in place: (m, pivots, rank).  A unit is an entry not divisible by p.
+
+    Step h runs on every matrix still live, each of rank h so far.  Each
+    pivots on its leftmost column below ``ncols`` with a unit in rows h..,
+    and on the topmost unit row there, which is swapped to row h, scaled
+    to a leading 1 by its Python-int inverse mod char, and clears the
+    column in every other row.  No column swaps are needed: earlier pivot
+    columns are 0 in rows h.., and a column with no unit in those rows
+    never gains one.  A matrix with no unit left drops out, so rank[b] is
+    the number of steps m[b] stayed live and pivots[b, :rank[b]] are its
+    pivot columns, ascending.  Over F_p (char == p) the first rank[b] rows
+    of m[b] are its RREF and the rows below are 0.
+    """
+    B, rows = m.shape[:2]
+    k = min(rows, ncols)
+    pivots = np.zeros((B, k), dtype=np.intp)
     rank = np.zeros(B, dtype=np.intp)
-    pivots = np.zeros((B, min(rows, cols)), dtype=np.intp)
-    below = np.arange(rows)
-    for c in range(cols):
-        nz = m[:, :, c] != 0
-        nz &= below >= rank[:, None]
-        live = np.flatnonzero(nz.any(axis=1))
-        if not live.size:
-            continue
-        r, i = rank[live], nz[live].argmax(axis=1)
-        x = m[live]
-        ar = np.arange(len(live))
-        top = x[ar, i]
-        x[ar, i] = x[ar, r]
-        if p > 2:
-            top *= np.array([pow(v, p - 2, p) for v in top[:, c].tolist()])[:, None]
-            top %= p
-        x -= x[:, :, c, None] * top[:, None, :]
-        x %= p
-        x[ar, r] = top
+    live = ar = np.arange(B)
+    x, pc = m, pivots  # the live matrices and their pivots: m itself while all are live
+    for h in range(k):
+        below = x[:, h:]
+        # the first unit of each block in column-major order: lowest column, then topmost row
+        units = np.remainder(below[:, :, :ncols].swapaxes(1, 2), p, order="C") != 0
+        c, i = np.divmod(units.reshape(len(x), ncols * (rows - h)).argmax(axis=1), rows - h)
+        inv = [pow(d, -1, char) if d % p else 0 for d in below[ar, i, c].tolist()]
+        if 0 in inv:  # no unit left in these matrices
+            keep = np.array(inv) != 0
+            done = ~keep
+            rank[live[done]] = h
+            if x is not m:
+                m[live[done]] = x[done]
+                pivots[live[done]] = pc[done]
+            live, x, pc, c, i = live[keep], x[keep], pc[keep], c[keep], i[keep]
+            if not live.size:
+                return m, pivots, rank
+            inv = [d for d in inv if d]
+            ar = np.arange(len(live))
+            below = x[:, h:]
+        if i.any():
+            top = below[ar, i]
+            below[ar, i] = x[:, h]
+        else:
+            top = x[:, h]
+        piv = top * np.array(inv, dtype=np.int64)[:, None]
+        piv %= char
+        x[:, h] = piv
+        coefs = x[ar, :, c]
+        coefs[:, h] = 0
+        x -= coefs[:, :, None] * piv[:, None]
+        x %= char
+        pc[:, h] = c
+    rank[live] = k
+    if x is not m:
         m[live] = x
-        pivots[live, r] = c
-        rank[live] += 1
-        if (rank == rows).all():
-            break
+        pivots[live] = pc
     return m, pivots, rank
 
 

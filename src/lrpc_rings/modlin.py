@@ -17,16 +17,16 @@ residue rows, and W is then computed exactly from the Schur form those
 choices fix; a large enough stack runs the steps for all its matrices at
 once with per-matrix pivot masks, a smaller one packs each matrix's rows
 into Python ints.  Over other residue fields a stack runs the steps for
-all its matrices at once with per-matrix pivots; at D > 1 (extensions,
-GR(4,2), ...) the pivot inverses are deferred, rows are cleared by
-multiples of the unnormalised pivot row, and one array inverse of the
-pivot products normalises W at the end.  Over Z_char itself (D == 1) a
-small stack runs a per-pivot loop on each matrix's plain integer array.
-On top of that sit the intersection, product, counting, sampling and
-product-recovery operations used by the decoder; the decoder's
-E' = S cap f_2^-1 S cap ... is :func:`intersect_preimages`, one left
-kernel K read off S's Jordan form, and K B for S's basis B is a basis of
-E' whenever the unit-pivot kernel gave K.
+all its matrices at once with per-matrix pivots.  Over Z_char itself
+(D == 1, odd p) that is ``fq.unit_pivot_rref``, the kernel of the F_p
+RREF with char = p^s; at D > 1 (extensions, GR(4,2), ...) the pivot
+inverses are deferred, rows are cleared by multiples of the unnormalised
+pivot row, and one array inverse of the pivot products normalises W at
+the end.  On top of that sit the intersection, product, counting,
+sampling and product-recovery operations used by the decoder; the
+decoder's E' = S cap f_2^-1 S cap ... is :func:`intersect_preimages`, one
+left kernel K read off S's Jordan form, and K B for S's basis B is a
+basis of E' whenever the unit-pivot kernel gave K.
 
 Matrices over R are numpy arrays of shape (rows, cols, D); vectors are
 (cols, D).  A Submodule of R^n stores a generator matrix and lazily
@@ -44,20 +44,16 @@ from typing import Optional
 import numpy as np
 
 from . import fq
-from .chain import inverse_mod
 from .errors import (AmbientMismatch, BadRank, GenerationFailed, NoSuitableBasis,
                      NotFree, OneNotInModule, RingMismatch)
 from .rings import LocalRingDesc
 
-# Stacks of at least STACK_MIN matrices over a residue field F_2, and of at
-# least UNITS_STACK_MIN over Z_char with odd p (D == 1), are eliminated
-# together; smaller ones loop over the per-matrix kernels, since each
-# stacked kernel pays a fixed cost per pivot step.  Over F_2 it broke even
-# at about 8 matrices of 12 x 20 over Z4 and of 6 x 10 over Z4[x]/(x^2);
-# over Z3 at 2 to 4 matrices (12 x 22 and 2 x 10).  At D > 1 with q > 2
-# every nonempty stack takes the stacked kernel, a matrix alone too.
+# Stacks of at least STACK_MIN matrices over a residue field F_2 are
+# eliminated together; smaller ones loop over the per-matrix kernel, since
+# the stacked kernel pays a fixed cost per pivot step.  It broke even at
+# about 8 matrices of 12 x 20 over Z4 and of 6 x 10 over Z4[x]/(x^2).  With
+# q > 2 every nonempty stack takes a stacked kernel, a matrix alone too.
 STACK_MIN = 8
-UNITS_STACK_MIN = 4
 SAMPLE_ATTEMPTS = 100  # residue matrices per sampled free submodule
 
 
@@ -129,10 +125,11 @@ def unit_pivot_factor(arith, a, ncols=None):
     choices are the unit-pivot ones, and they fix W.  A stack of at least
     STACK_MIN matrices is eliminated at once
     (:func:`_factor_residue_f2_stack`), a smaller one matrix by matrix on
-    packed rows (:func:`_factor_residue_f2`).  When q > 2, a stack at D > 1
-    or of at least UNITS_STACK_MIN matrices is eliminated at once
-    (:func:`_factor_units_stack`), and a smaller stack over Z_char itself
-    (D == 1) matrix by matrix (:func:`_factor_loop`).
+    packed rows (:func:`_factor_residue_f2`).  When q > 2 every stack is
+    eliminated at once: over Z_char itself (D == 1) by
+    ``fq.unit_pivot_rref``, which pivots without column swaps and whose
+    pivot columns give perm (:func:`_swap_perm`), and at D > 1 by
+    :func:`_factor_units_stack`.
 
     A has shape (s, N, D) or (B, s, N, D) for the arithmetic's D, and
     0 <= ncols <= N; anything else raises RingMismatch (the shape) or
@@ -155,40 +152,33 @@ def _factor_stack(arith, w, n):
     """:func:`unit_pivot_factor` of a canonical stack w (B, s, N, D)."""
     if not len(w):
         return w, np.zeros((0, w.shape[2]), dtype=np.intp), np.zeros(0, dtype=np.intp)
-    if len(w) >= STACK_MIN and arith.q == 2:
-        return _factor_residue_f2_stack(arith, w, n)
-    if arith.q > 2 and (arith.D > 1 or len(w) >= UNITS_STACK_MIN):
-        return _factor_units_stack(arith, w, n)
-    kernel = _factor_residue_f2 if arith.q == 2 else _factor_loop
-    if len(w) == 1:  # views, not np.stack: a stack of one is the decoder's one-word path
-        w1, perm, r = kernel(arith, w[0], n)
-        return w1[None], perm[None], np.array([r])
-    parts = [kernel(arith, x, n) for x in w]
-    return (np.stack([x[0] for x in parts]), np.stack([x[1] for x in parts]),
-            np.array([x[2] for x in parts], dtype=np.intp))
+    if arith.q == 2:
+        if len(w) >= STACK_MIN:
+            return _factor_residue_f2_stack(arith, w, n)
+        if len(w) == 1:  # views, not np.stack: a stack of one is the decoder's one-word path
+            w1, perm, r = _factor_residue_f2(arith, w[0], n)
+            return w1[None], perm[None], np.array([r])
+        parts = [_factor_residue_f2(arith, x, n) for x in w]
+        return (np.stack([x[0] for x in parts]), np.stack([x[1] for x in parts]),
+                np.array([x[2] for x in parts], dtype=np.intp))
+    if arith.D == 1:
+        _, pivots, rank = fq.unit_pivot_rref(w[..., 0], arith.p, arith.char, n)
+        perm = _swap_perm(pivots, rank, w.shape[2])
+        return np.take_along_axis(w, perm[:, None, :, None], axis=2), perm, rank
+    return _factor_units_stack(arith, w, n)
 
 
-def _factor_loop(arith, w, n):
-    """:func:`unit_pivot_factor` over Z_char (D == 1) with odd p for the
-    canonical A = w of shape (s, N, 1), pivots in its first n columns: one
-    step per pivot on the (s, N) view, a unit test mod p and a Python-int
-    pivot inverse."""
-    char, s = arith.char, w.shape[0]
-    perm = np.arange(w.shape[1])
-    v = w.reshape(w.shape[:2])  # a view: steps on v update w
-    h = 0
-    while h < s and h < n and _pivot_to(v, perm, h, v[h:, h:n] % arith.p != 0):
-        # columns left of h are unit vectors, zero in row h: skip them
-        piv = v[h, h:]
-        piv *= pow(int(piv[0]), -1, char)
-        piv %= char
-        coefs = v[:, h].copy()
-        coefs[h] = 0
-        if coefs.any():
-            v[:, h:] -= coefs[:, None] * piv
-            v[:, h:] %= char
-        h += 1
-    return w, perm, h
+def _swap_perm(pivots, rank, n):
+    """perm (B, n) of :func:`unit_pivot_factor` for the pivot columns
+    pivots[b, :rank[b]], ascending, of each matrix: the swaps of each
+    position h with pivot h's column, which has not moved before step h."""
+    perms = []
+    for cols, r in zip(pivots.tolist(), rank.tolist()):
+        perm = list(range(n))
+        for h, c in enumerate(cols[:r]):
+            perm[h], perm[c] = perm[c], perm[h]
+        perms.append(perm)
+    return np.array(perms, dtype=np.intp).reshape(len(rank), n)
 
 
 def _rows(a, idx):
@@ -196,45 +186,27 @@ def _rows(a, idx):
     return a if len(idx) == len(a) else a[idx]
 
 
-def _pivot_to(w, perm, h, units):
-    """Swap the leftmost column of ``units``, the unit pattern of
-    w[h:, h:n], that holds a unit, and its topmost unit row, to (h, h) of
-    w, recording the column swap in perm; False if there is no unit."""
-    unit_cols = units.any(axis=0)
-    c = int(unit_cols.argmax())
-    if not unit_cols[c]:
-        return False
-    col, row = h + c, h + int(units[:, c].argmax())
-    if row != h:
-        w[[h, row]] = w[[row, h]]
-    if col != h:
-        w[:, [h, col]] = w[:, [col, h]]
-        perm[[h, col]] = perm[[col, h]]
-    return True
-
-
 def _factor_units_stack(arith, w, n):
     """:func:`unit_pivot_factor` of every matrix of a canonical stack w
-    (B, s, N, D) at once, over a local arithmetic with q > 2, pivots in the
-    first n columns.
+    (B, s, N, D) at once, over a local arithmetic with q > 2 and D > 1,
+    pivots in the first n columns.
 
-    Step h runs the one-matrix step h on every matrix that still has a unit
-    in its rows h.. and columns h..n: each picks its own pivot column and
-    row, as :func:`_pivot_to` does, and the swaps are fancy-indexed.  Over
-    Z_char (D == 1) the pivot row is normalised by its Python-int inverse,
-    as in :func:`_factor_loop`.
+    Step h runs on every matrix that still has a unit in its rows h.. and
+    columns h..n: each swaps the leftmost column holding one and the
+    topmost unit row in it to (h, h), and the swaps are fancy-indexed.
 
-    For D > 1 the pivot inverses are deferred.  The pivot row is not
-    normalised: with d the pivot, every row i != h becomes d w_i - c_i w_h,
-    which clears column h.  That is the loop's row times the unit d, and
-    scaling a row by a unit keeps its unit pattern, so every later choice
-    is the loop's.  Each pivot row j ends as P_j = d_j d_(j+1) ... d_(r-1)
-    times the loop's row, and every row below as P_0 times it; one array
-    ``inverse`` of every matrix's P_0 .. P_(r-1) undoes the scales, and the
-    pivot block is set to I.  Scaling by d is one ``_dot`` with d's
-    multiplication matrix, and c (x) w_h one ``_dot`` with the pivot row's
-    matrices side by side.  Columns left of h are zero in row h, so each
-    step updates columns h onward only.
+    The pivot inverses are deferred.  The pivot row is not normalised:
+    with d the pivot, every row i != h becomes d w_i - c_i w_h, which
+    clears column h.  That is the normalised step's row times the unit d,
+    and scaling a row by a unit keeps its unit pattern, so every later
+    choice is the normalised elimination's.  Each pivot row j ends as
+    P_j = d_j d_(j+1) ... d_(r-1) times that elimination's row, and every
+    row below as P_0 times it; one array ``inverse`` of every matrix's
+    P_0 .. P_(r-1) undoes the scales, and the pivot block is set to I.
+    Scaling by d is one ``_dot`` with d's multiplication matrix, and
+    c (x) w_h one ``_dot`` with the pivot row's matrices side by side.
+    Columns left of h are zero in row h, so each step updates columns h
+    onward only.
     """
     char, D = arith.char, arith.D
     B, s, N = w.shape[:3]
@@ -256,36 +228,27 @@ def _factor_units_stack(arith, w, n):
         j = cols.argmax(axis=1)
         i = h + units[ar, :, j].argmax(axis=1)
         j += h
-        if (i != h).any():  # swaps that move nothing are skipped, as in _pivot_to
+        if (i != h).any():  # swaps that move nothing are skipped
             x[ar, h], x[ar, i] = x[ar, i], x[ar, h]
         if (j != h).any():
             x[ar, :, h], x[ar, :, j] = x[ar, :, j], x[ar, :, h]
             perm[live, h], perm[live, j] = perm[live, j], perm[live, h]
-        if D == 1:
-            v = x[..., 0]
-            piv = v[:, h, h:] * inverse_mod(v[:, h, h], char)[:, None] % char
-            coefs = v[:, :, h, None].copy()
-            coefs[:, h] = 0
-            v[:, :, h:] -= coefs * piv[:, None]
-            v[:, :, h:] %= char
-            v[:, h, h:] = piv
-        else:
-            piv = x[:, h, h:].copy()
-            maps = arith.mul_matrices(piv)  # maps[:, 0] multiplies by d
-            sc = _rows(scale, live)
-            sc[:, :h] = arith._dot(sc[:, :h], maps[:, 0])
-            sc[:, h] = piv[:, 0]
-            if sc is not scale:
-                scale[live] = sc
-            cross = arith._dot(x[:, :, h], maps.transpose(0, 2, 1, 3).reshape(len(ar), D, -1))
-            x[:, :, h:] = arith._dot(x[:, :, h:], maps[:, None, 0])
-            x[:, :, h:] -= cross.reshape(x[:, :, h:].shape)
-            x[:, :, h:] %= char
-            x[:, h, h:] = piv
+        piv = x[:, h, h:].copy()
+        maps = arith.mul_matrices(piv)  # maps[:, 0] multiplies by d
+        sc = _rows(scale, live)
+        sc[:, :h] = arith._dot(sc[:, :h], maps[:, 0])
+        sc[:, h] = piv[:, 0]
+        if sc is not scale:
+            scale[live] = sc
+        cross = arith._dot(x[:, :, h], maps.transpose(0, 2, 1, 3).reshape(len(ar), D, -1))
+        x[:, :, h:] = arith._dot(x[:, :, h:], maps[:, None, 0])
+        x[:, :, h:] -= cross.reshape(x[:, :, h:].shape)
+        x[:, :, h:] %= char
+        x[:, h, h:] = piv
         if x is not w:
             w[live] = x
         rank[live] += 1
-    if D > 1 and rank.any():
+    if rank.any():
         # row i < r of a matrix carries P_i and every row below it P_0; the
         # pivot block, zero off its diagonal, is set to I
         pivots = np.arange(k) < rank[:, None]
@@ -494,9 +457,7 @@ class Submodule:
     def _jordan_rows(self, stop=None) -> np.ndarray:
         """Rows of W up to ``stop``, with the column permutation undone."""
         w, perm, _ = self.jordan()
-        out = np.empty_like(w[:stop])
-        out[:, perm] = w[:stop]
-        return out
+        return _unpermuted_rows(w[None], perm[None], stop)[0]
 
     def reduced_gens(self) -> np.ndarray:
         """Nonzero Jordan rows: a smaller generating set for the module."""
@@ -673,8 +634,8 @@ def _log_size(ring: LocalRingDesc, gens) -> int:
 
 
 def _unpermuted_rows(w, perm, stop):
-    """:meth:`Submodule._jordan_rows` of stacked Jordan forms w (B, s, n, D)
-    with their perms (B, n)."""
+    """Rows up to ``stop`` of stacked Jordan forms w (B, s, n, D), with
+    their column permutations perm (B, n) undone."""
     out = np.empty_like(w[:, :stop])
     out[np.arange(len(perm))[:, None], :, perm] = w[:, :stop].swapaxes(1, 2)
     return out

@@ -287,7 +287,8 @@ def test_stacked_ranks_match_one_call_per_matrix(spec):
             assert got.tolist() == want
             seen.update(want)
             if field.mu == 1 and field.p > 2 and size:
-                rref, pivots, rank = fq._rref_stack(codes % field.p, field.p)
+                rref, pivots, rank = fq.unit_pivot_rref(codes % field.p, field.p, field.p,
+                                                        codes.shape[2])
                 for i, c in enumerate(codes):
                     one, one_pivots = fq.rref_mod_p(c, field.p)
                     assert rank[i] == len(one_pivots)
@@ -297,7 +298,7 @@ def test_stacked_ranks_match_one_call_per_matrix(spec):
     assert {0, 1, 2} <= seen
 
 
-@pytest.mark.parametrize("name", ["F2", "F3", "F5", "F4"])
+@pytest.mark.parametrize("name", ["F2", "F3", "F5", "F7", "F4"])
 def test_stacked_rref_matches_one_call_per_matrix(name, monkeypatch):
     """rref_mod_p and Fq.rref of a stack give, for each matrix, the RREF and
     pivots of one call on it (and of the element-by-element oracle), with
@@ -306,7 +307,7 @@ def test_stacked_rref_matches_one_call_per_matrix(name, monkeypatch):
     dispatch runs: the packed rows over F_2, the stacked steps for odd p at
     every stack size, a stack of one included, and the F_p expansion for
     mu > 1."""
-    field = FIELDS.get(name) or fq.Fq(5)
+    field = FIELDS.get(name) or fq.Fq(int(name[1:]))
     calls = {"packed": 0, "stacked": 0, "expanded": 0}
 
     def count(target, key, path):
@@ -317,7 +318,7 @@ def test_stacked_rref_matches_one_call_per_matrix(name, monkeypatch):
             return f(*args)
         monkeypatch.setattr(target, key, counted)
     count(fq, "_rref_mod_2", "packed")
-    count(fq, "_rref_stack", "stacked")
+    count(fq, "unit_pivot_rref", "stacked")
     count(fq.Fq, "expand", "expanded")
     rng = np.random.default_rng(sum(map(ord, name)))
     deficient = set()
@@ -348,7 +349,7 @@ def test_stacked_rref_matches_one_call_per_matrix(name, monkeypatch):
                     assert np.array_equal(got[i], digits[i, :, :, 0])
                     assert got_pivots[i, :rank[i]].tolist() == want_pivots
                     assert got_rank[i] == rank[i]
-    want = {"F2": ["packed"], "F3": ["stacked"], "F5": ["stacked"],
+    want = {"F2": ["packed"], "F3": ["stacked"], "F5": ["stacked"], "F7": ["stacked"],
             "F4": ["packed", "expanded"]}[name]
     assert all(calls[key] for key in want), calls
     assert deficient == {False, True}

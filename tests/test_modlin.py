@@ -11,7 +11,7 @@ from lrpc_rings import (MatR, Submodule, count_free_submodules,
                         module_product, module_rank, recover_factor,
                         sample_free_submodule, solve_linear,
                         square_property_check, unit_pivot_factor)
-from lrpc_rings import ExtensionDesc, Zmod, galois_ring, modlin
+from lrpc_rings import ExtensionDesc, Zmod, fq, galois_ring, modlin
 from lrpc_rings.modlin import (column_jordan, gauss_inverse, intersect_preimages,
                                scale_module, square_witnesses)
 from lrpc_rings.specparse import parse_local_atom
@@ -344,6 +344,7 @@ def test_residue_field_f2_selects_the_residue_first_path(z4, z9, rxi, gr42, s5, 
 STACK_RINGS = {
     "Z3": lambda: Zmod(3),
     "Z9": lambda: Zmod(9),
+    "Z25": lambda: Zmod(25),
     "Z3 ext m=10": lambda: ExtensionDesc(Zmod(3), 10),
     "Z4": lambda: Zmod(4),
     "Z8": lambda: Zmod(8),
@@ -360,18 +361,19 @@ STACK_RINGS = {
 
 
 def _stacks(ring, rng):
-    """Stacks (B, s, N, D) with their ncols, for B = 0, 1, 2, around
-    UNITS_STACK_MIN and STACK_MIN, and around the trial chunk.  Each stack mixes random matrices
-    with unreduced entries, matrices without a unit (r = 0), rows that are
-    p times another, repeated rows and sparse residues; the shapes include
-    ncols < N, more rows than columns, and (A | I) blocks of full rank."""
+    """Stacks (B, s, N, D) with their ncols, for B = 0 to 4, around
+    STACK_MIN, and around the trial chunk.  Each stack mixes random
+    matrices with unreduced entries, matrices without a unit (r = 0), rows
+    that are p times another, repeated rows and sparse residues; the shapes
+    include ncols < N, more rows than columns, and (A | I) blocks of full
+    rank."""
     from lrpc_rings.simulate import TRIAL_CHUNK
     char, d = ring.char, ring.D
     eye = lambda k: Submodule.full(ring, k).gens
     for s, cols, ncols, with_eye in ((3, 5, None, False), (6, 9, 4, False),
                                      (5, 3, None, False), (4, 4, 4, True)):
-        for size in (0, 1, 2, modlin.UNITS_STACK_MIN - 1, modlin.UNITS_STACK_MIN,
-                     modlin.STACK_MIN - 1, modlin.STACK_MIN, TRIAL_CHUNK - 1, TRIAL_CHUNK + 1):
+        for size in (0, 1, 2, 3, 4, modlin.STACK_MIN - 1, modlin.STACK_MIN,
+                     TRIAL_CHUNK - 1, TRIAL_CHUNK + 1):
             mats = []
             for b in range(size):
                 a = ring.rand(rng, (s, cols))
@@ -397,26 +399,29 @@ def test_stacked_factor_matches_one_call_per_matrix(name, monkeypatch):
     """unit_pivot_factor of a stack returns, for every matrix, the (W, perm,
     r) of its own call byte for byte, and of the per-pivot loop.  Over
     residue field F_2 a stack of at least STACK_MIN matrices runs the
-    residue-first stacked kernel; over Z_char with odd p a stack of at
-    least UNITS_STACK_MIN, and at D > 1 with q > 2 every nonempty stack,
-    the stacked unit-pivot kernel; every other stack loops.  So at D > 1
-    with q > 2 the matrix alone is also the stacked kernel's, and only the
-    loop oracle checks it independently."""
+    residue-first stacked kernel, and a smaller one loops; with q > 2
+    every nonempty stack runs a stacked kernel: over Z_char with odd p
+    (D == 1) the one shared with the F_p RREF, at D > 1 the deferred-inverse
+    one.  So with q > 2 the matrix alone is also the stacked kernel's, and
+    only the loop oracle checks it independently."""
     ring = STACK_RINGS[name]()
     stacked = []
 
-    def spy(kernel):
-        def counted(arith, w, n):
-            stacked.append((kernel.__name__, len(w)))
-            return kernel(arith, w, n)
-        return counted
+    def spy(module, kernel, stack_arg):
+        f = getattr(module, kernel)
 
-    for kernel in ("_factor_residue_f2_stack", "_factor_units_stack"):
-        monkeypatch.setattr(modlin, kernel, spy(getattr(modlin, kernel)))
+        def counted(*args):
+            stacked.append((kernel, len(args[stack_arg])))
+            return f(*args)
+        monkeypatch.setattr(module, kernel, counted)
+
+    spy(modlin, "_factor_residue_f2_stack", 1)
+    spy(modlin, "_factor_units_stack", 1)
+    spy(fq, "unit_pivot_rref", 0)
     if ring.q == 2:
         kernel, least = "_factor_residue_f2_stack", modlin.STACK_MIN
     else:
-        kernel, least = "_factor_units_stack", 1 if ring.D > 1 else modlin.UNITS_STACK_MIN
+        kernel, least = "unit_pivot_rref" if ring.D == 1 else "_factor_units_stack", 1
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     for a, ncols in _stacks(ring, rng):
         stacked.clear()

@@ -1,7 +1,9 @@
 import hashlib
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,9 +378,13 @@ class TestCli:
         assert "FAIL" not in out
 
     def test_module_entrypoint(self):
+        # the subprocess does not inherit pytest's pythonpath setting
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "lrpc_rings", "bound",
                                "--ring", "Z6", "--ext", "m=10", "--n", "10",
                                "--k", "4", "--lambda", "2", "--t", "2"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert "t=2" in proc.stdout
